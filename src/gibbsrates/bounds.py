@@ -7,8 +7,13 @@ Four bound families live here, all evaluated log-safely:
   certificate that can demand ~10^34 steps from a chain that actually
   converges in a few hundred;
 * the generic two-term geometric bound ``A^l + weight * B^l``;
-* random-scan lower/upper bounds for the flat-prior beta-binomial model,
-  plus the matching systematic-scan upper bounds and their validity gates;
+* the four bounds of the scan comparison (systematic upper, random-scan
+  upper and lower, eigenvalue lower), each written once as a
+  ``GeometricBound``: a label, a validity gate and terms
+  ``coeff * exp((steps + offset) * log_ratio)``.  The same object gives the
+  value at one step count, the values over a numpy step array, and the
+  first crossing of a target; the scalar functions ``systematic_upper``,
+  ``random_scan_upper`` and ``random_scan_lower`` are thin evaluations of it;
 * the chi-square bound for the Poisson-gamma marginal chain, and the
   scan-order rate comparison (systematic versus random, per unit work).
 
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +49,8 @@ from .numerics import (
 
 # Decay rate of the Azuma-style tail term in the random-scan upper bound:
 # 3 * exp(-(steps - 1)/8).
-AZUMA_RATE = math.exp(-0.125)
+_AZUMA_LOG_RATE = -0.125
+AZUMA_RATE = math.exp(_AZUMA_LOG_RATE)
 
 
 def _check_steps(steps: int, minimum: int = 0) -> int:
@@ -341,64 +347,152 @@ def systematic_rate(n: int) -> float:
     return n / (n + 2.0)
 
 
-def random_scan_lower(n: int, steps: StepCount) -> float:
-    """Lower bound (1/3) * (1 - 1/(n+2))^steps on random-scan TV, steps >= 1.
+@dataclass(frozen=True)
+class BoundTerm:
+    """One term coeff * exp((steps + offset) * log_ratio) of an analytic bound.
+
+    The coefficient stays linear and is applied after the exponential, so a
+    row of a report and a direct evaluation round the same way.
+    """
+
+    coeff: float
+    log_ratio: float
+    offset: float = 0.0
+
+    def at(self, steps):
+        """The term at a step count or at every entry of a numpy step array."""
+        return self.coeff * np.exp((steps + self.offset) * self.log_ratio)
+
+
+@dataclass(frozen=True)
+class GeometricBound:
+    """A labeled sum of ``BoundTerm``s, stated only for steps >= ``gate``.
+
+    This is the one representation of each scan-comparison bound: ``values``
+    evaluates it (vectorized over a step array), ``at`` evaluates it at one
+    validated step count, ``cells`` tabulates it with None below the gate,
+    and ``min_steps`` solves for its first gated crossing of a target.
+    """
+
+    label: str
+    gate: int
+    terms: tuple[BoundTerm, ...]
+
+    def values(self, steps):
+        """The summed terms at a step count or a numpy step array (no gate)."""
+        return sum(term.at(steps) for term in self.terms)
+
+    def check_steps(self, steps: StepCount) -> int:
+        """Validate a step count against the gate and return it as an int."""
+        steps = _check_steps(steps)
+        if steps < self.gate:
+            raise ValidityThresholdError(
+                f"below-validity-threshold: {self.label} needs steps >= "
+                f"{self.gate}, got {steps}"
+            )
+        return steps
+
+    def at(self, steps: StepCount) -> float:
+        return float(self.values(self.check_steps(steps)))
+
+    def cells(self, steps: np.ndarray) -> list:
+        """Python floats at ascending ``steps``, None where below the gate."""
+        cells = self.values(steps).tolist()
+        below = int(np.searchsorted(steps, self.gate))
+        cells[:below] = [None] * below
+        return cells
+
+    def min_steps(self, target: float) -> StepCount:
+        """First step count at or above the gate where the bound <= target."""
+        terms = [
+            GeometricTerm(math.log(t.coeff) if t.coeff > 0.0 else LOG_ZERO, t.log_ratio, t.offset)
+            for t in self.terms
+        ]
+        return max(min_steps_geometric(terms, target), self.gate)
+
+
+SYSTEMATIC_ORDERS = ("x_theta", "theta_x")
+
+
+def systematic_upper_bound(n: int, order: str = "x_theta") -> GeometricBound:
+    """10 * (1 - 2/(n+2))^e on systematic-scan TV, for steps >= ceil(3n/16).
+
+    The exponent depends on the sweep order: e = steps for the x-then-theta
+    sweep and e = steps - 1/2 for the theta-then-x sweep (that chain is half
+    a sweep ahead when watched on the x coordinate).
+    """
+    n = _check_n(n)
+    if order not in SYSTEMATIC_ORDERS:
+        raise ParameterError(
+            f"unknown sweep order {order!r}; expected one of {SYSTEMATIC_ORDERS}"
+        )
+    offset = 0.0 if order == "x_theta" else -0.5
+    return GeometricBound(
+        "the systematic upper bound",
+        systematic_validity_threshold(n),
+        (BoundTerm(10.0, math.log(systematic_rate(n)), offset),),
+    )
+
+
+def random_scan_upper_bound(n: int) -> GeometricBound:
+    """3 e^{-(steps-1)/8} + 10 sqrt((n+2)/n) * rate^(steps-1), steps >= ceil(3n/4).
+
+    ``rate`` is (1 + sqrt(n/(n+2)))/2.  Values above 1 are vacuous but kept
+    as-is so curves stay smooth.
+    """
+    n = _check_n(n)
+    return GeometricBound(
+        "the random-scan upper bound",
+        random_scan_validity_threshold(n),
+        (
+            BoundTerm(3.0, _AZUMA_LOG_RATE, -1.0),
+            BoundTerm(10.0 * math.sqrt((n + 2.0) / n), math.log(random_scan_rate(n)), -1.0),
+        ),
+    )
+
+
+def random_scan_lower_bound(n: int) -> GeometricBound:
+    """(1/3) * (1 - 1/(n+2))^steps on random-scan TV.
 
     Applicability note: the derivation assumes the chain starts in the upper
     half of the parameter range (theta0 >= 1/2); the formula is evaluated
     regardless and that condition travels as report metadata.
     """
     n = _check_n(n)
-    steps = _check_steps(steps, minimum=1)
-    return math.exp(math.log(1.0 / 3.0) + steps * math.log1p(-1.0 / (n + 2.0)))
+    return GeometricBound(
+        "the random-scan lower bound",
+        0,
+        (BoundTerm(1.0 / 3.0, math.log1p(-1.0 / (n + 2.0))),),
+    )
+
+
+def eigen_witness_bound(n: int, witness_weight: float) -> GeometricBound:
+    """(witness_weight / 2) * (n/(n+2))^steps on systematic-scan TV.
+
+    The x-chain eigenfunction x - n/2 has eigenvalue n/(n+2); from a start
+    x0 with ``witness_weight`` = |x0 - n/2| / (n/2) it witnesses this lower
+    bound at every step.
+    """
+    return GeometricBound(
+        "the eigenvalue lower bound",
+        0,
+        (BoundTerm(0.5 * witness_weight, math.log(systematic_rate(n))),),
+    )
+
+
+def random_scan_lower(n: int, steps: StepCount) -> float:
+    """``random_scan_lower_bound(n)`` at one step count, steps >= 1."""
+    return random_scan_lower_bound(n).at(_check_steps(steps, minimum=1))
 
 
 def random_scan_upper(n: int, steps: StepCount) -> float:
-    """Upper bound 3 e^{-(steps-1)/8} + 10 sqrt((n+2)/n) * rate^(steps-1).
-
-    ``rate`` is (1 + sqrt(n/(n+2)))/2.  Only stated for steps >= ceil(3n/4);
-    below that the call raises ``ValidityThresholdError``.  Values above 1
-    are vacuous but returned as-is so curves stay smooth.
-    """
-    n = _check_n(n)
-    steps = _check_steps(steps)
-    threshold = random_scan_validity_threshold(n)
-    if steps < threshold:
-        raise ValidityThresholdError(
-            f"below-validity-threshold: the random-scan upper bound needs "
-            f"steps >= ceil(3n/4) = {threshold}, got {steps}"
-        )
-    tail = 3.0 * math.exp(-(steps - 1) / 8.0)
-    rate = random_scan_rate(n)
-    main = 10.0 * math.sqrt((n + 2.0) / n) * math.exp((steps - 1) * math.log(rate))
-    return tail + main
-
-
-SYSTEMATIC_ORDERS = ("x_theta", "theta_x")
+    """``random_scan_upper_bound(n)`` at one step count at or above its gate."""
+    return random_scan_upper_bound(n).at(steps)
 
 
 def systematic_upper(n: int, steps: StepCount, order: str = "x_theta") -> float:
-    """Upper bound 10 * (1 - 2/(n+2))^e on systematic-scan TV.
-
-    The exponent depends on the sweep order: e = steps for the x-then-theta
-    sweep and e = steps - 1/2 for the theta-then-x sweep (that chain is half
-    a sweep ahead when watched on the x coordinate).  Stated for
-    steps >= ceil(3n/16).
-    """
-    n = _check_n(n)
-    steps = _check_steps(steps)
-    if order not in SYSTEMATIC_ORDERS:
-        raise ParameterError(
-            f"unknown sweep order {order!r}; expected one of {SYSTEMATIC_ORDERS}"
-        )
-    threshold = systematic_validity_threshold(n)
-    if steps < threshold:
-        raise ValidityThresholdError(
-            f"below-validity-threshold: the systematic upper bound needs "
-            f"steps >= ceil(3n/16) = {threshold}, got {steps}"
-        )
-    exponent = float(steps) if order == "x_theta" else steps - 0.5
-    return 10.0 * math.exp(exponent * math.log(systematic_rate(n)))
+    """``systematic_upper_bound(n, order)`` at one step count at or above its gate."""
+    return systematic_upper_bound(n, order).at(steps)
 
 
 def chisq_bound_pg(
@@ -455,36 +549,3 @@ def scan_time_ratio(n: int) -> float:
     n = _check_n(n)
     q = systematic_rate(n)
     return math.log(q) / (2.0 * math.log(0.5 + 0.5 * math.sqrt(q)))
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """A labeled bound curve: step count -> LogMagnitude, with a validity gate.
-
-    ``evaluate`` is only consulted for steps >= ``min_valid_steps``;
-    ``at_or_none`` returns None below the gate so report tables can leave
-    those cells blank instead of printing numbers the formula does not claim.
-    """
-
-    label: str
-    min_valid_steps: int
-    evaluate: Callable[[StepCount], LogMagnitude]
-    notes: str = ""
-
-    def at(self, steps: StepCount) -> LogMagnitude:
-        steps = _check_steps(steps)
-        if steps < self.min_valid_steps:
-            raise ValidityThresholdError(
-                f"below-validity-threshold: {self.label} is stated for steps >= "
-                f"{self.min_valid_steps}, got {steps}"
-            )
-        return self.evaluate(steps)
-
-    def at_or_none(self, steps: StepCount) -> float | None:
-        if steps < self.min_valid_steps:
-            return None
-        return self.evaluate(steps).to_float()
-
-    def is_vacuous(self, steps: StepCount) -> bool:
-        """True when the bound evaluates above 1 (no information at this step)."""
-        return self.at(steps).log_value > 0.0

@@ -7,8 +7,9 @@ Output contract, shared by all subcommands:
   every resolved option (flags beat config-file values beat defaults);
 * ``--format csv`` prints a ``# config: {...}`` comment line, a header, and
   data rows;
-* all floats are rounded to 12 significant digits before serialization, so
-  repeated runs are byte-identical;
+* all floats are rounded to 12 significant digits, once, by the shared
+  ``numerics.jsonable``/``numerics.csv_cell`` policy, so repeated runs are
+  byte-identical; only the requested format is built;
 * log-scale magnitudes appear as ``{"mantissa": m, "exp10": e}`` pairs
   (value = m * 10^e), the loss-free way to print a 10^-10000-scale bound;
 * exit code 0 on success, 2 for parameter/usage errors, 3 for numerical
@@ -45,7 +46,7 @@ from .families import (
     pg_spectral_data,
     pg_xchain,
 )
-from .numerics import LogMagnitude, round_sig
+from .numerics import LogMagnitude, csv_text, jsonable, rounded_decompose
 from .operators import (
     SCAN_KINDS,
     JointState,
@@ -249,8 +250,8 @@ def _convert_config_value(opt: Opt, value):
                 raise ValueError("not an integer")
             return int(value)
         if opt.kind == "float":
-            if isinstance(value, bool):
-                raise ValueError("not a number")
+            if isinstance(value, bool) or not math.isfinite(float(value)):
+                raise ValueError("not a finite number")
             return float(value)
         if opt.kind == "flag":
             if not isinstance(value, bool):
@@ -264,8 +265,10 @@ def _convert_config_value(opt: Opt, value):
         if opt.kind == "int_list":
             return [int(v) for v in value]
         if opt.kind == "float_list":
+            if not all(math.isfinite(float(v)) for v in value):
+                raise ValueError("not all finite numbers")
             return [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(
             f"invalid-config-value: key {opt.key!r} = {value!r} ({exc})"
         ) from exc
@@ -312,54 +315,22 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _rounded_decompose(value: LogMagnitude) -> tuple[float, int]:
-    """Decompose and round the mantissa, keeping it inside [1, 10)."""
-    mantissa, exp10 = value.decompose()
-    mantissa = round_sig(mantissa)
-    if mantissa >= 10.0:
-        mantissa /= 10.0
-        exp10 += 1
-    return mantissa, int(exp10)
+@dataclasses.dataclass(frozen=True)
+class _Output:
+    """A handler's answer: the JSON result and the CSV table, rounded on demand.
 
+    Like the report classes, it builds only the format that is asked for.
+    """
 
-def _jsonify(obj):
-    if isinstance(obj, LogMagnitude):
-        mantissa, exp10 = _rounded_decompose(obj)
-        return {"mantissa": mantissa, "exp10": exp10}
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return round_sig(float(obj))
-    if isinstance(obj, dict):
-        return {key: _jsonify(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(value) for value in obj]
-    return obj
+    result: dict
+    header: tuple[str, ...]
+    rows: list
 
+    def to_jsonable(self) -> dict:
+        return jsonable(self.result)
 
-def _cell(value) -> str:
-    """One deterministic CSV cell."""
-    if value is None:
-        return ""
-    if isinstance(value, LogMagnitude):
-        mantissa, exp10 = _rounded_decompose(value)
-        return f"{mantissa!r}e{exp10:+d}"
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(round_sig(float(value)))
-    return str(value)
-
-
-def _csv_table(header: tuple[str, ...], rows) -> list[str]:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(cell) for cell in row))
-    return lines
+    def to_csv(self) -> str:
+        return csv_text(self.header, self.rows)
 
 
 def _family_from_config(cfg: dict):
@@ -373,7 +344,7 @@ def _family_from_config(cfg: dict):
 
 
 def _magnitude_fields(value: LogMagnitude) -> dict:
-    mantissa, exp10 = _rounded_decompose(value)
+    mantissa, exp10 = rounded_decompose(value)
     return {
         "mantissa": mantissa,
         "exp10": exp10,
@@ -413,14 +384,11 @@ def _run_rosenthal(cfg: dict):
             },
             "cells": cells,
         }
-        csv_lines = _csv_table(
+        return _Output(
+            result,
             ("d", "r", "status", "steps", "log10_steps"),
-            [
-                (c["d"], c["r"], c["status"], c["steps"], c["log10_steps"])
-                for c in cells
-            ],
+            [cell.values() for cell in cells],
         )
-        return result, csv_lines
     params = RosenthalParams(d=cfg["d"], r=cfg["r"])
     steps = rosenthal_min_steps(cert, params, target)
     ing = rosenthal_ingredients(cert, params)
@@ -449,19 +417,14 @@ def _run_rosenthal(cfg: dict):
         "bound_just_before": rosenthal_bound(cert, params, steps - 1) if steps else None,
         "curve": curve,
     }
-    csv_lines = _csv_table(
+    return _Output(
+        result,
         ("steps", "log10_bound", "bound_mantissa", "bound_exp10"),
         [
-            (
-                entry["steps"],
-                entry["log10_bound"],
-                entry["bound"].decompose()[0],
-                entry["bound"].decompose()[1],
-            )
+            (entry["steps"], entry["log10_bound"], *rounded_decompose(entry["bound"]))
             for entry in curve
         ],
     )
-    return result, csv_lines
 
 
 def _run_two_term(cfg: dict):
@@ -481,11 +444,11 @@ def _run_two_term(cfg: dict):
             "steps": cfg["steps"],
             "value": two_term_bound(ratio_a, ratio_b, weight, cfg["steps"]),
         }
-    csv_lines = _csv_table(
+    return _Output(
+        result,
         ("min_steps", "value_at_min_steps", "value_just_before"),
         [(steps, value_at_min, value_before)],
     )
-    return result, csv_lines
 
 
 def _run_spectral(cfg: dict):
@@ -526,21 +489,11 @@ def _run_spectral(cfg: dict):
             "basis_note": data.basis_note,
             "levels": rows,
         }
-        csv_lines = _csv_table(
+        return _Output(
+            result,
             ("k", "product", "lambda_plus", "lambda_minus", "u_plus", "u_minus"),
-            [
-                (
-                    row["k"],
-                    row["product"],
-                    row["lambda_plus"],
-                    row["lambda_minus"],
-                    row["u_plus"],
-                    row["u_minus"],
-                )
-                for row in rows
-            ],
+            [row.values() for row in rows],
         )
-        return result, csv_lines
     if cfg["product"] is None:
         raise ParameterError(
             "missing-required-option: --product is required for "
@@ -556,10 +509,7 @@ def _run_spectral(cfg: dict):
             for alpha in alphas
         ]
         result = {"mode": "gap_curve", "product": cfg["product"], "grid": grid, "rows": rows}
-        csv_lines = _csv_table(
-            ("alpha", "gap"), [(row["alpha"], row["gap"]) for row in rows]
-        )
-        return result, csv_lines
+        return _Output(result, ("alpha", "gap"), [row.values() for row in rows])
     maximum = argmax_gap(cfg["product"])
     result = {
         "mode": "argmax",
@@ -569,15 +519,15 @@ def _run_spectral(cfg: dict):
         "alpha_analytic": maximum.alpha_analytic,
         "gap_analytic": maximum.gap_analytic,
     }
-    csv_lines = _csv_table(
+    return _Output(
+        result,
         ("alpha_star", "gap_star", "alpha_analytic", "gap_analytic"),
         [(maximum.alpha_star, maximum.gap_star, maximum.alpha_analytic, maximum.gap_analytic)],
     )
-    return result, csv_lines
 
 
 def _run_scan_compare(cfg: dict):
-    report = compare(
+    return compare(
         n=cfg["n"],
         max_steps=cfg["steps_max"],
         target=cfg["target"],
@@ -587,8 +537,6 @@ def _run_scan_compare(cfg: dict):
         decay_samples=cfg["decay_samples"],
         seed=cfg["seed"],
     )
-    csv_lines = report.to_csv().splitlines()
-    return report.to_jsonable(), csv_lines
 
 
 def _run_exact_tv(cfg: dict):
@@ -607,8 +555,7 @@ def _run_exact_tv(cfg: dict):
         crossing = first_crossing(curve, cfg["target"])
         result["target"] = cfg["target"]
         result["min_steps"] = crossing
-    csv_lines = _csv_table(("steps", "tv"), [(row["steps"], row["tv"]) for row in rows])
-    return result, csv_lines
+    return _Output(result, ("steps", "tv"), [row.values() for row in rows])
 
 
 def _run_words(cfg: dict):
@@ -623,10 +570,9 @@ def _run_words(cfg: dict):
         for word, count in census.counts.items()
     ]
     result = {"length": census.length, "total": census.total, "words": words}
-    csv_lines = _csv_table(
-        ("word", "count"), [(entry["word"], entry["count"]) for entry in words]
+    return _Output(
+        result, ("word", "count"), [(entry["word"], entry["count"]) for entry in words]
     )
-    return result, csv_lines
 
 
 def _run_simulate(cfg: dict):
@@ -661,33 +607,28 @@ def _run_simulate(cfg: dict):
                 z_score = (estimate - predicted) / std_error
         result["predicted"] = predicted
         result["z_score"] = z_score
-        csv_lines = _csv_table(
+        return _Output(
+            result,
             ("steps", "samples", "estimate", "std_error", "predicted", "z_score"),
             [(cfg["steps"], cfg["samples"], estimate, std_error, predicted, z_score)],
         )
-        return result, csv_lines
     states = run_trajectory(fam, start, strategy, cfg["steps"], seed=cfg["seed"])
     rows = [
         {"step": index, "x": state.x, "theta": state.theta}
         for index, state in enumerate(states)
     ]
     result = {"mode": "trajectory", "scan": cfg["scan"], "rows": rows}
-    csv_lines = _csv_table(
-        ("step", "x", "theta"), [(row["step"], row["x"], row["theta"]) for row in rows]
-    )
-    return result, csv_lines
+    return _Output(result, ("step", "x", "theta"), [row.values() for row in rows])
 
 
 def _run_pg_demo(cfg: dict):
-    demo = pg_mixing_demo(
+    return pg_mixing_demo(
         cfg["j_list"],
         target=cfg["target"],
         shape=cfg["shape"],
         rate=cfg["rate"],
         x_max=cfg["x_max"],
     )
-    csv_lines = demo.to_csv().splitlines()
-    return demo.to_jsonable(), csv_lines
 
 
 _HANDLERS = {
@@ -702,14 +643,16 @@ _HANDLERS = {
 }
 
 
-def render(command: str, cfg: dict, result, csv_lines: list[str]) -> str:
+def render(command: str, cfg: dict, output) -> str:
+    """The command's text in the configured format; ``output`` is a report or
+    ``_Output`` and serializes only that format."""
     if cfg["format"] == "json":
-        payload = {"command": command, "config": _jsonify(cfg), "result": _jsonify(result)}
+        payload = {"command": command, "config": jsonable(cfg), "result": output.to_jsonable()}
         return json.dumps(payload, indent=2) + "\n"
     config_comment = "# config: " + json.dumps(
-        _jsonify({**cfg, "command": command}), sort_keys=True
+        jsonable({**cfg, "command": command}), sort_keys=True
     )
-    return "\n".join([config_comment, *csv_lines]) + "\n"
+    return config_comment + "\n" + output.to_csv()
 
 
 def main(argv=None) -> int:
@@ -723,8 +666,8 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         cfg = resolve_config(args.command, args)
-        result, csv_lines = _HANDLERS[args.command](cfg)
-        text = render(args.command, cfg, result, csv_lines)
+        output = _HANDLERS[args.command](cfg)
+        text = render(args.command, cfg, output)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

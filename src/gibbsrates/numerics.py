@@ -6,7 +6,9 @@ double arithmetic.  Everything here therefore works in the log domain
 (``LogMagnitude``, ``GeometricTerm``, ``min_steps_geometric``) or in exact
 integer/rational arithmetic (step counts are plain Python ints, binomial
 tails are ``Fraction``).  The dense-matrix half (total variation, matrix
-powers, stationary laws, reversible spectra) is conventional numpy.
+powers, stationary laws, reversible spectra) is conventional numpy.  The
+serialization policy lives next to ``round_sig``: ``jsonable`` and
+``csv_cell`` round each float once, the only way numbers leave the package.
 """
 from __future__ import annotations
 
@@ -53,11 +55,69 @@ def round_sig(value: float, digits: int = 12) -> float:
     """Round to a fixed number of significant digits (default 12).
 
     Serialization helper: every float that leaves the package in JSON or CSV
-    passes through this, so repeated runs emit byte-identical output.
+    passes through this once (via ``jsonable`` or ``csv_cell``), so repeated
+    runs emit byte-identical output.
     """
     if not math.isfinite(value):
         return value
     return float(f"{value:.{digits}g}")
+
+
+def rounded_decompose(value: "LogMagnitude") -> tuple[float, int]:
+    """Decompose and round the mantissa, keeping it inside [1, 10)."""
+    mantissa, exp10 = value.decompose()
+    mantissa = round_sig(mantissa)
+    if mantissa >= 10.0:
+        mantissa /= 10.0
+        exp10 += 1
+    return mantissa, int(exp10)
+
+
+def jsonable(obj):
+    """Plain JSON data with every float rounded once by ``round_sig``.
+
+    A LogMagnitude becomes ``{"mantissa": m, "exp10": e}``; numpy scalars
+    become Python numbers and tuples become lists.
+    """
+    if isinstance(obj, float):  # numpy float64 included
+        return round_sig(float(obj))
+    if obj is None:
+        return None
+    if isinstance(obj, LogMagnitude):
+        mantissa, exp10 = rounded_decompose(obj)
+        return {"mantissa": mantissa, "exp10": exp10}
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {key: jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(value) for value in obj]
+    return obj
+
+
+def csv_cell(value) -> str:
+    """One deterministic CSV cell: empty for None, floats rounded once."""
+    if isinstance(value, float):  # numpy float64 included
+        return repr(round_sig(float(value)))
+    if value is None:
+        return ""
+    if isinstance(value, LogMagnitude):
+        mantissa, exp10 = rounded_decompose(value)
+        return f"{mantissa!r}e{exp10:+d}"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def csv_text(header: Sequence[str], rows) -> str:
+    """A header line and one line of ``csv_cell`` cells per row."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(csv_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def log1mexp(log_x: float) -> float:

@@ -24,18 +24,15 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .bounds import (
-    AZUMA_RATE,
     RosenthalParams,
     chisq_min_steps_pg,
-    random_scan_lower,
-    random_scan_rate,
-    random_scan_upper,
-    random_scan_validity_threshold,
+    eigen_witness_bound,
+    random_scan_lower_bound,
+    random_scan_upper_bound,
     rosenthal_min_steps,
     scan_time_ratio,
     systematic_rate,
-    systematic_upper,
-    systematic_validity_threshold,
+    systematic_upper_bound,
 )
 from .errors import (
     ConvergenceError,
@@ -57,9 +54,9 @@ from .numerics import (
     Distribution,
     StepCount,
     StochasticMatrix,
-    min_steps_geometric,
+    csv_text,
+    jsonable,
     reversible_spectrum,
-    round_sig,
 )
 from .operators import (
     MAX_WORD_LENGTH,
@@ -86,16 +83,6 @@ REBUILD_SELF_CHECK_TOL = 1e-9
 ROW_INVARIANT_SLACK = 1e-9
 # Step counts at which the Monte Carlo decay cross-check is evaluated.
 DECAY_CHECK_STEPS = (1, 2, 5, 10)
-
-CSV_COLUMNS = (
-    "steps",
-    "exact_tv_systematic",
-    "systematic_bound",
-    "random_scan_lower",
-    "random_scan_upper",
-    "eigen_lower",
-)
-
 
 def exact_tv_curve(
     matrix: StochasticMatrix,
@@ -201,6 +188,9 @@ class ComparisonRow:
     eigen_lower: float
 
 
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ComparisonRow))
+
+
 @dataclass(frozen=True)
 class DecayCheckRow:
     """Monte Carlo eigenfunction mean against its exact geometric prediction."""
@@ -235,59 +225,25 @@ class ComparisonReport:
     decay_check: tuple[DecayCheckRow, ...] = ()
 
     def to_jsonable(self) -> dict:
-        def sig(value):
-            return None if value is None else round_sig(float(value))
-
-        min_steps = dict(self.min_steps)
-        rosenthal = dict(min_steps.get("rosenthal", {}))
-        if rosenthal.get("log10_steps") is not None:
-            rosenthal["log10_steps"] = sig(rosenthal["log10_steps"])
-        for key in ("d", "r"):
-            if rosenthal.get(key) is not None:
-                rosenthal[key] = sig(rosenthal[key])
-        min_steps["rosenthal"] = rosenthal
-        return {
-            "n": self.n,
-            "target": sig(self.target),
-            "worst_start": self.worst_start,
-            "min_steps": min_steps,
-            "work_ratio_random_vs_systematic": sig(self.work_ratio_random_vs_systematic),
-            "scan_time_ratio": sig(self.scan_time_ratio),
-            "rows": [
-                {
-                    "steps": row.steps,
-                    "exact_tv_systematic": sig(row.exact_tv_systematic),
-                    "systematic_bound": sig(row.systematic_bound),
-                    "random_scan_lower": sig(row.random_scan_lower),
-                    "random_scan_upper": sig(row.random_scan_upper),
-                    "eigen_lower": sig(row.eigen_lower),
-                }
-                for row in self.rows
-            ],
-            "decay_check": [
-                {
-                    "steps": row.steps,
-                    "observed": sig(row.observed),
-                    "std_error": sig(row.std_error),
-                    "predicted": sig(row.predicted),
-                }
-                for row in self.decay_check
-            ],
-            "notes": dict(self.notes),
-        }
+        return jsonable(
+            {
+                "n": self.n,
+                "target": self.target,
+                "worst_start": self.worst_start,
+                "min_steps": self.min_steps,
+                "work_ratio_random_vs_systematic": self.work_ratio_random_vs_systematic,
+                "scan_time_ratio": self.scan_time_ratio,
+                "rows": [vars(row) for row in self.rows],
+                "decay_check": [vars(row) for row in self.decay_check],
+                "notes": self.notes,
+            }
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable(), indent=2) + "\n"
 
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            cells = [str(row.steps)]
-            for name in CSV_COLUMNS[1:]:
-                value = getattr(row, name)
-                cells.append("" if value is None else repr(round_sig(float(value))))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_text(CSV_COLUMNS, (vars(row).values() for row in self.rows))
 
 
 def _check_target(target: float) -> float:
@@ -295,6 +251,37 @@ def _check_target(target: float) -> float:
     if not 0.0 < target < 1.0:
         raise ParameterError(f"target must lie in (0, 1), got {target}")
     return target
+
+
+def _check_row_invariants(steps, exact, systematic, lower, upper, eigen) -> None:
+    """Raise at the first step where the tabulated curves break a provable order.
+
+    Eigenvalue lower <= exact <= systematic upper, and random-scan lower <=
+    random-scan upper where the latter is valid and informative (below 1).
+    """
+    syst, low, up, eig = (bound.values(steps) for bound in (systematic, lower, upper, eigen))
+    slack = ROW_INVARIANT_SLACK
+    # Message fields: {0} exact, {1} systematic, {2} eigen, {3} lower, {4} upper.
+    checks = (
+        (eig > exact + slack, "eigenvalue lower bound {2} exceeds the exact TV {0}"),
+        (
+            (steps >= systematic.gate) & (exact > syst + slack),
+            "exact TV {0} exceeds the systematic upper bound {1}",
+        ),
+        (
+            (steps >= upper.gate) & (up < 1.0) & (low > up + slack),
+            "random-scan lower bound {3} exceeds the upper bound {4}",
+        ),
+    )
+    broken = np.array([violated for violated, _ in checks])
+    failing = np.flatnonzero(broken.any(axis=0))
+    if failing.size:
+        i = int(failing[0])
+        message = checks[int(np.argmax(broken[:, i]))][1]
+        fields = (float(curve[i]) for curve in (exact, syst, eig, low, up))
+        raise ConvergenceError(
+            f"internal-invariant: {message.format(*fields)} at step {steps[i]}"
+        )
 
 
 def compare(
@@ -332,61 +319,21 @@ def compare(
     worst = worst_start_search(matrix, stationary, target, max_steps, full_scan_limit)
     curve = exact_tv_curve(matrix, stationary, worst.start, max_steps)
 
-    q = systematic_rate(n)
-    lam1 = random_scan_rate(n)
-    syst_gate = systematic_validity_threshold(n)
-    rand_gate = random_scan_validity_threshold(n)
     witness_weight = abs(worst.start - n / 2.0) / (n / 2.0)
-    log_q = math.log(q)
-
-    rows = []
-    for steps in range(1, max_steps + 1):
-        exact = float(curve[steps])
-        syst = systematic_upper(n, steps) if steps >= syst_gate else None
-        lower = random_scan_lower(n, steps)
-        upper = random_scan_upper(n, steps) if steps >= rand_gate else None
-        eigen = 0.5 * witness_weight * math.exp(steps * log_q)
-        if eigen > exact + ROW_INVARIANT_SLACK:
-            raise ConvergenceError(
-                f"internal-invariant: eigenvalue lower bound {eigen} exceeds the "
-                f"exact TV {exact} at step {steps}"
-            )
-        if syst is not None and exact > syst + ROW_INVARIANT_SLACK:
-            raise ConvergenceError(
-                f"internal-invariant: exact TV {exact} exceeds the systematic "
-                f"upper bound {syst} at step {steps}"
-            )
-        if upper is not None and upper < 1.0 and lower > upper + ROW_INVARIANT_SLACK:
-            raise ConvergenceError(
-                f"internal-invariant: random-scan lower bound {lower} exceeds the "
-                f"upper bound {upper} at step {steps}"
-            )
-        rows.append(
-            ComparisonRow(
-                steps=steps,
-                exact_tv_systematic=exact,
-                systematic_bound=syst,
-                random_scan_lower=lower,
-                random_scan_upper=upper,
-                eigen_lower=eigen,
-            )
-        )
-
-    systematic_steps = max(
-        min_steps_geometric([(10.0, q)], target), syst_gate
+    # In ComparisonRow column order after the exact curve.
+    systematic, lower, upper, eigen = bounds = (
+        systematic_upper_bound(n),
+        random_scan_lower_bound(n),
+        random_scan_upper_bound(n),
+        eigen_witness_bound(n, witness_weight),
     )
-    random_upper_steps = max(
-        min_steps_geometric(
-            [
-                (3.0, AZUMA_RATE, -1.0),
-                (10.0 * math.sqrt((n + 2.0) / n), lam1, -1.0),
-            ],
-            target,
-        ),
-        rand_gate,
-    )
-    lower_at_least = min_steps_geometric([(1.0 / 3.0, 1.0 - 1.0 / (n + 2.0))], target)
-    eigen_at_least = min_steps_geometric([(0.5 * witness_weight, q)], target)
+    steps = np.arange(1, max_steps + 1)
+    exact = curve[1:]
+    _check_row_invariants(steps, exact, systematic, lower, upper, eigen)
+    columns = (bound.cells(steps) for bound in bounds)
+    rows = tuple(map(ComparisonRow, steps.tolist(), exact.tolist(), *columns))
+    systematic_steps = systematic.min_steps(target)
+    random_upper_steps = upper.min_steps(target)
 
     cert = bb_drift_minorization(fam, x0=0)
     if v_x0:
@@ -410,28 +357,28 @@ def compare(
         "exact": worst.min_steps,
         "systematic_upper": systematic_steps,
         "random_scan_upper": random_upper_steps,
-        "random_scan_lower_at_least": lower_at_least,
-        "eigen_lower_at_least": eigen_at_least,
+        "random_scan_lower_at_least": lower.min_steps(target),
+        "eigen_lower_at_least": eigen.min_steps(target),
         "rosenthal": rosenthal_entry,
     }
 
     decay_rows: list[DecayCheckRow] = []
     if decay_samples:
-        lam_plus, _ = scan_eigenvalue_pair(0.5, q)
+        lam_plus, _ = scan_eigenvalue_pair(0.5, systematic_rate(n))
         theta0 = 0.0 if worst.start <= n / 2 else 1.0
         start_state = JointState(x=worst.start, theta=theta0)
         phi0 = float(bb_eigenfunction_phi(fam, worst.start, theta0))
         strategy = ScanStrategy.random_scan(0.5)
-        for index, steps in enumerate(DECAY_CHECK_STEPS):
+        for index, length in enumerate(DECAY_CHECK_STEPS):
             observed, std_error = eigenfunction_decay(
-                fam, start_state, strategy, steps, samples=decay_samples, seed=seed + index
+                fam, start_state, strategy, length, samples=decay_samples, seed=seed + index
             )
             decay_rows.append(
                 DecayCheckRow(
-                    steps=steps,
+                    steps=length,
                     observed=observed,
                     std_error=std_error,
-                    predicted=phi0 * lam_plus**steps,
+                    predicted=phi0 * lam_plus**length,
                 )
             )
 
@@ -491,12 +438,8 @@ def rebuild_random_scan_upper(n: int, steps: StepCount) -> float:
             f"word-by-word reconstruction is capped at {REBUILD_MAX_STEPS} steps, "
             f"got {steps}"
         )
-    threshold = random_scan_validity_threshold(n)
-    if steps < threshold:
-        raise ValidityThresholdError(
-            f"below-validity-threshold: the random-scan upper bound needs "
-            f"steps >= ceil(3n/4) = {threshold}, got {steps}"
-        )
+    bound = random_scan_upper_bound(n)
+    bound.check_steps(steps)
     x = math.sqrt(n / (n + 2.0))
     if steps <= MAX_WORD_LENGTH:
         census = collapse_census(steps)
@@ -520,7 +463,8 @@ def rebuild_random_scan_upper(n: int, steps: StepCount) -> float:
         raise ConvergenceError(
             f"word-by-word sum {main_sum} disagrees with its closed form {closed}"
         )
-    return 3.0 * math.exp(-(steps - 1) / 8.0) + 10.0 * math.sqrt((n + 2.0) / n) * main_sum
+    azuma, main = bound.terms
+    return float(azuma.at(steps)) + main.coeff * main_sum
 
 
 @dataclass(frozen=True)
@@ -551,31 +495,24 @@ class PgMixingDemo:
     notes: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        return {
-            "shape": round_sig(self.shape),
-            "rate": round_sig(self.rate),
-            "x_max": self.x_max,
-            "target": round_sig(self.target),
-            "decay_rate": round_sig(self.decay_rate),
-            "rows": [
-                {
-                    "start": row.start,
-                    "exact_min_steps": row.exact_min_steps,
-                    "chisq_min_steps": row.chisq_min_steps,
-                }
-                for row in self.rows
-            ],
-            "notes": dict(self.notes),
-        }
+        return jsonable(
+            {
+                "shape": self.shape,
+                "rate": self.rate,
+                "x_max": self.x_max,
+                "target": self.target,
+                "decay_rate": self.decay_rate,
+                "rows": [vars(row) for row in self.rows],
+                "notes": self.notes,
+            }
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable(), indent=2) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["start,exact_min_steps,chisq_min_steps"]
-        for row in self.rows:
-            lines.append(f"{row.start},{row.exact_min_steps},{row.chisq_min_steps}")
-        return "\n".join(lines) + "\n"
+        header = tuple(f.name for f in dataclasses.fields(PgDemoRow))
+        return csv_text(header, (vars(row).values() for row in self.rows))
 
 
 def pg_mixing_demo(

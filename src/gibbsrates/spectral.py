@@ -19,11 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError, ParameterError
 from .families import SpectralData
-from .numerics import LogMagnitude, StepCount
 
 # Floating slack when clamping a barely negative discriminant.
 DISCRIMINANT_CLIP = -1e-15
@@ -273,26 +270,3 @@ def argmax_gap(product: float) -> GapMaximum:
         gap_analytic=gap_analytic,
     )
 
-
-def eigen_lower_bound(
-    eigenvalue: float, steps: StepCount, constant: float = 1.0 / 3.0
-) -> LogMagnitude:
-    """Total-variation lower bound constant * eigenvalue^steps.
-
-    An eigenfunction v with eigenvalue lambda witnesses
-    TV >= c * lambda^steps from any start where |v| is a fixed fraction of
-    its sup norm; the default constant 1/3 matches the worst-start witness
-    used in the scan comparison.
-    """
-    lam = float(eigenvalue)
-    if not 0.0 <= lam <= 1.0:
-        raise ParameterError(f"eigenvalue must lie in [0, 1], got {lam}")
-    c = float(constant)
-    if not 0.0 < c:
-        raise ParameterError(f"witness constant must be positive, got {c}")
-    if not isinstance(steps, (int, np.integer)) or int(steps) < 0:
-        raise ParameterError(f"steps must be a nonnegative integer, got {steps!r}")
-    steps = int(steps)
-    if lam == 0.0:
-        return LogMagnitude.from_linear(c) if steps == 0 else LogMagnitude.zero()
-    return LogMagnitude(math.log(c) + steps * math.log(lam))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gibbsrates import (
     AZUMA_RATE,
     BetaBinomialFamily,
-    BoundCurve,
     DriftMinorization,
     EmptyFeasibleGridError,
     LogMagnitude,
@@ -438,23 +437,3 @@ def test_scan_time_ratio_tends_to_two_from_above():
     for earlier, later in zip(values, values[1:]):
         assert 2.0 < later < earlier
     assert values[-1] == pytest.approx(2.0, abs=1e-3)
-
-
-# ---------------------------------------------------------------------------
-# BoundCurve
-# ---------------------------------------------------------------------------
-
-
-def test_bound_curve_gating():
-    curve = BoundCurve(
-        label="systematic",
-        min_valid_steps=3,
-        evaluate=lambda steps: LogMagnitude.from_linear(10.0 * 0.5**steps),
-    )
-    assert curve.at(3).to_float() == pytest.approx(1.25)
-    assert curve.at_or_none(2) is None
-    assert curve.at_or_none(4) == pytest.approx(0.625)
-    assert curve.is_vacuous(3)
-    assert not curve.is_vacuous(4)
-    with pytest.raises(ValidityThresholdError, match="below-validity-threshold"):
-        curve.at(2)

@@ -100,6 +100,13 @@ def test_rosenthal_csv_curve(run_cli):
     assert config["command"] == "rosenthal" and config["n"] == 100
     assert lines[1] == "steps,log10_bound,bound_mantissa,bound_exp10"
     assert len(lines) > 30  # 0 then powers of ten up past 10^33
+    # Each bound cell pair matches the JSON curve's rounded mantissa/exp10.
+    code, out, _ = run_cli(["rosenthal", "--n", "100"])
+    curve = json.loads(out)["result"]["curve"]
+    cells = [line.split(",") for line in lines[2:]]
+    assert [(float(m), int(e)) for _, _, m, e in cells] == [
+        (entry["bound"]["mantissa"], entry["bound"]["exp10"]) for entry in curve
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +347,13 @@ def test_config_file_errors(run_cli, tmp_path):
     unknown.write_text(json.dumps({"length": 3, "bogus": 1}))
     code, _, err = run_cli(["words", "--config", str(unknown)])
     assert code == 2 and "unknown-config-key" in err
+
+    # JSON's Infinity for an int or int-list option is a bad value, not a crash.
+    for command, values in (("rosenthal", {"n": math.inf}), ("pg-demo", {"j_list": [math.inf]})):
+        infinite = tmp_path / f"{command}-infinite.json"
+        infinite.write_text(json.dumps(values))
+        code, _, err = run_cli([command, "--config", str(infinite)])
+        assert code == 2 and "invalid-config-value" in err
 
 
 def test_config_precedence(run_cli, tmp_path):

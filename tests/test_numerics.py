@@ -29,6 +29,7 @@ from gibbsrates import (
     stationary_distribution,
     tv_distance,
 )
+from gibbsrates.numerics import csv_cell, csv_text, jsonable, rounded_decompose
 
 LOG_ZERO = float("-inf")
 
@@ -44,6 +45,18 @@ def test_round_sig_examples():
     assert round_sig(-1.23456789012345e-7) == -1.23456789012e-7
     assert round_sig(float("inf")) == float("inf")
     assert round_sig(2.5, digits=2) == 2.5
+
+
+def test_serializers_carry_a_rounded_mantissa_alike():
+    # The raw mantissa 9.9999999999999... rounds to 10, so both formats must
+    # carry it into the exponent: 1.0e+3, never 10.0e+2.
+    value = LogMagnitude.from_linear(999.99999999999)
+    assert value.decompose()[1] == 2
+    assert rounded_decompose(value) == (1.0, 3)
+    assert jsonable({"bound": value}) == {"bound": {"mantissa": 1.0, "exp10": 3}}
+    assert csv_cell(value) == "1.0e+3"
+    table = csv_text(("bound_mantissa", "bound_exp10"), [rounded_decompose(value)])
+    assert table == "bound_mantissa,bound_exp10\n1.0,3\n"
 
 
 # ---------------------------------------------------------------------------

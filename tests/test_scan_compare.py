@@ -19,10 +19,14 @@ from gibbsrates import (
     first_crossing,
     pg_geometric_reference,
     pg_mixing_demo,
+    random_scan_lower,
     random_scan_upper,
+    random_scan_validity_threshold,
     rebuild_random_scan_upper,
     rosenthal_min_steps,
     scan_time_ratio,
+    systematic_upper,
+    systematic_validity_threshold,
     worst_start_search,
 )
 from gibbsrates.scan_compare import CSV_COLUMNS, DECAY_CHECK_STEPS
@@ -176,6 +180,51 @@ def test_compare100_row_invariants(compare100):
             assert row.exact_tv_systematic <= row.systematic_bound + 1e-9
         if row.random_scan_upper is not None and row.random_scan_lower is not None:
             assert row.random_scan_lower <= row.random_scan_upper + 1e-9
+
+
+# The eigenvalue reference q**s and the report's exp(s * ln q) differ by about
+# |s ln q| ulps; the horizons below keep |s ln q| <= 40, so 45 float64 eps
+# (1.0e-14) bounds the disagreement.  The other columns share the scalar
+# functions' representation and agree to an ulp or two.
+REFERENCE_RTOL = 45 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("n, max_steps", [(1, 36), (16, 330), (100, 2000), (233, 1000)])
+def test_compare_bounds_match_scalar_reference(n, max_steps):
+    report = compare(n, max_steps=max_steps)
+    q = n / (n + 2.0)
+    weight = abs(report.worst_start - n / 2.0) / (n / 2.0)
+    # row column -> (min_steps key, first valid step, reference curve)
+    reference = {
+        "systematic_bound": (
+            "systematic_upper",
+            systematic_validity_threshold(n),
+            lambda s: systematic_upper(n, s),
+        ),
+        "random_scan_lower": (
+            "random_scan_lower_at_least",
+            1,
+            lambda s: random_scan_lower(n, s),
+        ),
+        "random_scan_upper": (
+            "random_scan_upper",
+            random_scan_validity_threshold(n),
+            lambda s: random_scan_upper(n, s),
+        ),
+        "eigen_lower": ("eigen_lower_at_least", 0, lambda s: 0.5 * weight * q**s),
+    }
+    for column, (key, gate, curve) in reference.items():
+        cells = [getattr(row, column) for row in report.rows]
+        below = max(gate - 1, 0)  # rows start at step 1
+        assert cells[:below] == [None] * below, column
+        expected = [curve(s) for s in range(below + 1, max_steps + 1)]
+        np.testing.assert_allclose(cells[below:], expected, rtol=REFERENCE_RTOL, atol=0)
+        crossing = gate
+        while curve(crossing) > report.target:
+            crossing += 1
+        assert report.min_steps[key] == crossing, column
+        assert type(report.min_steps[key]) is int
+    assert all(type(row.steps) is int for row in report.rows)
 
 
 def test_compare_n50_work_ratio_near_two():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gibbsrates import (
     BetaBinomialFamily,
     ConvergenceError,
-    LogMagnitude,
     ParameterError,
     PoissonGammaFamily,
     alpha_scan_eigenvalues,
@@ -18,7 +17,6 @@ from gibbsrates import (
     bb_eigenfunction_phi,
     bb_spectral_data,
     coupling_u,
-    eigen_lower_bound,
     pg_spectral_data,
     scan_eigenvalue_pair,
     spectral_gap,
@@ -234,40 +232,3 @@ def test_gap_validation():
         spectral_gap(0.5, 1.0)
     with pytest.raises(ParameterError):
         argmax_gap(-0.1)
-
-
-# ---------------------------------------------------------------------------
-# eigen_lower_bound
-# ---------------------------------------------------------------------------
-
-
-def test_eigen_lower_bound_values():
-    value = eigen_lower_bound(0.5, 3)
-    assert isinstance(value, LogMagnitude)
-    assert value.to_float() == pytest.approx(1.0 / 24.0, rel=1e-12)
-    assert eigen_lower_bound(0.5, 1, constant=0.5).to_float() == pytest.approx(0.25)
-
-
-def test_eigen_lower_bound_headline_scale():
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.mp.workdps(40):
-        lam = mpmath.mpf(0.9950737714883371)
-        expected = float(mpmath.mpf(1) / 3 * lam**200)
-    value = eigen_lower_bound(0.9950737714883371, 200)
-    assert value.to_float() == pytest.approx(expected, rel=1e-12)
-
-
-def test_eigen_lower_bound_zero_eigenvalue():
-    assert eigen_lower_bound(0.0, 0).to_float() == pytest.approx(1.0 / 3.0)
-    assert eigen_lower_bound(0.0, 5) == LogMagnitude.zero()
-
-
-def test_eigen_lower_bound_validation():
-    with pytest.raises(ParameterError):
-        eigen_lower_bound(1.5, 3)
-    with pytest.raises(ParameterError):
-        eigen_lower_bound(-0.5, 3)
-    with pytest.raises(ParameterError):
-        eigen_lower_bound(0.5, -1)
-    with pytest.raises(ParameterError):
-        eigen_lower_bound(0.5, 3, constant=0.0)
