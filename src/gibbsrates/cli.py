@@ -56,7 +56,7 @@ from .operators import (
     eigenfunction_decay,
     run_trajectory,
 )
-from .scan_compare import compare, exact_tv_curve, first_crossing, pg_mixing_demo
+from .scan_compare import _check_target, compare, exact_tv_curve, first_crossing, pg_mixing_demo
 from .spectral import alpha_scan_eigenvalues, argmax_gap, scan_eigenvalue_pair, spectral_gap
 
 COMMANDS = (
@@ -242,13 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_int(value) -> int:
+    if isinstance(value, bool) or not float(value) == int(value):
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _convert_config_value(opt: Opt, value):
     """Validate and coerce one config-file value to the option's type."""
     try:
+        if opt.kind.endswith("_list") and not isinstance(value, list):
+            raise ValueError("expected a JSON array")
         if opt.kind == "int":
-            if isinstance(value, bool) or not float(value) == int(value):
-                raise ValueError("not an integer")
-            return int(value)
+            return _config_int(value)
         if opt.kind == "float":
             if isinstance(value, bool) or not math.isfinite(float(value)):
                 raise ValueError("not a finite number")
@@ -263,7 +269,7 @@ def _convert_config_value(opt: Opt, value):
                 raise ValueError(f"must be one of {opt.choices}")
             return value
         if opt.kind == "int_list":
-            return [int(v) for v in value]
+            return [_config_int(v) for v in value]
         if opt.kind == "float_list":
             if not all(math.isfinite(float(v)) for v in value):
                 raise ValueError("not all finite numbers")
@@ -540,6 +546,7 @@ def _run_scan_compare(cfg: dict):
 
 
 def _run_exact_tv(cfg: dict):
+    target = None if cfg["target"] is None else _check_target(cfg["target"])
     fam = _family_from_config(cfg)
     matrix, stationary = (
         bb_xchain(fam) if isinstance(fam, BetaBinomialFamily) else pg_xchain(fam)
@@ -551,10 +558,9 @@ def _run_exact_tv(cfg: dict):
         "start": cfg["start"],
         "rows": rows,
     }
-    if cfg["target"] is not None:
-        crossing = first_crossing(curve, cfg["target"])
-        result["target"] = cfg["target"]
-        result["min_steps"] = crossing
+    if target is not None:
+        result["target"] = target
+        result["min_steps"] = first_crossing(curve, target)
     return _Output(result, ("steps", "tv"), [row.values() for row in rows])
 
 

@@ -10,9 +10,12 @@ Two families are implemented end to end:
 
 Each family exposes its conditional samplers (array-capable, driven by a
 numpy Generator), its exact x-marginal transition matrix with stationary
-law, and spectral data: per-level contraction factors (mu_k, eta_k) where a
-closed form exists, otherwise the basis-free products mu_k * eta_k, which
-are exactly the nontrivial eigenvalues of the x-chain.
+law, and spectral data: the basis-free products mu_k * eta_k, which are
+exactly the nontrivial eigenvalues of the x-chain, together with the
+factors (mu_k, eta_k) where a closed form exists.  The products come from
+the closed forms of Diaconis, Khare & Saloff-Coste (2008): the Hahn
+eigenvalues prod_{i<k} (n - i)/(n + a + b + i) of the beta-binomial chain
+and the Meixner eigenvalues (1 + rate)^-k of the Poisson-gamma chain.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from scipy.stats import nbinom
 
 from .bounds import DriftMinorization
 from .errors import (
-    ConvergenceError,
     ParameterError,
     TruncationError,
     UnsupportedPriorError,
@@ -34,16 +36,11 @@ from .numerics import (
     Distribution,
     LogMagnitude,
     StochasticMatrix,
-    reversible_spectrum,
     stationary_distribution,
 )
 
 # Tail mass allowed beyond the Poisson-gamma truncation point.
 TRUNCATION_TOL = 1e-12
-# Agreement required between analytic and numerically recovered eigenvalues.
-SPECTRAL_CROSS_CHECK_TOL = 1e-10
-# Looser gate for the truncated Poisson-gamma second eigenvalue.
-PG_SECOND_EIGENVALUE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,7 @@ class SpectralLevel:
 
     ``mu`` is the contraction factor of conditioning theta's polynomial on
     x, ``eta`` the reverse; only their product is basis-free, so levels
-    recovered numerically carry ``mu = eta = None``.
+    whose factors have no closed form carry ``mu = eta = None``.
     """
 
     k: int
@@ -303,25 +300,19 @@ def bb_drift_minorization(fam: BetaBinomialFamily, x0: int) -> DriftMinorization
 def bb_spectral_data(fam: BetaBinomialFamily) -> SpectralData:
     """Spectral levels of the flat-prior beta-binomial pair.
 
-    Level 1 has closed-form factors mu_1 = n and eta_1 = 1/(n+2) in the
-    basis p_1(x) = x - n/2, q_1(theta) = n(n+2)(theta - 1/2); the product
-    n/(n+2) is basis-free and must match the x-chain's second eigenvalue.
-    Levels k >= 2 are recovered numerically as products only.  Every level
-    k >= cutoff = n + 1 contracts to zero.
+    The products are the Hahn eigenvalues of the x-chain,
+    prod_{i<k} (n - i)/(n + 2 + i) for k = 1..n, so level 1 is n/(n+2).
+    Level 1 also has closed-form factors mu_1 = n and eta_1 = 1/(n+2) in
+    the basis p_1(x) = x - n/2, q_1(theta) = n(n+2)(theta - 1/2); higher
+    levels carry the products only.  Every level k >= cutoff = n + 1
+    contracts to zero.
     """
     fam.require_flat_prior("closed-form spectral data")
     n = fam.n
-    matrix, stationary = bb_xchain(fam)
-    eigenvalues = reversible_spectrum(matrix, stationary)
-    product_1 = n / (n + 2.0)
-    if abs(eigenvalues[1] - product_1) > SPECTRAL_CROSS_CHECK_TOL:
-        raise ConvergenceError(
-            f"numeric second eigenvalue {eigenvalues[1]} disagrees with the "
-            f"closed form n/(n+2) = {product_1}"
-        )
-    levels = [SpectralLevel(k=1, product=product_1, mu=float(n), eta=1.0 / (n + 2.0))]
-    for k in range(2, n + 1):
-        levels.append(SpectralLevel(k=k, product=min(max(float(eigenvalues[k]), 0.0), 1.0)))
+    i = np.arange(n)
+    products = np.cumprod((n - i) / (n + 2.0 + i))
+    levels = [SpectralLevel(k=1, product=products[0], mu=float(n), eta=1.0 / (n + 2.0))]
+    levels += [SpectralLevel(k=k, product=p) for k, p in enumerate(products[1:], start=2)]
     return SpectralData(
         levels=tuple(levels),
         cutoff=n + 1,
@@ -401,29 +392,18 @@ def pg_geometric_reference(fam: PoissonGammaFamily) -> Distribution:
 
 
 def pg_spectral_data(fam: PoissonGammaFamily) -> SpectralData:
-    """Spectral levels of the truncated Poisson-gamma x-chain (products only).
+    """Spectral levels of the Poisson-gamma x-chain (products only).
 
-    The level set of the untruncated chain is unbounded, so ``cutoff`` is
-    None.  For shape = rate = 1 the leading product must come out as 1/2
-    within 1e-6 — the sharp rate that makes mixing take order log(start)
-    steps rather than the chi-square bound's order-start prediction.
+    The products are the Meixner eigenvalues (1 + rate)^-k, one per
+    nontrivial state of the truncation, k = 1..x_max; they do not depend on
+    the shape.  The level set of the untruncated chain is unbounded, so
+    ``cutoff`` is None.  For shape = rate = 1 the leading product is 1/2 —
+    the sharp rate that makes mixing take order log(start) steps rather
+    than the chi-square bound's order-start prediction.
     """
-    matrix, stationary = pg_xchain(fam)
-    eigenvalues = reversible_spectrum(matrix, stationary)
-    if fam.has_flat_shape and abs(eigenvalues[1] - 0.5) > PG_SECOND_EIGENVALUE_TOL:
-        raise ConvergenceError(
-            f"second eigenvalue {eigenvalues[1]} of the truncated chain strayed "
-            f"from 1/2 by more than {PG_SECOND_EIGENVALUE_TOL}"
-        )
-    levels = []
-    previous = 1.0
-    for k in range(1, eigenvalues.shape[0]):
-        product = min(max(float(eigenvalues[k]), 0.0), 1.0)
-        product = min(product, previous)  # enforce monotonicity against float dust
-        levels.append(SpectralLevel(k=k, product=product))
-        previous = product
+    ratio = 1.0 + fam.rate
     return SpectralData(
-        levels=tuple(levels),
+        levels=tuple(SpectralLevel(k=k, product=ratio**-k) for k in range(1, fam.x_max + 1)),
         cutoff=None,
         basis_note=(
             "all levels are basis-free products recovered from the truncated "

@@ -56,7 +56,6 @@ from .numerics import (
     StochasticMatrix,
     csv_text,
     jsonable,
-    reversible_spectrum,
 )
 from .operators import (
     MAX_WORD_LENGTH,
@@ -526,8 +525,9 @@ def pg_mixing_demo(
     """Exact versus chi-square mixing times for Poisson-gamma far starts.
 
     Starts must stay at or below x_max/2 so truncation never touches the
-    answer.  ``decay_rate`` defaults to the exact 1/2 for the flat case
-    shape = rate = 1 and to the computed second eigenvalue otherwise.
+    answer.  ``decay_rate`` defaults to the x-chain's second eigenvalue,
+    the Meixner closed form 1/(1 + rate) for every shape (1/2 in the flat
+    case shape = rate = 1).
     """
     target = _check_target(target)
     fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
@@ -543,10 +543,7 @@ def pg_mixing_demo(
             )
     matrix, stationary = pg_xchain(fam)
     if decay_rate is None:
-        if fam.has_flat_shape:
-            decay_rate = 0.5
-        else:
-            decay_rate = float(reversible_spectrum(matrix, stationary)[1])
+        decay_rate = 1.0 / (1.0 + fam.rate)
     rows = []
     pi = stationary.weights
     for j in starts:

@@ -237,6 +237,17 @@ def test_exact_tv_pg(run_cli, schema):
     assert result["rows"][0]["tv"] == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("target", ["2", "0", "nan"])
+def test_exact_tv_rejects_target_outside_unit_interval(run_cli, target):
+    code, out, err = run_cli(
+        ["exact-tv", "--family", "bb", "--n", "4", "--start", "0", "--steps-max", "10",
+         "--target", target]
+    )
+    assert code == 2
+    assert out == ""
+    assert "target must lie in (0, 1)" in err
+
+
 # ---------------------------------------------------------------------------
 # words / simulate / pg-demo
 # ---------------------------------------------------------------------------
@@ -354,6 +365,21 @@ def test_config_file_errors(run_cli, tmp_path):
         infinite.write_text(json.dumps(values))
         code, _, err = run_cli([command, "--config", str(infinite)])
         assert code == 2 and "invalid-config-value" in err
+
+    # Each element of an int list passes the scalar int check, and a list
+    # must be a JSON array (a string would be read digit by digit).
+    for index, (command, values) in enumerate(
+        (
+            ("pg-demo", {"j_list": [8.7, 16]}),
+            ("pg-demo", {"j_list": "128"}),
+            ("pg-demo", {"j_list": [True]}),
+            ("rosenthal", {"n": 100, "d_grid": "12"}),
+        )
+    ):
+        bad_list = tmp_path / f"bad-list-{index}.json"
+        bad_list.write_text(json.dumps(values))
+        code, out, err = run_cli([command, "--config", str(bad_list)])
+        assert code == 2 and out == "" and "invalid-config-value" in err
 
 
 def test_config_precedence(run_cli, tmp_path):

@@ -176,6 +176,30 @@ def test_bb_spectral_data_small():
     assert all(b <= a + 1e-10 for a, b in zip(products, products[1:]))
 
 
+# The closed-form products must reproduce the numeric spectrum of the built
+# chain on every level.
+REFERENCE_SPECTRUM_TOL = 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 100, 234])
+def test_bb_spectral_data_matches_numeric_spectrum(n):
+    fam = BetaBinomialFamily(n=n)
+    products = [level.product for level in bb_spectral_data(fam).levels]
+    eigs = reversible_spectrum(*bb_xchain(fam))
+    np.testing.assert_allclose(products, eigs[1:], rtol=0.0, atol=REFERENCE_SPECTRUM_TOL)
+
+
+@pytest.mark.parametrize("n", [235, 600, 1000, 2000])
+def test_bb_spectral_data_answers_beyond_the_built_chain(n):
+    # bb_xchain fails its row-sum check at these n; the closed form needs no chain.
+    data = bb_spectral_data(BetaBinomialFamily(n=n))
+    assert len(data.levels) == n
+    assert data.cutoff == n + 1
+    assert data.levels[0].product == n / (n + 2.0)
+    assert data.levels[0].mu == n
+    assert data.levels[0].eta == 1.0 / (n + 2.0)
+
+
 def test_bb_spectral_data_flat_only():
     with pytest.raises(UnsupportedPriorError):
         bb_spectral_data(BetaBinomialFamily(n=5, b=2.0))
@@ -285,6 +309,17 @@ def test_pg_spectral_data(pg_default):
     products = [level.product for level in data.levels]
     assert all(b <= a + 1e-12 for a, b in zip(products, products[1:]))
     assert all(0.0 <= p <= 1.0 for p in products)
+
+
+@pytest.mark.parametrize(
+    "shape, rate", [(0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+)
+def test_pg_spectral_data_matches_numeric_spectrum(shape, rate):
+    fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=300)
+    products = [level.product for level in pg_spectral_data(fam).levels]
+    eigs = reversible_spectrum(*pg_xchain(fam))
+    assert len(products) == fam.x_max
+    np.testing.assert_allclose(products, eigs[1:], rtol=0.0, atol=REFERENCE_SPECTRUM_TOL)
 
 
 def test_pg_nonflat_spectral_data_still_works():

@@ -397,10 +397,10 @@ def test_pg_demo_decay_rate_override():
 
 
 def test_pg_demo_nonflat_rate_resolves_decay_rate():
-    # The second eigenvalue is 1/(rate + 1): doubling the prior rate
-    # shrinks it to 1/3, which the demo must pick up automatically.
-    demo = pg_mixing_demo([0, 4], rate=2.0)
-    assert demo.decay_rate == pytest.approx(1.0 / 3.0, abs=1e-6)
+    # The second eigenvalue is 1/(rate + 1) for every shape: doubling the
+    # prior rate shrinks it to 1/3, which the demo must pick up automatically.
+    assert pg_mixing_demo([0, 4], rate=2.0).decay_rate == 1.0 / 3.0
+    assert pg_mixing_demo([0, 4], shape=2.0).decay_rate == 0.5
 
 
 def test_pg_demo_serialization():
