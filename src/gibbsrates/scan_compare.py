@@ -55,6 +55,7 @@ from .numerics import (
     StepCount,
     StochasticMatrix,
     csv_text,
+    iterate_tv,
     jsonable,
 )
 from .operators import (
@@ -67,8 +68,7 @@ from .operators import (
 )
 from .spectral import scan_eigenvalue_pair
 
-# Above this matrix dimension the worst start is searched only among the
-# two extreme states instead of over every start.
+# Kept for importers; the worst-start search no longer depends on it.
 FULL_SCAN_LIMIT = 512
 # Exact matrix work in `compare` is capped at this n.
 MAX_COMPARE_N = 2000
@@ -89,9 +89,7 @@ def exact_tv_curve(
     start: int,
     max_steps: StepCount,
 ) -> np.ndarray:
-    """TV to stationarity at steps 0..max_steps from a point start."""
-    if not 0 <= start < matrix.dim:
-        raise ParameterError(f"start state {start} outside 0..{matrix.dim - 1}")
+    """TV to stationarity at steps 0..max_steps (at most 10^5) from a point start."""
     if not isinstance(max_steps, (int, np.integer)) or int(max_steps) < 0:
         raise ParameterError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
     max_steps = int(max_steps)
@@ -99,15 +97,7 @@ def exact_tv_curve(
         raise ParameterError(
             f"max_steps {max_steps} exceeds the exact-iteration cap {MAX_COMPARE_STEPS}"
         )
-    pi = stationary.weights
-    v = np.zeros(matrix.dim)
-    v[start] = 1.0
-    curve = np.empty(max_steps + 1)
-    curve[0] = 0.5 * float(np.abs(v - pi).sum())
-    for step_index in range(1, max_steps + 1):
-        v = v @ matrix.entries
-        curve[step_index] = 0.5 * float(np.abs(v - pi).sum())
-    return curve
+    return np.concatenate(list(iterate_tv(matrix, stationary, [start], max_steps)))
 
 
 def first_crossing(curve: np.ndarray, target: float) -> StepCount | None:
@@ -122,7 +112,6 @@ class WorstStart:
 
     start: int
     min_steps: StepCount
-    scanned_all: bool
 
 
 def worst_start_search(
@@ -130,49 +119,46 @@ def worst_start_search(
     stationary: Distribution,
     target: float,
     max_steps: StepCount,
-    full_scan_limit: int = FULL_SCAN_LIMIT,
 ) -> WorstStart:
     """Find the start needing the most steps to bring TV down to the target.
 
-    Up to ``full_scan_limit`` states every start is evolved simultaneously
-    (one matrix-matrix product per step); beyond that only the two extreme
-    states are tried — for the stochastically monotone chains built here
-    those are the slow corners.  Ties break toward the smaller state.
+    Every start is searched, by binary lifting over the powers K^(2^j).  TV
+    from a fixed start never increases with the step count (Levin, Peres &
+    Wilmer, ch. 4), so each start's last step above the target is the sum
+    of the powers, largest first, that keep it above; one more product
+    confirms every crossing.  The cost is about 2 log2(max_steps) dense
+    products instead of one per step.  Ties break toward the smaller start.
     """
-    dim = matrix.dim
     pi = stationary.weights
     max_steps = int(max_steps)
-    if dim <= full_scan_limit:
-        current = np.eye(dim)
-        crossing = np.full(dim, -1, dtype=np.int64)
-        tv_rows = 0.5 * np.abs(current - pi).sum(axis=1)
-        crossing[tv_rows <= target] = 0
-        steps_done = 0
-        while steps_done < max_steps and np.any(crossing < 0):
-            current = current @ matrix.entries
-            steps_done += 1
-            tv_rows = 0.5 * np.abs(current - pi).sum(axis=1)
-            newly = (crossing < 0) & (tv_rows <= target)
-            crossing[newly] = steps_done
-        if np.any(crossing < 0):
-            raise NoSolutionError(
-                f"target-not-reached: some starts still exceed TV {target} "
-                f"after {max_steps} steps; raise max_steps"
-            )
-        worst = int(np.argmax(crossing))  # argmax returns the first (smallest) tie
-        return WorstStart(start=worst, min_steps=int(crossing[worst]), scanned_all=True)
-    best_start, best_steps = -1, -1
-    for candidate in (0, dim - 1):
-        curve = exact_tv_curve(matrix, stationary, candidate, max_steps)
-        crossed = first_crossing(curve, target)
-        if crossed is None:
-            raise NoSolutionError(
-                f"target-not-reached: start {candidate} still exceeds TV {target} "
-                f"after {max_steps} steps; raise max_steps"
-            )
-        if crossed > best_steps:
-            best_start, best_steps = candidate, crossed
-    return WorstStart(start=best_start, min_steps=best_steps, scanned_all=False)
+
+    def tv_rows(laws: np.ndarray) -> np.ndarray:
+        return 0.5 * np.abs(laws - pi).sum(axis=1)
+
+    powers = [matrix.entries]  # powers[j] = K^(2^j)
+    while np.any(tv_rows(powers[-1]) > target) and 2 ** len(powers) <= max_steps:
+        powers.append(powers[-1] @ powers[-1])
+    # The starts above the target at step 0, their last step known to be
+    # above it, and their laws at that step.
+    laws = np.eye(matrix.dim)
+    active = np.flatnonzero(tv_rows(laws) > target)
+    laws = laws[active]
+    last = np.zeros(active.size, dtype=np.int64)
+    for j in reversed(range(len(powers))):
+        trying = np.flatnonzero(last + 2**j <= max_steps)
+        moved = laws[trying] @ powers[j]
+        above = tv_rows(moved) > target
+        laws[trying[above]] = moved[above]
+        last[trying[above]] += 2**j
+    if np.any(last >= max_steps) or np.any(tv_rows(laws @ matrix.entries) > target):
+        raise NoSolutionError(
+            f"target-not-reached: some starts still exceed TV {target} "
+            f"after {max_steps} steps; raise max_steps"
+        )
+    crossing = np.zeros(matrix.dim, dtype=np.int64)
+    crossing[active] = last + 1
+    worst = int(np.argmax(crossing))  # argmax returns the first (smallest) tie
+    return WorstStart(start=worst, min_steps=int(crossing[worst]))
 
 
 @dataclass(frozen=True)
@@ -292,7 +278,6 @@ def compare(
     v_x0: float = 0.0,
     decay_samples: int = 0,
     seed: int = 0,
-    full_scan_limit: int = FULL_SCAN_LIMIT,
 ) -> ComparisonReport:
     """Run the full exact-versus-bounds comparison for a flat-prior model.
 
@@ -315,8 +300,15 @@ def compare(
 
     fam = BetaBinomialFamily(n=n)
     matrix, stationary = bb_xchain(fam)
-    worst = worst_start_search(matrix, stationary, target, max_steps, full_scan_limit)
+    worst = worst_start_search(matrix, stationary, target, max_steps)
     curve = exact_tv_curve(matrix, stationary, worst.start, max_steps)
+    t = worst.min_steps
+    if curve[t] > target or (t > 0 and curve[t - 1] <= target):
+        raise ConvergenceError(
+            f"internal-invariant: the search puts the crossing of start {worst.start} "
+            f"at step {t}, but its TV curve first reaches {target} at step "
+            f"{first_crossing(curve, target)}"
+        )
 
     witness_weight = abs(worst.start - n / 2.0) / (n / 2.0)
     # In ComparisonRow column order after the exact curve.
@@ -382,11 +374,7 @@ def compare(
             )
 
     notes = {
-        "worst_start": (
-            f"exhaustive scan over all {matrix.dim} starts"
-            if worst.scanned_all
-            else f"extreme starts 0 and {n} only (dimension beyond {full_scan_limit})"
-        ),
+        "worst_start": f"exhaustive scan over all {matrix.dim} starts",
         "exact_chain": (
             "x-marginal of the theta-then-x sweep; one step equals one full sweep"
         ),
@@ -544,32 +532,24 @@ def pg_mixing_demo(
     matrix, stationary = pg_xchain(fam)
     if decay_rate is None:
         decay_rate = 1.0 / (1.0 + fam.rate)
-    rows = []
-    pi = stationary.weights
-    for j in starts:
-        v = np.zeros(matrix.dim)
-        v[j] = 1.0
-        crossed = None
-        if 0.5 * float(np.abs(v - pi).sum()) <= target:
-            crossed = 0
-        else:
-            for steps in range(1, MAX_COMPARE_STEPS + 1):
-                v = v @ matrix.entries
-                if 0.5 * float(np.abs(v - pi).sum()) <= target:
-                    crossed = steps
-                    break
-        if crossed is None:
-            raise NoSolutionError(
-                f"target-not-reached: start {j} needs more than "
-                f"{MAX_COMPARE_STEPS} exact steps"
-            )
-        rows.append(
-            PgDemoRow(
-                start=j,
-                exact_min_steps=crossed,
-                chisq_min_steps=chisq_min_steps_pg(j, stationary, target, decay_rate),
-            )
+    crossed = np.full(len(starts), -1)
+    for steps, tv in enumerate(iterate_tv(matrix, stationary, starts, MAX_COMPARE_STEPS)):
+        crossed[(crossed < 0) & (tv <= target)] = steps
+        if crossed.min() >= 0:
+            break
+    else:
+        raise NoSolutionError(
+            f"target-not-reached: start {starts[int(np.argmin(crossed))]} needs more "
+            f"than {MAX_COMPARE_STEPS} exact steps"
         )
+    rows = [
+        PgDemoRow(
+            start=j,
+            exact_min_steps=int(steps),
+            chisq_min_steps=chisq_min_steps_pg(j, stationary, target, decay_rate),
+        )
+        for j, steps in zip(starts, crossed)
+    ]
     notes = {
         "contrast": (
             "exact crossings grow like log2(start); chi-square crossings grow "

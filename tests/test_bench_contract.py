@@ -40,3 +40,27 @@ def test_full_scan_limit_imports():
     from gibbsrates.scan_compare import FULL_SCAN_LIMIT
 
     assert isinstance(FULL_SCAN_LIMIT, int)
+
+
+def test_tracer_runs_clean_around_the_traced_calls(tracing, tmp_path):
+    # The annotators read call signatures and results (``max_steps`` as the
+    # fourth argument of the worst-start search, ``result.min_steps``); a
+    # drift there makes the traced call raise, which name checks miss.
+    import gibbsrates
+    from gibbsrates import cli
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        gibbsrates.compare(10, 100)
+        gibbsrates.pg_mixing_demo([0, 8])
+        code = cli.main(["exact-tv", "--family", "bb", "--n", "10", "--start", "0",
+                         "--steps-max", "50", "--out", str(tmp_path / "tv.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    failed = {name: total[2] for name, total in tracer.totals.items() if total[2]}
+    assert not failed
+    for counter in ("scan_compare.worst_start_products", "scan_compare.worst_start_gflop",
+                    "scan_compare.exact_tv_steps"):
+        assert counter in tracer.counters

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import betabinom
 
 from gibbsrates import (
     BetaBinomialFamily,
@@ -107,6 +108,16 @@ def test_bb_xchain_n2_closed_form():
     np.testing.assert_allclose(stationary.weights, [1 / 3] * 3, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [235, 511, 724, 2000])
+def test_bb_xchain_matches_betabinomial_rows(n):
+    # Row x is the beta-binomial(n, 1 + x, 1 + n - x) law of the next state.
+    matrix, _ = bb_xchain(BetaBinomialFamily(n=n))
+    x = np.arange(n + 1)
+    rows = betabinom.pmf(x[None, :], n, 1.0 + x[:, None], 1.0 + n - x[:, None])
+    rows /= rows.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(matrix.entries, rows, rtol=1e-11, atol=1e-15)
+
+
 def test_bb_xchain_nonflat_prior_invariance():
     matrix, stationary = bb_xchain(BetaBinomialFamily(n=7, a=2.0, b=3.0))
     pi = stationary.weights
@@ -181,7 +192,7 @@ def test_bb_spectral_data_small():
 REFERENCE_SPECTRUM_TOL = 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 13, 100, 234])
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 100, 234, 235, 600])
 def test_bb_spectral_data_matches_numeric_spectrum(n):
     fam = BetaBinomialFamily(n=n)
     products = [level.product for level in bb_spectral_data(fam).levels]
@@ -191,7 +202,8 @@ def test_bb_spectral_data_matches_numeric_spectrum(n):
 
 @pytest.mark.parametrize("n", [235, 600, 1000, 2000])
 def test_bb_spectral_data_answers_beyond_the_built_chain(n):
-    # bb_xchain fails its row-sum check at these n; the closed form needs no chain.
+    # The closed form needs no chain, so it answers at sizes where building
+    # and eigensolving one would be slow.
     data = bb_spectral_data(BetaBinomialFamily(n=n))
     assert len(data.levels) == n
     assert data.cutoff == n + 1

@@ -8,10 +8,12 @@ import pytest
 
 from gibbsrates import (
     BetaBinomialFamily,
+    ConvergenceError,
     NoSolutionError,
     ParameterError,
     PoissonGammaFamily,
     ValidityThresholdError,
+    WorstStart,
     bb_xchain,
     chisq_min_steps_pg,
     compare,
@@ -75,29 +77,53 @@ def test_worst_start_search_matches_manual_scan():
         curve = exact_tv_curve(matrix, stationary, start, 100)
         crossings.append(first_crossing(curve, target))
     worst = worst_start_search(matrix, stationary, target, 100)
-    assert worst.scanned_all
     assert worst.min_steps == max(crossings)
     assert crossings[worst.start] == worst.min_steps
     assert worst.start == crossings.index(max(crossings))
 
 
-def test_worst_start_search_extremes_path_agrees():
-    # With the full scan disabled the search falls back to the two extreme
-    # starts, which are the worst ones for this symmetric unimodal chain.
-    matrix, stationary = bb_xchain(BetaBinomialFamily(n=10))
-    full = worst_start_search(matrix, stationary, 0.05, 100)
-    extremes = worst_start_search(matrix, stationary, 0.05, 100, full_scan_limit=2)
-    assert not extremes.scanned_all
-    assert extremes.start == full.start
-    assert extremes.min_steps == full.min_steps
+# Targets from one met at step 0 (n = 1, where every start has TV 1/2) down
+# to 0.001; for each, max_steps runs T - 1, T, T + 1 and 2T + 3 around the
+# worst crossing T found by iterating every start step by step.
+LIFTING_TARGETS = (0.6, 0.25, 0.1, 0.03, 0.01, 0.001)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 37, 100, 233])
+def test_worst_start_search_matches_iteration(n):
+    matrix, stationary = bb_xchain(BetaBinomialFamily(n=n))
+    curves = [exact_tv_curve(matrix, stationary, x, 4 * n + 40) for x in range(n + 1)]
+    for target in LIFTING_TARGETS:
+        crossings = [first_crossing(curve, target) for curve in curves]
+        worst_steps = max(crossings)
+        worst_start = crossings.index(worst_steps)
+        for max_steps in (worst_steps - 1, worst_steps, worst_steps + 1, 2 * worst_steps + 3):
+            if max_steps < 0:
+                continue
+            if max_steps < worst_steps:
+                with pytest.raises(NoSolutionError, match="target-not-reached"):
+                    worst_start_search(matrix, stationary, target, max_steps)
+                continue
+            worst = worst_start_search(matrix, stationary, target, max_steps)
+            assert (worst.start, worst.min_steps) == (worst_start, worst_steps)
+
+
+def test_worst_start_search_n600_crossing():
+    # Beyond 512 states every start is searched too; the reported crossing
+    # must be the worst start's own, and both extreme starts must be mixed.
+    matrix, stationary = bb_xchain(BetaBinomialFamily(n=600))
+    target = 0.05
+    worst = worst_start_search(matrix, stationary, target, 1800)
+    t = worst.min_steps
+    curve = exact_tv_curve(matrix, stationary, worst.start, t)
+    assert curve[t - 1] > target >= curve[t]
+    for start in (0, 600):
+        assert exact_tv_curve(matrix, stationary, start, t)[t] <= target
 
 
 def test_worst_start_search_unreached_target():
     matrix, stationary = bb_xchain(BetaBinomialFamily(n=10))
     with pytest.raises(NoSolutionError, match="target-not-reached"):
         worst_start_search(matrix, stationary, 1e-12, 2)
-    with pytest.raises(NoSolutionError, match="target-not-reached"):
-        worst_start_search(matrix, stationary, 1e-12, 2, full_scan_limit=2)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +256,27 @@ def test_compare_bounds_match_scalar_reference(n, max_steps):
 def test_compare_n50_work_ratio_near_two():
     report = compare(n=50, max_steps=400)
     assert 1.8 <= report.work_ratio_random_vs_systematic <= 2.2
+
+
+@pytest.mark.parametrize("n, max_steps, exact", [(100, 10**5, 218), (200, 2 * 10**4, 434)])
+def test_compare_long_horizon_answers(n, max_steps, exact):
+    # Row sums exact to rounding keep the iterated TV from drifting onto a
+    # floor above the systematic bound, so the row invariants hold.
+    report = compare(n=n, max_steps=max_steps)
+    assert report.min_steps["exact"] == exact
+    assert len(report.rows) == max_steps
+    assert report.rows[-1].exact_tv_systematic < 1e-12
+
+
+def test_compare_rechecks_the_searched_crossing(monkeypatch):
+    from gibbsrates import scan_compare
+
+    def one_step_late(matrix, stationary, target, max_steps):
+        return WorstStart(start=0, min_steps=219)
+
+    monkeypatch.setattr(scan_compare, "worst_start_search", one_step_late)
+    with pytest.raises(ConvergenceError, match="internal-invariant.*step 218"):
+        compare(n=100, max_steps=400)
 
 
 def test_compare_validation():
@@ -376,6 +423,14 @@ def test_pg_demo_growth_rates():
         assert b - a <= 3
     for a, b in zip(chisq, chisq[1:]):
         assert b - a >= 4
+
+
+@pytest.mark.parametrize("shape", [1.0, 2.0])
+def test_pg_demo_rows_do_not_depend_on_a_deep_truncation(shape):
+    starts = [0, 8, 16, 32, 64, 128]
+    reference = pg_mixing_demo(starts, shape=shape).rows
+    for x_max in (747, 1600, 3000):
+        assert pg_mixing_demo(starts, shape=shape, x_max=x_max).rows == reference
 
 
 def test_pg_demo_validation():
