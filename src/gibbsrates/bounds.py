@@ -1,19 +1,21 @@
 """Analytic total-variation convergence bounds for two-component Gibbs chains.
 
-Four bound families live here, all evaluated log-safely:
+Every bound here is a sum of geometric terms ``coeff * ratio^(steps + offset)``
+and is written once as a ``GeometricBound``: a label, a validity gate and
+``numerics.GeometricTerm``s.  The same object gives the value at one step
+count (``at``, or ``log_at`` for values beyond a float), the values over a
+numpy step array, and the first crossing of a target, so each evaluate/solve
+pair of functions below reads one object.  The families:
 
 * the drift/minorization (Rosenthal-type) bound with its tuning knobs
-  ``(d, r)``, a minimal-step solver, and a grid optimizer — the generic
-  certificate that can demand ~10^34 steps from a chain that actually
-  converges in a few hundred;
+  ``(d, r)`` (``RosenthalIngredients.bound``), a minimal-step solver, and a
+  grid optimizer — the generic certificate that can demand ~10^34 steps from
+  a chain that actually converges in a few hundred;
 * the generic two-term geometric bound ``A^l + weight * B^l``;
 * the four bounds of the scan comparison (systematic upper, random-scan
-  upper and lower, eigenvalue lower), each written once as a
-  ``GeometricBound``: a label, a validity gate and terms
-  ``coeff * exp((steps + offset) * log_ratio)``.  The same object gives the
-  value at one step count, the values over a numpy step array, and the
-  first crossing of a target; the scalar functions ``systematic_upper``,
-  ``random_scan_upper`` and ``random_scan_lower`` are thin evaluations of it;
+  upper and lower, eigenvalue lower); the scalar functions
+  ``systematic_upper``, ``random_scan_upper`` and ``random_scan_lower`` are
+  thin evaluations of them;
 * the chi-square bound for the Poisson-gamma marginal chain, and the
   scan-order rate comparison (systematic versus random, per unit work).
 
@@ -66,6 +68,55 @@ def _check_n(n: int) -> int:
     if not isinstance(n, (int, np.integer)) or int(n) < 1:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
     return int(n)
+
+
+@dataclass(frozen=True)
+class GeometricBound:
+    """A labeled sum of ``GeometricTerm``s, stated only for steps >= ``gate``.
+
+    This is the one representation of every analytic bound here: ``values``
+    evaluates it (vectorized over a step array), ``at`` evaluates it at one
+    validated step count, ``log_at`` gives the log of that value for bounds
+    too large or too small for a float, ``cells`` tabulates it with None
+    below the gate, and ``min_steps`` solves for its first gated crossing of
+    a target.
+    """
+
+    label: str
+    gate: int
+    terms: tuple[GeometricTerm, ...]
+
+    def values(self, steps):
+        """The summed terms at a step count or a numpy step array (no gate)."""
+        return sum(term.at(steps) for term in self.terms)
+
+    def check_steps(self, steps: StepCount) -> int:
+        """Validate a step count against the gate and return it as an int."""
+        steps = _check_steps(steps)
+        if steps < self.gate:
+            raise ValidityThresholdError(
+                f"below-validity-threshold: {self.label} needs steps >= "
+                f"{self.gate}, got {steps}"
+            )
+        return steps
+
+    def at(self, steps: StepCount) -> float:
+        return float(self.values(self.check_steps(steps)))
+
+    def log_at(self, steps: StepCount) -> float:
+        """ln of the bound at one validated step count, summed in the log domain."""
+        return log_sum_terms(self.terms, self.check_steps(steps))
+
+    def cells(self, steps: np.ndarray) -> list:
+        """Python floats at ascending ``steps``, None where below the gate."""
+        cells = self.values(steps).tolist()
+        below = int(np.searchsorted(steps, self.gate))
+        cells[:below] = [None] * below
+        return cells
+
+    def min_steps(self, target: float) -> StepCount:
+        """First step count at or above the gate where the bound <= target."""
+        return max(min_steps_geometric(self.terms, target), self.gate)
 
 
 @dataclass(frozen=True)
@@ -156,6 +207,21 @@ class RosenthalIngredients:
     log_ratio_drift: float
     coefficient: float
 
+    @property
+    def bound(self) -> GeometricBound:
+        """(1-eps)^(r*steps) + coefficient * (u^r / alpha^(1-r))^steps.
+
+        Defined only for a drift ratio of at most 1; the callers check it first.
+        """
+        return GeometricBound(
+            "the drift/minorization bound",
+            0,
+            (
+                GeometricTerm(1.0, self.log_ratio_minorization),
+                GeometricTerm(self.coefficient, self.log_ratio_drift),
+            ),
+        )
+
 
 def rosenthal_ingredients(
     cert: DriftMinorization, params: RosenthalParams
@@ -204,14 +270,7 @@ def rosenthal_bound(
             NonContractingWarning,
             stacklevel=2,
         )
-    if steps == 0:
-        log_term1 = 0.0
-    elif ing.log_ratio_minorization == LOG_ZERO:
-        log_term1 = LOG_ZERO
-    else:
-        log_term1 = steps * ing.log_ratio_minorization
-    log_term2 = steps * ing.log_ratio_drift + math.log(ing.coefficient)
-    return LogMagnitude(np.logaddexp(log_term1, log_term2))
+    return LogMagnitude(ing.bound.log_at(steps))
 
 
 def rosenthal_min_steps(
@@ -230,11 +289,7 @@ def rosenthal_min_steps(
             f"(u^r/alpha^(1-r) = {math.exp(ing.log_ratio_drift)}), so the bound "
             f"stays above its coefficient {ing.coefficient} >= 1 > {target}"
         )
-    terms = [
-        GeometricTerm(0.0, ing.log_ratio_minorization),
-        GeometricTerm(math.log(ing.coefficient), ing.log_ratio_drift),
-    ]
-    return min_steps_geometric(terms, target)
+    return ing.bound.min_steps(target)
 
 
 @dataclass(frozen=True)
@@ -295,16 +350,20 @@ def rosenthal_grid_optimize(
     )
 
 
-def _two_term_parts(ratio_a: float, ratio_b: float, weight: float):
+def _two_term(ratio_a: float, ratio_b: float, weight: float) -> GeometricBound:
     for name, ratio in (("A", ratio_a), ("B", ratio_b)):
         if not 0.0 <= float(ratio) < 1.0:
             raise ParameterError(f"invalid ratio: {name} must lie in [0, 1), got {ratio}")
     if float(weight) < 0.0:
         raise ParameterError(f"weight must be nonnegative, got {weight}")
-    return [
-        GeometricTerm.from_linear(1.0, float(ratio_a)),
-        GeometricTerm.from_linear(float(weight), float(ratio_b)),
-    ]
+    return GeometricBound(
+        "the two-term bound",
+        0,
+        (
+            GeometricTerm(1.0, LogMagnitude.from_linear(float(ratio_a)).log_value),
+            GeometricTerm(float(weight), LogMagnitude.from_linear(float(ratio_b)).log_value),
+        ),
+    )
 
 
 def two_term_bound(
@@ -312,17 +371,14 @@ def two_term_bound(
 ) -> float:
     """Evaluate A^steps + weight * B^steps (both ratios in [0, 1))."""
     steps = _check_steps(steps)
-    terms = _two_term_parts(ratio_a, ratio_b, weight)
-    log_value = log_sum_terms(terms, steps)
-    return 0.0 if log_value == LOG_ZERO else math.exp(log_value)
+    return math.exp(_two_term(ratio_a, ratio_b, weight).log_at(steps))
 
 
 def two_term_min_steps(
     ratio_a: float, ratio_b: float, weight: float, target: float
 ) -> StepCount:
     """Minimal step count with A^steps + weight * B^steps <= target."""
-    terms = _two_term_parts(ratio_a, ratio_b, weight)
-    return min_steps_geometric(terms, target)
+    return _two_term(ratio_a, ratio_b, weight).min_steps(target)
 
 
 def random_scan_validity_threshold(n: int) -> int:
@@ -347,70 +403,6 @@ def systematic_rate(n: int) -> float:
     return n / (n + 2.0)
 
 
-@dataclass(frozen=True)
-class BoundTerm:
-    """One term coeff * exp((steps + offset) * log_ratio) of an analytic bound.
-
-    The coefficient stays linear and is applied after the exponential, so a
-    row of a report and a direct evaluation round the same way.
-    """
-
-    coeff: float
-    log_ratio: float
-    offset: float = 0.0
-
-    def at(self, steps):
-        """The term at a step count or at every entry of a numpy step array."""
-        return self.coeff * np.exp((steps + self.offset) * self.log_ratio)
-
-
-@dataclass(frozen=True)
-class GeometricBound:
-    """A labeled sum of ``BoundTerm``s, stated only for steps >= ``gate``.
-
-    This is the one representation of each scan-comparison bound: ``values``
-    evaluates it (vectorized over a step array), ``at`` evaluates it at one
-    validated step count, ``cells`` tabulates it with None below the gate,
-    and ``min_steps`` solves for its first gated crossing of a target.
-    """
-
-    label: str
-    gate: int
-    terms: tuple[BoundTerm, ...]
-
-    def values(self, steps):
-        """The summed terms at a step count or a numpy step array (no gate)."""
-        return sum(term.at(steps) for term in self.terms)
-
-    def check_steps(self, steps: StepCount) -> int:
-        """Validate a step count against the gate and return it as an int."""
-        steps = _check_steps(steps)
-        if steps < self.gate:
-            raise ValidityThresholdError(
-                f"below-validity-threshold: {self.label} needs steps >= "
-                f"{self.gate}, got {steps}"
-            )
-        return steps
-
-    def at(self, steps: StepCount) -> float:
-        return float(self.values(self.check_steps(steps)))
-
-    def cells(self, steps: np.ndarray) -> list:
-        """Python floats at ascending ``steps``, None where below the gate."""
-        cells = self.values(steps).tolist()
-        below = int(np.searchsorted(steps, self.gate))
-        cells[:below] = [None] * below
-        return cells
-
-    def min_steps(self, target: float) -> StepCount:
-        """First step count at or above the gate where the bound <= target."""
-        terms = [
-            GeometricTerm(math.log(t.coeff) if t.coeff > 0.0 else LOG_ZERO, t.log_ratio, t.offset)
-            for t in self.terms
-        ]
-        return max(min_steps_geometric(terms, target), self.gate)
-
-
 SYSTEMATIC_ORDERS = ("x_theta", "theta_x")
 
 
@@ -430,7 +422,7 @@ def systematic_upper_bound(n: int, order: str = "x_theta") -> GeometricBound:
     return GeometricBound(
         "the systematic upper bound",
         systematic_validity_threshold(n),
-        (BoundTerm(10.0, math.log(systematic_rate(n)), offset),),
+        (GeometricTerm(10.0, math.log(systematic_rate(n)), offset),),
     )
 
 
@@ -445,8 +437,8 @@ def random_scan_upper_bound(n: int) -> GeometricBound:
         "the random-scan upper bound",
         random_scan_validity_threshold(n),
         (
-            BoundTerm(3.0, _AZUMA_LOG_RATE, -1.0),
-            BoundTerm(10.0 * math.sqrt((n + 2.0) / n), math.log(random_scan_rate(n)), -1.0),
+            GeometricTerm(3.0, _AZUMA_LOG_RATE, -1.0),
+            GeometricTerm(10.0 * math.sqrt((n + 2.0) / n), math.log(random_scan_rate(n)), -1.0),
         ),
     )
 
@@ -462,7 +454,7 @@ def random_scan_lower_bound(n: int) -> GeometricBound:
     return GeometricBound(
         "the random-scan lower bound",
         0,
-        (BoundTerm(1.0 / 3.0, math.log1p(-1.0 / (n + 2.0))),),
+        (GeometricTerm(1.0 / 3.0, math.log1p(-1.0 / (n + 2.0))),),
     )
 
 
@@ -476,7 +468,7 @@ def eigen_witness_bound(n: int, witness_weight: float) -> GeometricBound:
     return GeometricBound(
         "the eigenvalue lower bound",
         0,
-        (BoundTerm(0.5 * witness_weight, math.log(systematic_rate(n))),),
+        (GeometricTerm(0.5 * witness_weight, math.log(systematic_rate(n))),),
     )
 
 
@@ -495,6 +487,26 @@ def systematic_upper(n: int, steps: StepCount, order: str = "x_theta") -> float:
     return systematic_upper_bound(n, order).at(steps)
 
 
+def _chisq_pg(j: int, stationary, decay_rate: float) -> GeometricBound:
+    if not isinstance(j, (int, np.integer)) or int(j) < 0:
+        raise ParameterError(f"start state j must be a nonnegative integer, got {j!r}")
+    weights = stationary.weights if hasattr(stationary, "weights") else np.asarray(stationary, dtype=float)
+    if int(j) >= weights.shape[0]:
+        raise ParameterError(
+            f"j beyond truncation: start {j} outside the {weights.shape[0]}-state law"
+        )
+    mass = float(weights[int(j)])
+    if mass <= 0.0:
+        raise ParameterError(f"stationary mass at j={j} must be positive, got {mass}")
+    if not 0.0 < float(decay_rate) < 1.0:
+        raise ParameterError(f"decay rate must lie in (0, 1), got {decay_rate}")
+    return GeometricBound(
+        "the chi-square bound",
+        0,
+        (GeometricTerm(math.exp(-0.5 * math.log(mass)), math.log(decay_rate)),),
+    )
+
+
 def chisq_bound_pg(
     j: int,
     steps: StepCount,
@@ -509,19 +521,7 @@ def chisq_bound_pg(
     far-out starts: the constant costs (j+1)/2 extra halving steps.
     """
     steps = _check_steps(steps)
-    if not isinstance(j, (int, np.integer)) or int(j) < 0:
-        raise ParameterError(f"start state j must be a nonnegative integer, got {j!r}")
-    weights = stationary.weights if hasattr(stationary, "weights") else np.asarray(stationary, dtype=float)
-    if int(j) >= weights.shape[0]:
-        raise ParameterError(
-            f"j beyond truncation: start {j} outside the {weights.shape[0]}-state law"
-        )
-    mass = float(weights[int(j)])
-    if mass <= 0.0:
-        raise ParameterError(f"stationary mass at j={j} must be positive, got {mass}")
-    if not 0.0 < float(decay_rate) < 1.0:
-        raise ParameterError(f"decay rate must lie in (0, 1), got {decay_rate}")
-    return math.exp(-0.5 * math.log(mass) + steps * math.log(decay_rate))
+    return _chisq_pg(j, stationary, decay_rate).at(steps)
 
 
 def chisq_min_steps_pg(
@@ -531,9 +531,7 @@ def chisq_min_steps_pg(
     decay_rate: float = 0.5,
 ) -> StepCount:
     """Minimal step count at which the chi-square bound drops to the target."""
-    at_zero = chisq_bound_pg(j, 0, stationary, decay_rate)
-    term = GeometricTerm.from_linear(at_zero, float(decay_rate))
-    return min_steps_geometric([term], target)
+    return _chisq_pg(j, stationary, decay_rate).min_steps(target)
 
 
 def scan_time_ratio(n: int) -> float:
@@ -546,6 +544,4 @@ def scan_time_ratio(n: int) -> float:
     conditional draws for the same accuracy.  As n grows this tends to 2:
     the balanced random scan takes about twice the work.
     """
-    n = _check_n(n)
-    q = systematic_rate(n)
-    return math.log(q) / (2.0 * math.log(0.5 + 0.5 * math.sqrt(q)))
+    return math.log(systematic_rate(n)) / (2.0 * math.log(random_scan_rate(n)))

@@ -2,13 +2,18 @@
 
 Convergence certificates for slowly mixing chains produce step counts near
 10^34 and per-step rates like 1 - 2^-100, neither of which fits ordinary
-double arithmetic.  Everything here therefore works in the log domain
-(``LogMagnitude``, ``GeometricTerm``, ``min_steps_geometric``) or in exact
-integer/rational arithmetic (step counts are plain Python ints, binomial
-tails are ``Fraction``).  The dense-matrix half (total variation, matrix
-powers, stationary laws, reversible spectra) is conventional numpy.  The
-serialization policy lives next to ``round_sig``: ``jsonable`` and
-``csv_cell`` round each float once, the only way numbers leave the package.
+double arithmetic.  Everything here therefore works in the log domain or
+in exact integer/rational arithmetic (step counts are plain Python ints,
+binomial tails are ``Fraction``).  ``LogMagnitude`` carries a magnitude as
+its log.  ``GeometricTerm`` (a linear coefficient, a log ratio, an offset)
+is the one term type of every analytic bound: ``at`` evaluates it in
+linear space, over numpy step arrays too, and ``log_at`` in the log domain,
+where ``log_sum_terms`` sums terms with ``np.logaddexp`` and
+``min_steps_geometric`` solves for the first crossing of a target.  The
+dense-matrix half (total variation, matrix powers, stationary laws,
+reversible spectra) is conventional numpy.  The serialization policy
+lives next to ``round_sig``: ``jsonable`` and ``csv_cell`` round each float
+once, the only way numbers leave the package.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -255,92 +260,69 @@ class LogMagnitude:
 
 @dataclass(frozen=True)
 class GeometricTerm:
-    """One term coefficient * ratio**(steps + offset), stored in logs.
+    """One term coeff * exp((steps + offset) * log_ratio) of an analytic bound.
 
-    The ratio must be strictly inside [0, 1): a unit ratio never decays and
-    is rejected up front.  Build ratios like 1 - 2^-100 via ``log1p`` on the
-    tiny epsilon rather than subtracting from 1.0 in linear space, which
-    would round to exactly 1.
+    The coefficient stays linear; the ratio is carried as its log, which
+    must be at most 0 (``-inf`` is a zero ratio).  Build ratios like
+    1 - 2^-100 via ``log1p`` on the tiny epsilon rather than subtracting
+    from 1.0 in linear space, which would round to exactly 1.  A unit ratio
+    never decays: it can be evaluated but ``min_steps_geometric`` refuses it.
     """
 
-    log_coeff: float
+    coeff: float
     log_ratio: float
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        lc = _require_finite("log coefficient", self.log_coeff)
+        coeff = _require_finite("coefficient", self.coeff)
         lr = _require_finite("log ratio", self.log_ratio)
         off = _require_finite("offset", self.offset)
-        if lc == float("inf"):
+        if coeff < 0:
+            raise ParameterError(f"coefficient must be nonnegative, got {coeff}")
+        if coeff == float("inf"):
             raise ParameterError("infinite coefficient")
-        if lr >= 0.0:
+        if lr > 0.0:
             raise ParameterError(
-                f"invalid ratio: log ratio must be negative (ratio < 1), got {lr}"
+                f"invalid ratio: log ratio must be at most 0 (ratio <= 1), got {lr}"
             )
-        object.__setattr__(self, "log_coeff", lc)
+        object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "log_ratio", lr)
         object.__setattr__(self, "offset", off)
 
-    @classmethod
-    def from_linear(cls, coeff: float, ratio: float, offset: float = 0.0) -> "GeometricTerm":
-        coeff = _require_finite("coefficient", coeff)
-        ratio = _require_finite("ratio", ratio)
-        if coeff < 0:
-            raise ParameterError(f"coefficient must be nonnegative, got {coeff}")
-        if not 0.0 <= ratio < 1.0:
-            raise ParameterError(f"invalid ratio: must lie in [0, 1), got {ratio}")
-        log_coeff = LOG_ZERO if coeff == 0 else math.log(coeff)
-        log_ratio = LOG_ZERO if ratio == 0 else math.log(ratio)
-        return cls(log_coeff, log_ratio, offset)
+    def at(self, steps):
+        """The term at a step count or at every entry of a numpy step array.
+
+        The coefficient is applied after the exponential, so a row of a
+        report and a direct evaluation round the same way.
+        """
+        return self.coeff * np.exp((steps + self.offset) * self.log_ratio)
 
     def log_at(self, steps: int) -> float:
         """ln of the term at the given step count (0**0 counts as 1)."""
         exponent = float(steps) + self.offset
-        if self.log_coeff == LOG_ZERO:
+        if self.coeff == 0.0:
             return LOG_ZERO
+        log_coeff = math.log(self.coeff)
         if self.log_ratio == LOG_ZERO:
             if exponent > 0:
                 return LOG_ZERO
             if exponent == 0:
-                return self.log_coeff
+                return log_coeff
             raise ParameterError("zero ratio raised to a negative exponent")
-        return self.log_coeff + exponent * self.log_ratio
-
-
-def as_geometric_term(term) -> GeometricTerm:
-    """Coerce (coefficient, ratio[, offset]) tuples into GeometricTerm.
-
-    The coefficient may be a plain nonnegative float or a LogMagnitude; the
-    ratio is always linear and must lie in [0, 1).
-    """
-    if isinstance(term, GeometricTerm):
-        return term
-    coeff, ratio, *rest = term
-    offset = float(rest[0]) if rest else 0.0
-    ratio = _require_finite("ratio", ratio)
-    if not 0.0 <= ratio < 1.0:
-        raise ParameterError(f"invalid ratio: must lie in [0, 1), got {ratio}")
-    log_ratio = LOG_ZERO if ratio == 0 else math.log(ratio)
-    if isinstance(coeff, LogMagnitude):
-        return GeometricTerm(coeff.log_value, log_ratio, offset)
-    coeff = _require_finite("coefficient", coeff)
-    if coeff < 0:
-        raise ParameterError(f"coefficient must be nonnegative, got {coeff}")
-    log_coeff = LOG_ZERO if coeff == 0 else math.log(coeff)
-    return GeometricTerm(log_coeff, log_ratio, offset)
+        return log_coeff + exponent * self.log_ratio
 
 
 def log_sum_terms(terms: Sequence[GeometricTerm], steps: int) -> float:
-    """ln of the summed terms at a step count, via a stable log-sum-exp."""
-    logs = [term.log_at(steps) for term in terms]
-    peak = max(logs)
-    if peak == LOG_ZERO:
-        return LOG_ZERO
-    return peak + math.log(sum(math.exp(lv - peak) for lv in logs))
+    """ln of the summed terms at a step count, folded with ``np.logaddexp``.
+
+    Each fold adds log1p of the smaller term's share, so a sum just below 1
+    keeps its full relative accuracy.
+    """
+    return float(np.logaddexp.reduce([term.log_at(steps) for term in terms]))
 
 
 def min_steps_geometric(
-    terms: Sequence["GeometricTerm | tuple"],
+    terms: Sequence[GeometricTerm],
     target: "LogMagnitude | float",
     max_steps: int = STEP_SEARCH_CAP,
 ) -> int:
@@ -356,7 +338,11 @@ def min_steps_geometric(
     """
     if not terms:
         raise ParameterError("at least one geometric term is required")
-    terms = [as_geometric_term(term) for term in terms]
+    for term in terms:
+        if term.log_ratio >= 0.0:
+            raise ParameterError(
+                f"invalid ratio: log ratio must be negative (ratio < 1), got {term.log_ratio}"
+            )
     if isinstance(target, LogMagnitude):
         log_target = target.log_value
     else:
@@ -506,11 +492,14 @@ def iterate_tv(
 ) -> Iterator[np.ndarray]:
     """Yield the TV to stationarity of each point start at steps 0..max_steps.
 
-    The starts evolve as one block of rows, one product per step; a caller
+    A start is an integer state (numpy integers included; floats and bools
+    are refused).  The starts evolve as one block of rows, one product per step; a caller
     stops iterating once it has what it needs.
     """
     dim = matrix.dim
     for start in starts:
+        if isinstance(start, bool) or not isinstance(start, (int, np.integer)):
+            raise ParameterError(f"start state must be an integer, got {start!r}")
         if not 0 <= start < dim:
             raise ParameterError(f"start state {start} outside 0..{dim - 1}")
     # The block carries half of each law, so that its l1 distance to half of

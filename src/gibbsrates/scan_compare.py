@@ -129,6 +129,7 @@ def worst_start_search(
     confirms every crossing.  The cost is about 2 log2(max_steps) dense
     products instead of one per step.  Ties break toward the smaller start.
     """
+    target = _check_target(target)
     pi = stationary.weights
     max_steps = int(max_steps)
 
@@ -138,19 +139,28 @@ def worst_start_search(
     powers = [matrix.entries]  # powers[j] = K^(2^j)
     while np.any(tv_rows(powers[-1]) > target) and 2 ** len(powers) <= max_steps:
         powers.append(powers[-1] @ powers[-1])
-    # The starts above the target at step 0, their last step known to be
-    # above it, and their laws at that step.
-    laws = np.eye(matrix.dim)
-    active = np.flatnonzero(tv_rows(laws) > target)
-    laws = laws[active]
+    # The starts above the target at step 0 (a point mass at i is at TV
+    # 1 - pi_i), their last step known to be above it, and their laws at
+    # that step.  A start still at step 0 is a point mass, so its law after
+    # a power is that power's row, read off rather than multiplied.
+    active = np.flatnonzero(1.0 - pi > target)
     last = np.zeros(active.size, dtype=np.int64)
+    laws = np.empty((active.size, matrix.dim))
+
+    def advance(rows: np.ndarray, power: np.ndarray) -> np.ndarray:
+        moved = power[active[rows]]
+        walked = last[rows] > 0
+        moved[walked] = laws[rows[walked]] @ power
+        return moved
+
     for j in reversed(range(len(powers))):
         trying = np.flatnonzero(last + 2**j <= max_steps)
-        moved = laws[trying] @ powers[j]
+        moved = advance(trying, powers[j])
         above = tv_rows(moved) > target
         laws[trying[above]] = moved[above]
         last[trying[above]] += 2**j
-    if np.any(last >= max_steps) or np.any(tv_rows(laws @ matrix.entries) > target):
+    everyone = np.arange(active.size)
+    if np.any(last >= max_steps) or np.any(tv_rows(advance(everyone, matrix.entries)) > target):
         raise NoSolutionError(
             f"target-not-reached: some starts still exceed TV {target} "
             f"after {max_steps} steps; raise max_steps"
@@ -519,7 +529,7 @@ def pg_mixing_demo(
     """
     target = _check_target(target)
     fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
-    starts = [int(j) for j in j_list]
+    starts = list(j_list)
     if not starts:
         raise ParameterError("at least one start state is required")
     margin = fam.x_max // 2
@@ -544,7 +554,7 @@ def pg_mixing_demo(
         )
     rows = [
         PgDemoRow(
-            start=j,
+            start=int(j),
             exact_min_steps=int(steps),
             chisq_min_steps=chisq_min_steps_pg(j, stationary, target, decay_rate),
         )

@@ -16,7 +16,6 @@ from gibbsrates import (
     NoSolutionError,
     ParameterError,
     StochasticMatrix,
-    as_geometric_term,
     binomial_tail_le,
     bb_xchain,
     BetaBinomialFamily,
@@ -167,53 +166,67 @@ def test_log_magnitude_round_trip_is_faithful(log_x):
 
 
 # ---------------------------------------------------------------------------
-# GeometricTerm / as_geometric_term / log_sum_terms
+# GeometricTerm / log_sum_terms
 # ---------------------------------------------------------------------------
 
 
 def test_geometric_term_validation():
     with pytest.raises(ParameterError, match="invalid ratio"):
-        GeometricTerm.from_linear(1.0, 1.0)
+        GeometricTerm(1.0, math.log(1.5))  # a growing term
+    with pytest.raises(ParameterError, match="coefficient must be nonnegative"):
+        GeometricTerm(-1.0, math.log(0.5))
+    with pytest.raises(ParameterError, match="infinite coefficient"):
+        GeometricTerm(math.inf, math.log(0.5))
+    with pytest.raises(ParameterError, match="NaN"):
+        GeometricTerm(1.0, math.nan)
+    # A unit ratio can be evaluated but never decays: the solver refuses it.
+    assert GeometricTerm(2.0, 0.0).log_at(10**30) == math.log(2.0)
     with pytest.raises(ParameterError, match="invalid ratio"):
-        GeometricTerm.from_linear(1.0, -0.1)
-    with pytest.raises(ParameterError):
-        GeometricTerm.from_linear(-1.0, 0.5)
-    with pytest.raises(ParameterError, match="invalid ratio"):
-        GeometricTerm(0.0, 0.0)  # log ratio must be strictly negative
+        min_steps_geometric([GeometricTerm(0.5, math.log(0.5)), GeometricTerm(1.0, 0.0)], 0.5)
 
 
 def test_geometric_term_log_at():
-    term = GeometricTerm.from_linear(2.0, 0.5, offset=-1.0)
+    term = GeometricTerm(2.0, math.log(0.5), offset=-1.0)
     assert term.log_at(3) == pytest.approx(math.log(2.0) + 2.0 * math.log(0.5))
-    zero_coeff = GeometricTerm.from_linear(0.0, 0.5)
+    zero_coeff = GeometricTerm(0.0, math.log(0.5))
     assert zero_coeff.log_at(10) == LOG_ZERO
-    zero_ratio = GeometricTerm.from_linear(3.0, 0.0)
+    zero_ratio = GeometricTerm(3.0, LOG_ZERO)
     assert zero_ratio.log_at(0) == pytest.approx(math.log(3.0))
     assert zero_ratio.log_at(5) == LOG_ZERO
     with pytest.raises(ParameterError):
-        GeometricTerm.from_linear(3.0, 0.0, offset=-1.0).log_at(0)
+        GeometricTerm(3.0, LOG_ZERO, offset=-1.0).log_at(0)
 
 
-def test_as_geometric_term_coercion():
-    term = as_geometric_term((2.0, 0.5))
-    assert isinstance(term, GeometricTerm)
-    assert term.offset == 0.0
-    term = as_geometric_term((2.0, 0.5, -1.0))
-    assert term.offset == -1.0
-    term = as_geometric_term((LogMagnitude.from_log2(-100), 0.5))
-    assert term.log_coeff == pytest.approx(-100 * math.log(2.0))
-    assert as_geometric_term(term) is term
-    with pytest.raises(ParameterError, match="invalid ratio"):
-        as_geometric_term((1.0, 1.5))
+def test_geometric_term_at_matches_log_at():
+    term = GeometricTerm(10.0, math.log(0.9), offset=-0.5)
+    steps = np.arange(0, 50)
+    assert np.allclose(np.log(term.at(steps)), [term.log_at(s) for s in steps], rtol=1e-14)
 
 
 def test_log_sum_terms_matches_linear_sum():
-    terms = [GeometricTerm.from_linear(1.0, 0.9), GeometricTerm.from_linear(2.0, 0.5)]
+    terms = [GeometricTerm(1.0, math.log(0.9)), GeometricTerm(2.0, math.log(0.5))]
     for steps in (0, 1, 7, 40):
         linear = 0.9**steps + 2.0 * 0.5**steps
         assert log_sum_terms(terms, steps) == pytest.approx(math.log(linear), rel=1e-12)
-    only_zero = [GeometricTerm.from_linear(0.0, 0.5)]
+    only_zero = [GeometricTerm(0.0, math.log(0.5))]
     assert log_sum_terms(only_zero, 3) == LOG_ZERO
+
+
+def test_log_sum_terms_just_below_one_against_mpmath():
+    # The sum sits a hair below 1, so its log is about -1e-6: forming the
+    # linear sum first would round away all but ~10 of its digits.
+    mpmath = pytest.importorskip("mpmath")
+    terms = [GeometricTerm(1.0, math.log1p(-1e-6)), GeometricTerm(1e-12, math.log(0.5))]
+    with mpmath.mp.workdps(50):
+        for steps in (1, 2, 3):
+            exact = mpmath.log(
+                sum(
+                    mpmath.mpf(term.coeff) * mpmath.exp(steps * mpmath.mpf(term.log_ratio))
+                    for term in terms
+                )
+            )
+            got = log_sum_terms(terms, steps)
+            assert abs((mpmath.mpf(got) - exact) / exact) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -222,37 +235,38 @@ def test_log_sum_terms_matches_linear_sum():
 
 
 def test_min_steps_single_term_example():
-    assert min_steps_geometric([(1.0, 0.5)], 0.01) == 7  # 0.5^7 = 1/128 <= 0.01 < 0.5^6
+    assert min_steps_geometric([GeometricTerm(1.0, math.log(0.5))], 0.01) == 7  # 0.5^7 = 1/128 <= 0.01 < 0.5^6
 
 
 def test_min_steps_zero_when_already_below_target():
-    assert min_steps_geometric([(0.5, 0.5)], 0.6) == 0
+    assert min_steps_geometric([GeometricTerm(0.5, math.log(0.5))], 0.6) == 0
 
 
 def test_min_steps_boundary_equality_counts():
     # The same math.log computation appears on both sides, so the equality
     # at steps = 1 is bit-exact and must be accepted.
-    assert min_steps_geometric([(1.0, 0.1)], 0.1) == 1
+    assert min_steps_geometric([GeometricTerm(1.0, math.log(0.1))], 0.1) == 1
 
 
 def test_min_steps_accepts_log_magnitude_target():
-    assert min_steps_geometric([(1.0, 0.5)], LogMagnitude.from_linear(0.01)) == 7
+    term = GeometricTerm(1.0, math.log(0.5))
+    assert min_steps_geometric([term], LogMagnitude.from_linear(0.01)) == 7
 
 
 def test_min_steps_no_solution_within_cap():
     with pytest.raises(NoSolutionError, match="no solution"):
-        min_steps_geometric([(1.0, 0.99)], 1e-9, max_steps=3)
+        min_steps_geometric([GeometricTerm(1.0, math.log(0.99))], 1e-9, max_steps=3)
 
 
 def test_min_steps_parameter_errors():
     with pytest.raises(ParameterError):
         min_steps_geometric([], 0.01)
     with pytest.raises(ParameterError):
-        min_steps_geometric([(1.0, 0.5)], 0.0)
+        min_steps_geometric([GeometricTerm(1.0, math.log(0.5))], 0.0)
     with pytest.raises(ParameterError):
-        min_steps_geometric([(1.0, 0.5)], -0.5)
+        min_steps_geometric([GeometricTerm(1.0, math.log(0.5))], -0.5)
     with pytest.raises(ParameterError):
-        min_steps_geometric([(1.0, 0.5)], 0.01, max_steps=0)
+        min_steps_geometric([GeometricTerm(1.0, math.log(0.5))], 0.01, max_steps=0)
 
 
 def test_min_steps_two_term_against_extended_precision_oracle():
@@ -278,14 +292,16 @@ def test_min_steps_two_term_against_extended_precision_oracle():
                 low = mid
         oracle = high
     assert oracle == 32892
-    assert min_steps_geometric([(1.0, 0.99986), (2.0, 0.998497)], 0.01) == oracle
+    assert min_steps_geometric(
+        [GeometricTerm(1.0, math.log(0.99986)), GeometricTerm(2.0, math.log(0.998497))], 0.01
+    ) == oracle
 
 
 def test_min_steps_handles_certificate_scale_ratios():
     # A ratio of 1 - 2^-100 forces ~10^32 steps; the solver must neither
     # overflow nor loop, and the answer must sit at -ln(target) / eps.
     log_ratio = math.log1p(-(2.0**-100))
-    term = GeometricTerm(0.0, log_ratio)
+    term = GeometricTerm(1.0, log_ratio)
     steps = min_steps_geometric([term], 0.01)
     expected = -math.log(0.01) / (2.0**-100)
     assert steps == pytest.approx(expected, rel=1e-9)
@@ -298,7 +314,7 @@ def test_min_steps_handles_certificate_scale_ratios():
     st.floats(min_value=1e-6, max_value=0.5),
 )
 def test_min_steps_is_the_first_crossing(coeff, ratio, target):
-    term = GeometricTerm.from_linear(coeff, ratio)
+    term = GeometricTerm(coeff, math.log(ratio))
     steps = min_steps_geometric([term], target)
     log_target = math.log(target)
     assert log_sum_terms([term], steps) <= log_target

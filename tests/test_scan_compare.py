@@ -56,6 +56,21 @@ def test_exact_tv_curve_validation():
         exact_tv_curve(matrix, stationary, 0, -1)
 
 
+def test_point_starts_must_be_integers():
+    matrix, stationary = bb_xchain(BetaBinomialFamily(n=4))
+    for start in (2.5, 2.0, True):
+        with pytest.raises(ParameterError, match="start state must be an integer"):
+            exact_tv_curve(matrix, stationary, start, 3)
+    np.testing.assert_array_equal(
+        exact_tv_curve(matrix, stationary, np.int64(2), 3),
+        exact_tv_curve(matrix, stationary, 2, 3),
+    )
+    for starts in ([8.7], [True], [0, 8.0]):
+        with pytest.raises(ParameterError, match="start state must be an integer"):
+            pg_mixing_demo(starts)
+    assert pg_mixing_demo([np.int64(8)]).rows == pg_mixing_demo([8]).rows
+
+
 def test_first_crossing():
     curve = np.array([0.5, 0.2, 0.09, 0.01, 0.001])
     assert first_crossing(curve, 0.25) == 1
@@ -118,6 +133,13 @@ def test_worst_start_search_n600_crossing():
     assert curve[t - 1] > target >= curve[t]
     for start in (0, 600):
         assert exact_tv_curve(matrix, stationary, start, t)[t] <= target
+
+
+@pytest.mark.parametrize("target", [math.nan, 0.0, 1.0, 2.0, -0.5])
+def test_worst_start_search_rejects_targets_outside_unit_interval(target):
+    matrix, stationary = bb_xchain(BetaBinomialFamily(n=10))
+    with pytest.raises(ParameterError, match="target must lie in"):
+        worst_start_search(matrix, stationary, target, 100)
 
 
 def test_worst_start_search_unreached_target():
