@@ -7,9 +7,12 @@ Output contract, shared by all subcommands:
   every resolved option (flags beat config-file values beat defaults);
 * ``--format csv`` prints a ``# config: {...}`` comment line, a header, and
   data rows;
-* all floats are rounded to 12 significant digits, once, by the shared
-  ``numerics.jsonable``/``numerics.csv_cell`` policy, so repeated runs are
-  byte-identical; only the requested format is built;
+* all floats are rounded to 12 significant digits and printed by the one
+  cell formatter ``numerics.float_cell`` (``repr`` of the rounded value),
+  so repeated runs are byte-identical; only the requested format is built,
+  and row lists are ``numerics.RowTable``s that ``numerics.json_text``
+  writes with one template per row, in the same bytes as
+  ``json.dumps(..., indent=2)``;
 * log-scale magnitudes appear as ``{"mantissa": m, "exp10": e}`` pairs
   (value = m * 10^e), the loss-free way to print a 10^-10000-scale bound;
 * exit code 0 on success, 2 for parameter/usage errors, 3 for numerical
@@ -46,7 +49,7 @@ from .families import (
     pg_spectral_data,
     pg_xchain,
 )
-from .numerics import LogMagnitude, csv_text, jsonable, rounded_decompose
+from .numerics import LogMagnitude, RowTable, json_text, jsonable, rounded_decompose
 from .operators import (
     SCAN_KINDS,
     JointState,
@@ -325,18 +328,18 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
 class _Output:
     """A handler's answer: the JSON result and the CSV table, rounded on demand.
 
-    Like the report classes, it builds only the format that is asked for.
+    Like the report classes, it builds only the format that is asked for; a
+    row list of the result is usually the CSV table itself.
     """
 
     result: dict
-    header: tuple[str, ...]
-    rows: list
+    table: RowTable
 
-    def to_jsonable(self) -> dict:
-        return jsonable(self.result)
+    def payload(self) -> dict:
+        return self.result
 
     def to_csv(self) -> str:
-        return csv_text(self.header, self.rows)
+        return self.table.to_csv()
 
 
 def _family_from_config(cfg: dict):
@@ -368,18 +371,19 @@ def _run_rosenthal(cfg: dict):
         d_grid = cfg["d_grid"] if cfg["d_grid"] is not None else [cfg["d"]]
         r_grid = cfg["r_grid"] if cfg["r_grid"] is not None else [cfg["r"]]
         grid = rosenthal_grid_optimize(cert, target, d_grid, r_grid)
-        cells = [
-            {
-                "d": cell.params.d,
-                "r": cell.params.r,
-                "status": cell.status,
-                "steps": cell.min_steps,
-                "log10_steps": (
-                    None if cell.min_steps in (None, 0) else math.log10(cell.min_steps)
-                ),
-            }
-            for cell in grid.cells
-        ]
+        cells = RowTable(
+            ("d", "r", "status", "steps", "log10_steps"),
+            [
+                (
+                    cell.params.d,
+                    cell.params.r,
+                    cell.status,
+                    cell.min_steps,
+                    None if cell.min_steps in (None, 0) else math.log10(cell.min_steps),
+                )
+                for cell in grid.cells
+            ],
+        )
         result = {
             "mode": "grid",
             "best": {
@@ -390,11 +394,7 @@ def _run_rosenthal(cfg: dict):
             },
             "cells": cells,
         }
-        return _Output(
-            result,
-            ("d", "r", "status", "steps", "log10_steps"),
-            [cell.values() for cell in cells],
-        )
+        return _Output(result, cells)
     params = RosenthalParams(d=cfg["d"], r=cfg["r"])
     steps = rosenthal_min_steps(cert, params, target)
     ing = rosenthal_ingredients(cert, params)
@@ -425,11 +425,13 @@ def _run_rosenthal(cfg: dict):
     }
     return _Output(
         result,
-        ("steps", "log10_bound", "bound_mantissa", "bound_exp10"),
-        [
-            (entry["steps"], entry["log10_bound"], *rounded_decompose(entry["bound"]))
-            for entry in curve
-        ],
+        RowTable(
+            ("steps", "log10_bound", "bound_mantissa", "bound_exp10"),
+            [
+                (entry["steps"], entry["log10_bound"], *rounded_decompose(entry["bound"]))
+                for entry in curve
+            ],
+        ),
     )
 
 
@@ -452,8 +454,10 @@ def _run_two_term(cfg: dict):
         }
     return _Output(
         result,
-        ("min_steps", "value_at_min_steps", "value_just_before"),
-        [(steps, value_at_min, value_before)],
+        RowTable(
+            ("min_steps", "value_at_min_steps", "value_just_before"),
+            [(steps, value_at_min, value_before)],
+        ),
     )
 
 
@@ -474,17 +478,20 @@ def _run_spectral(cfg: dict):
         )
         spectrum = alpha_scan_eigenvalues(cfg["scan_weight"], data)
         shown = spectrum.levels[: max(0, cfg["max_levels"])]
-        rows = [
-            {
-                "k": level.k,
-                "product": level.product,
-                "lambda_plus": level.lambda_plus,
-                "lambda_minus": level.lambda_minus,
-                "u_plus": level.u_plus,
-                "u_minus": level.u_minus,
-            }
-            for level in shown
-        ]
+        rows = RowTable(
+            ("k", "product", "lambda_plus", "lambda_minus", "u_plus", "u_minus"),
+            [
+                (
+                    level.k,
+                    level.product,
+                    level.lambda_plus,
+                    level.lambda_minus,
+                    level.u_plus,
+                    level.u_minus,
+                )
+                for level in shown
+            ],
+        )
         result = {
             "mode": "levels",
             "scan_weight": spectrum.scan_weight,
@@ -495,11 +502,7 @@ def _run_spectral(cfg: dict):
             "basis_note": data.basis_note,
             "levels": rows,
         }
-        return _Output(
-            result,
-            ("k", "product", "lambda_plus", "lambda_minus", "u_plus", "u_minus"),
-            [row.values() for row in rows],
-        )
+        return _Output(result, rows)
     if cfg["product"] is None:
         raise ParameterError(
             "missing-required-option: --product is required for "
@@ -510,12 +513,12 @@ def _run_spectral(cfg: dict):
         if not isinstance(grid, int) or grid < 2:
             raise ParameterError(f"grid must be an integer >= 2, got {grid!r}")
         alphas = np.linspace(0.0, 1.0, grid)
-        rows = [
-            {"alpha": float(alpha), "gap": spectral_gap(float(alpha), cfg["product"])}
-            for alpha in alphas
-        ]
+        rows = RowTable(
+            ("alpha", "gap"),
+            [(alpha, spectral_gap(alpha, cfg["product"])) for alpha in alphas.tolist()],
+        )
         result = {"mode": "gap_curve", "product": cfg["product"], "grid": grid, "rows": rows}
-        return _Output(result, ("alpha", "gap"), [row.values() for row in rows])
+        return _Output(result, rows)
     maximum = argmax_gap(cfg["product"])
     result = {
         "mode": "argmax",
@@ -527,8 +530,10 @@ def _run_spectral(cfg: dict):
     }
     return _Output(
         result,
-        ("alpha_star", "gap_star", "alpha_analytic", "gap_analytic"),
-        [(maximum.alpha_star, maximum.gap_star, maximum.alpha_analytic, maximum.gap_analytic)],
+        RowTable(
+            ("alpha_star", "gap_star", "alpha_analytic", "gap_analytic"),
+            [(maximum.alpha_star, maximum.gap_star, maximum.alpha_analytic, maximum.gap_analytic)],
+        ),
     )
 
 
@@ -552,7 +557,7 @@ def _run_exact_tv(cfg: dict):
         bb_xchain(fam) if isinstance(fam, BetaBinomialFamily) else pg_xchain(fam)
     )
     curve = exact_tv_curve(matrix, stationary, cfg["start"], cfg["steps_max"])
-    rows = [{"steps": index, "tv": float(value)} for index, value in enumerate(curve)]
+    rows = RowTable(("steps", "tv"), list(enumerate(curve.tolist())))
     result = {
         "family": cfg["family"],
         "start": cfg["start"],
@@ -561,7 +566,7 @@ def _run_exact_tv(cfg: dict):
     if target is not None:
         result["target"] = target
         result["min_steps"] = first_crossing(curve, target)
-    return _Output(result, ("steps", "tv"), [row.values() for row in rows])
+    return _Output(result, rows)
 
 
 def _run_words(cfg: dict):
@@ -577,7 +582,8 @@ def _run_words(cfg: dict):
     ]
     result = {"length": census.length, "total": census.total, "words": words}
     return _Output(
-        result, ("word", "count"), [(entry["word"], entry["count"]) for entry in words]
+        result,
+        RowTable(("word", "count"), [(entry["word"], entry["count"]) for entry in words]),
     )
 
 
@@ -615,16 +621,18 @@ def _run_simulate(cfg: dict):
         result["z_score"] = z_score
         return _Output(
             result,
-            ("steps", "samples", "estimate", "std_error", "predicted", "z_score"),
-            [(cfg["steps"], cfg["samples"], estimate, std_error, predicted, z_score)],
+            RowTable(
+                ("steps", "samples", "estimate", "std_error", "predicted", "z_score"),
+                [(cfg["steps"], cfg["samples"], estimate, std_error, predicted, z_score)],
+            ),
         )
     states = run_trajectory(fam, start, strategy, cfg["steps"], seed=cfg["seed"])
-    rows = [
-        {"step": index, "x": state.x, "theta": state.theta}
-        for index, state in enumerate(states)
-    ]
+    rows = RowTable(
+        ("step", "x", "theta"),
+        [(index, state.x, state.theta) for index, state in enumerate(states)],
+    )
     result = {"mode": "trajectory", "scan": cfg["scan"], "rows": rows}
-    return _Output(result, ("step", "x", "theta"), [row.values() for row in rows])
+    return _Output(result, rows)
 
 
 def _run_pg_demo(cfg: dict):
@@ -653,8 +661,7 @@ def render(command: str, cfg: dict, output) -> str:
     """The command's text in the configured format; ``output`` is a report or
     ``_Output`` and serializes only that format."""
     if cfg["format"] == "json":
-        payload = {"command": command, "config": jsonable(cfg), "result": output.to_jsonable()}
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text({"command": command, "config": cfg, "result": output.payload()})
     config_comment = "# config: " + json.dumps(
         jsonable({**cfg, "command": command}), sort_keys=True
     )

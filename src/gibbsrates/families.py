@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, gammaln
-from scipy.stats import nbinom
+from scipy.special import betainc, betaln, gammaln
 
 from .bounds import DriftMinorization
 from .errors import (
@@ -100,6 +99,14 @@ class BetaBinomialFamily:
         return rng.binomial(self.n, np.asarray(theta, dtype=float))
 
 
+def _nbinom_tail(x_max: int, shape: float, p: float) -> float:
+    """P(X > x_max) for X ~ NB(shape, p): the regularized incomplete beta
+    I_{1-p}(x_max + 1, shape), the same tail as ``scipy.stats.nbinom.sf``
+    without importing ``scipy.stats``.  (``nbdtrc`` would truncate a
+    non-integer shape.)"""
+    return float(betainc(x_max + 1, shape, 1.0 - p))
+
+
 @dataclass(frozen=True)
 class PoissonGammaFamily:
     """x | theta ~ Poisson(theta) with theta ~ Gamma(shape, rate), truncated.
@@ -125,11 +132,11 @@ class PoissonGammaFamily:
         object.__setattr__(self, "x_max", int(self.x_max))
         # Stationary law = prior predictive: negative binomial with
         # success probability rate/(rate+1) in scipy's convention.
-        stationary_tail = float(nbinom.sf(self.x_max, self.shape, self.rate / (self.rate + 1.0)))
+        stationary_tail = _nbinom_tail(self.x_max, self.shape, self.rate / (self.rate + 1.0))
         # Worst transition row: from x_max, theta ~ Gamma(x_max + shape, rate + 1)
         # mixes to a negative binomial with success probability (rate+1)/(rate+2).
-        row_tail = float(
-            nbinom.sf(self.x_max, self.x_max + self.shape, (self.rate + 1.0) / (self.rate + 2.0))
+        row_tail = _nbinom_tail(
+            self.x_max, self.x_max + self.shape, (self.rate + 1.0) / (self.rate + 2.0)
         )
         worst = max(stationary_tail, row_tail)
         if not worst < TRUNCATION_TOL:

@@ -12,16 +12,22 @@ where ``log_sum_terms`` sums terms with ``np.logaddexp`` and
 ``min_steps_geometric`` solves for the first crossing of a target.  The
 dense-matrix half (total variation, matrix powers, stationary laws,
 reversible spectra) is conventional numpy.  The serialization policy
-lives next to ``round_sig``: ``jsonable`` and ``csv_cell`` round each float
-once, the only way numbers leave the package.
+lives next to ``round_sig``, the only way numbers leave the package:
+``float_cell`` prints each float once as ``repr(round_sig(value))`` for both
+CSV (``csv_cell``) and JSON (``json_cell``), and a ``RowTable`` of report rows
+is written by ``json_text`` with one template per row, in the bytes
+``json.dumps(jsonable(...), indent=2)`` would give.
 """
 from __future__ import annotations
 
+import json
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +49,15 @@ STEP_SEARCH_CAP = 10**40
 
 LN2 = math.log(2.0)
 LN10 = math.log(10.0)
+
+# Serialization: the smallest normal float (below it ``float_cell`` leaves its
+# fast path), JSON's names for the non-finite floats, and the placeholder
+# string ``json_text`` stands in for a row table (json.dumps writes its NUL
+# as \u0000, which no validated option value contains).
+_MIN_NORMAL = sys.float_info.min
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+_TABLE_SLOT_MARK = "\0row-table-"
+_TABLE_SLOT = re.compile(r'^( *)(.*)"\\u0000row-table-(\d+)"', re.MULTILINE)
 
 # Step counts are plain Python integers: exact ordering and arithmetic at any
 # magnitude, which 64-bit integers and doubles cannot promise near 10^40.
@@ -78,11 +93,93 @@ def rounded_decompose(value: "LogMagnitude") -> tuple[float, int]:
     return mantissa, int(exp10)
 
 
+def float_cell(value: float) -> str:
+    """The printed text of one float: exactly ``repr(round_sig(value))``.
+
+    Fast path: 12 significant digits are fewer than the 15.9 a float64
+    holds, so for a normal float below 1e12 the shortest repr of the rounded
+    value has the same digits as ``"%.12g"`` (plus ``.0`` for an integer);
+    a signed zero prints alike.  Subnormals, 1e12 and above (999999999999.5
+    rounds to 1e+12), infinities and NaN take the slow path.
+    """
+    magnitude = abs(value)
+    if _MIN_NORMAL <= magnitude < 1e12 or magnitude == 0.0:
+        text = "%.12g" % value
+        if "e+" not in text:
+            return text if "." in text or "e" in text else text + ".0"
+    return repr(round_sig(float(value)))
+
+
+def csv_cell(value) -> str:
+    """One deterministic CSV cell: empty for None, floats by ``float_cell``."""
+    if isinstance(value, float):  # numpy float64 included
+        return float_cell(value)
+    if value is None:
+        return ""
+    if isinstance(value, LogMagnitude):
+        mantissa, exp10 = rounded_decompose(value)
+        return f"{mantissa!r}e{exp10:+d}"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def json_cell(value) -> str:
+    """One scalar as ``json.dumps(jsonable(value))`` writes it."""
+    if isinstance(value, float):  # numpy float64 included
+        text = float_cell(value)
+        return _JSON_NONFINITE.get(text, text)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"not a scalar table cell: {value!r}")
+
+
+@dataclass(frozen=True)
+class RowTable:
+    """Rows of scalar cells under a header: a JSON list of objects or a CSV table.
+
+    Inside a payload given to ``jsonable`` it becomes a list of dicts;
+    ``json_text`` instead writes it with one ``%`` template per row, so a
+    10^5-row report never exists as Python dicts.
+    """
+
+    header: tuple[str, ...]
+    rows: Sequence[Iterable]
+
+    def to_csv(self) -> str:
+        """A header line and one line of ``csv_cell`` cells per row."""
+        lines = [",".join(self.header)]
+        lines.extend(",".join(map(csv_cell, row)) for row in self.rows)
+        return "\n".join(lines) + "\n"
+
+    def json_lines(self, indent: int) -> str:
+        """The table as ``json.dumps(jsonable(self), indent=2)`` writes it
+        at ``indent`` spaces, without the leading indent of its first line."""
+        if not self.rows:
+            return "[]"
+        pad = " " * (indent + 2)
+        fields = ",\n".join(
+            f"{pad}  " + json.dumps(name).replace("%", "%%") + ": %s" for name in self.header
+        )
+        template = f"{pad}{{\n{fields}\n{pad}}}" if self.header else pad + "{}"
+        body = ",\n".join(template % tuple(map(json_cell, row)) for row in self.rows)
+        return f"[\n{body}\n{' ' * indent}]"
+
+
 def jsonable(obj):
     """Plain JSON data with every float rounded once by ``round_sig``.
 
     A LogMagnitude becomes ``{"mantissa": m, "exp10": e}``; numpy scalars
-    become Python numbers and tuples become lists.
+    become Python numbers, tuples become lists and a ``RowTable`` a list
+    of dicts.
     """
     if isinstance(obj, float):  # numpy float64 included
         return round_sig(float(obj))
@@ -99,30 +196,36 @@ def jsonable(obj):
         return {key: jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(value) for value in obj]
+    if isinstance(obj, RowTable):
+        return [{key: jsonable(value) for key, value in zip(obj.header, row)} for row in obj.rows]
     return obj
 
 
-def csv_cell(value) -> str:
-    """One deterministic CSV cell: empty for None, floats rounded once."""
-    if isinstance(value, float):  # numpy float64 included
-        return repr(round_sig(float(value)))
-    if value is None:
-        return ""
-    if isinstance(value, LogMagnitude):
-        mantissa, exp10 = rounded_decompose(value)
-        return f"{mantissa!r}e{exp10:+d}"
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def json_text(obj) -> str:
+    """``json.dumps(jsonable(obj), indent=2)`` plus a newline, byte for byte.
 
+    Only the part outside any ``RowTable`` goes through ``jsonable`` and
+    ``json.dumps``; each table stands there as a placeholder string that is
+    then replaced by its ``json_lines`` at the placeholder's indentation.
+    """
+    tables: list[RowTable] = []
 
-def csv_text(header: Sequence[str], rows) -> str:
-    """A header line and one line of ``csv_cell`` cells per row."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(csv_cell, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    def hold(value):
+        if isinstance(value, RowTable):
+            tables.append(value)
+            return f"{_TABLE_SLOT_MARK}{len(tables) - 1}"
+        if isinstance(value, dict):
+            return {key: hold(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [hold(item) for item in value]
+        return jsonable(value)
+
+    text = json.dumps(hold(obj), indent=2)
+    if tables:
+        text = _TABLE_SLOT.sub(
+            lambda m: m[1] + m[2] + tables[int(m[3])].json_lines(len(m[1])), text
+        )
+    return text + "\n"
 
 
 def log1mexp(log_x: float) -> float:
@@ -293,9 +396,15 @@ class GeometricTerm:
         """The term at a step count or at every entry of a numpy step array.
 
         The coefficient is applied after the exponential, so a row of a
-        report and a direct evaluation round the same way.
+        report and a direct evaluation round the same way.  A zero ratio
+        gives the coefficient at exponent 0 (0**0 = 1, as in ``log_at``).
         """
-        return self.coeff * np.exp((steps + self.offset) * self.log_ratio)
+        exponent = steps + self.offset
+        if self.log_ratio == LOG_ZERO:
+            if np.any(np.less(exponent, 0)):
+                raise ParameterError("zero ratio raised to a negative exponent")
+            return self.coeff * np.equal(exponent, 0)
+        return self.coeff * np.exp(exponent * self.log_ratio)
 
     def log_at(self, steps: int) -> float:
         """ln of the term at the given step count (0**0 counts as 1)."""

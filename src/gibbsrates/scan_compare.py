@@ -16,7 +16,6 @@ chi-square bound's linear-in-start prediction.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -53,9 +52,10 @@ from .numerics import (
     LN2,
     Distribution,
     StepCount,
+    RowTable,
     StochasticMatrix,
-    csv_text,
     iterate_tv,
+    json_text,
     jsonable,
 )
 from .operators import (
@@ -183,7 +183,15 @@ class ComparisonRow:
     eigen_lower: float
 
 
-CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ComparisonRow))
+def _columns(row_type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(row_type))
+
+
+def _row_table(columns: tuple[str, ...], rows) -> RowTable:
+    return RowTable(columns, [vars(row).values() for row in rows])
+
+
+CSV_COLUMNS = _columns(ComparisonRow)
 
 
 @dataclass(frozen=True)
@@ -194,6 +202,9 @@ class DecayCheckRow:
     observed: float
     std_error: float
     predicted: float
+
+
+DECAY_CHECK_COLUMNS = _columns(DecayCheckRow)
 
 
 @dataclass(frozen=True)
@@ -219,26 +230,28 @@ class ComparisonReport:
     notes: dict = field(default_factory=dict)
     decay_check: tuple[DecayCheckRow, ...] = ()
 
+    def payload(self) -> dict:
+        """The JSON result before rounding; ``rows`` is also the CSV table."""
+        return {
+            "n": self.n,
+            "target": self.target,
+            "worst_start": self.worst_start,
+            "min_steps": self.min_steps,
+            "work_ratio_random_vs_systematic": self.work_ratio_random_vs_systematic,
+            "scan_time_ratio": self.scan_time_ratio,
+            "rows": _row_table(CSV_COLUMNS, self.rows),
+            "decay_check": _row_table(DECAY_CHECK_COLUMNS, self.decay_check),
+            "notes": self.notes,
+        }
+
     def to_jsonable(self) -> dict:
-        return jsonable(
-            {
-                "n": self.n,
-                "target": self.target,
-                "worst_start": self.worst_start,
-                "min_steps": self.min_steps,
-                "work_ratio_random_vs_systematic": self.work_ratio_random_vs_systematic,
-                "scan_time_ratio": self.scan_time_ratio,
-                "rows": [vars(row) for row in self.rows],
-                "decay_check": [vars(row) for row in self.decay_check],
-                "notes": self.notes,
-            }
-        )
+        return jsonable(self.payload())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2) + "\n"
+        return json_text(self.payload())
 
     def to_csv(self) -> str:
-        return csv_text(CSV_COLUMNS, (vars(row).values() for row in self.rows))
+        return _row_table(CSV_COLUMNS, self.rows).to_csv()
 
 
 def _check_target(target: float) -> float:
@@ -473,6 +486,9 @@ class PgDemoRow:
     chisq_min_steps: StepCount
 
 
+PG_DEMO_COLUMNS = _columns(PgDemoRow)
+
+
 @dataclass(frozen=True)
 class PgMixingDemo:
     """Poisson-gamma mixing from far-out starts: log(start) versus start/2.
@@ -491,25 +507,26 @@ class PgMixingDemo:
     rows: tuple[PgDemoRow, ...]
     notes: dict = field(default_factory=dict)
 
+    def payload(self) -> dict:
+        """The JSON result before rounding; ``rows`` is also the CSV table."""
+        return {
+            "shape": self.shape,
+            "rate": self.rate,
+            "x_max": self.x_max,
+            "target": self.target,
+            "decay_rate": self.decay_rate,
+            "rows": _row_table(PG_DEMO_COLUMNS, self.rows),
+            "notes": self.notes,
+        }
+
     def to_jsonable(self) -> dict:
-        return jsonable(
-            {
-                "shape": self.shape,
-                "rate": self.rate,
-                "x_max": self.x_max,
-                "target": self.target,
-                "decay_rate": self.decay_rate,
-                "rows": [vars(row) for row in self.rows],
-                "notes": self.notes,
-            }
-        )
+        return jsonable(self.payload())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2) + "\n"
+        return json_text(self.payload())
 
     def to_csv(self) -> str:
-        header = tuple(f.name for f in dataclasses.fields(PgDemoRow))
-        return csv_text(header, (vars(row).values() for row in self.rows))
+        return _row_table(PG_DEMO_COLUMNS, self.rows).to_csv()
 
 
 def pg_mixing_demo(

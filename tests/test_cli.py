@@ -7,9 +7,13 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from gibbsrates.cli import main
+from gibbsrates import round_sig
+from gibbsrates.cli import _HANDLERS, build_parser, main, resolve_config
+from gibbsrates.numerics import jsonable
+from gibbsrates.scan_compare import CSV_COLUMNS, PG_DEMO_COLUMNS, ComparisonReport, PgMixingDemo
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schemas" / "cli-output.schema.json"
 
@@ -413,3 +417,70 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["result"]["total"] == 4
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the plain jsonable / json.dumps and csv_cell rendering
+# ---------------------------------------------------------------------------
+
+
+def _plain_csv_cell(value) -> str:
+    """A CSV cell as the row-by-row policy writes it: repr of the rounded float."""
+    if isinstance(value, float):
+        return repr(round_sig(float(value)))
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def _plain_render(argv) -> str:
+    """What ``main`` must print: JSON from ``json.dumps(jsonable(...), indent=2)``
+    over the whole payload, CSV from one ``_plain_csv_cell`` join per row."""
+    args = build_parser().parse_args(argv)
+    cfg = resolve_config(args.command, args)
+    output = _HANDLERS[args.command](cfg)
+    if cfg["format"] == "json":
+        payload = {"command": args.command, "config": cfg, "result": output.payload()}
+        return json.dumps(jsonable(payload), indent=2) + "\n"
+    if isinstance(output, (ComparisonReport, PgMixingDemo)):
+        header = CSV_COLUMNS if isinstance(output, ComparisonReport) else PG_DEMO_COLUMNS
+        rows = [vars(row).values() for row in output.rows]
+    else:
+        header, rows = output.table.header, output.table.rows
+    config = json.dumps(jsonable({**cfg, "command": args.command}), sort_keys=True)
+    lines = ["# config: " + config, ",".join(header)]
+    lines.extend(",".join(map(_plain_csv_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-compare", "--n", "50", "--steps-max", "2000"],
+        ["scan-compare", "--n", "50", "--steps-max", "2000", "--format", "csv"],
+        ["exact-tv", "--family", "bb", "--n", "100", "--start", "0", "--steps-max", "400",
+         "--target", "0.01"],
+        ["exact-tv", "--family", "pg", "--start", "64", "--steps-max", "60", "--format", "csv"],
+        ["pg-demo"],
+        ["pg-demo", "--format", "csv"],
+        ["rosenthal", "--n", "100"],
+        ["rosenthal", "--n", "50", "--d-grid", "10,1000", "--r-grid", "0.001,0.5"],
+        ["spectral", "--levels", "--family", "bb", "--n", "100"],
+        ["spectral", "--gap-curve", "--product", "0.7", "--format", "csv"],
+        ["simulate", "--family", "bb", "--n", "20", "--start-x", "0", "--start-theta", "0.3",
+         "--steps", "50"],
+        ["words", "--len", "5"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[-2:]),
+)
+def test_output_is_byte_identical_to_plain_rendering(run_cli, argv):
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == ""
+    # Compared as line lists: pytest reports the first differing line, where
+    # a text diff of two 2000-row reports takes minutes.
+    assert out.splitlines() == _plain_render(argv).splitlines()
+    assert out.endswith("\n")

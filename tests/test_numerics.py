@@ -1,11 +1,12 @@
 """Log-domain scalars, geometric step solving, and dense-chain linear algebra."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gibbsrates import (
@@ -28,7 +29,15 @@ from gibbsrates import (
     stationary_distribution,
     tv_distance,
 )
-from gibbsrates.numerics import csv_cell, csv_text, jsonable, rounded_decompose
+from gibbsrates.numerics import (
+    RowTable,
+    csv_cell,
+    float_cell,
+    json_cell,
+    json_text,
+    jsonable,
+    rounded_decompose,
+)
 
 LOG_ZERO = float("-inf")
 
@@ -54,8 +63,79 @@ def test_serializers_carry_a_rounded_mantissa_alike():
     assert rounded_decompose(value) == (1.0, 3)
     assert jsonable({"bound": value}) == {"bound": {"mantissa": 1.0, "exp10": 3}}
     assert csv_cell(value) == "1.0e+3"
-    table = csv_text(("bound_mantissa", "bound_exp10"), [rounded_decompose(value)])
-    assert table == "bound_mantissa,bound_exp10\n1.0,3\n"
+    table = RowTable(("bound_mantissa", "bound_exp10"), [rounded_decompose(value)])
+    assert table.to_csv() == "bound_mantissa,bound_exp10\n1.0,3\n"
+
+
+# ---------------------------------------------------------------------------
+# float_cell / json_text: the one cell formatter and the row-table rendering
+# ---------------------------------------------------------------------------
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(5e-324)  # smallest subnormal: "%.12g" would give 4.94065645841e-324
+@example(-1.5e-310)
+@example(2.225073858507201e-308)  # largest subnormal
+@example(2.2250738585072014e-308)  # smallest normal
+@example(0.0)
+@example(-0.0)
+@example(999999999999.5)  # rounds up to 1e+12
+@example(999999999999.4)
+@example(9.9999999999995e15)
+@example(1e16)
+@example(1.7976931348623157e308)
+def test_float_cell_is_repr_of_round_sig(value):
+    expected = repr(round_sig(value))
+    assert float_cell(value) == expected
+    assert float_cell(np.float64(value)) == expected
+    assert csv_cell(value) == expected
+    assert json_cell(value) == json.dumps(jsonable(value))
+
+
+def test_non_finite_cells_keep_their_bytes():
+    for value, csv, js in (
+        (math.inf, "inf", "Infinity"),
+        (-math.inf, "-inf", "-Infinity"),
+        (math.nan, "nan", "NaN"),
+    ):
+        assert csv_cell(value) == csv
+        assert json_cell(value) == js
+        assert json.dumps(jsonable(value)) == js
+    payload = {"value": math.inf, "rows": RowTable(("a",), [(math.inf,), (math.nan,)])}
+    assert json_text(payload) == json.dumps(jsonable(payload), indent=2) + "\n"
+
+
+def test_json_text_matches_json_dumps():
+    table = RowTable(
+        ("steps", "tv", "bound", "ok", "label"),
+        [
+            (1, 0.5, None, True, "a"),
+            (np.int64(2), np.float64(1 / 3), 1e-320, False, 'quote " and %s'),
+        ],
+    )
+    payload = {
+        "command": "x",
+        "config": {"n": 3, "j_list": [0, 8], "target": 0.1 + 0.2},
+        "result": {
+            "rows": table,
+            "empty": RowTable(("a", "b"), []),
+            "no_columns": RowTable((), [(), ()]),
+            "nested": [table, {"inner": table}],
+            "bound": LogMagnitude.from_linear(999.99999999999),
+            "tuple": (1.0, None),
+        },
+    }
+    assert json_text(payload) == json.dumps(jsonable(payload), indent=2) + "\n"
+    assert json_text(table) == json.dumps(jsonable(table), indent=2) + "\n"
+    assert jsonable(table)[1] == {
+        "steps": 2, "tv": 0.333333333333, "bound": 1e-320, "ok": False, "label": 'quote " and %s'
+    }
+    assert table.to_csv() == 'steps,tv,bound,ok,label\n1,0.5,,true,a\n2,0.333333333333,1e-320,false,quote " and %s\n'
+
+
+def test_json_cell_refuses_a_nested_value():
+    with pytest.raises(TypeError):
+        json_cell([1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +275,21 @@ def test_geometric_term_log_at():
     assert zero_ratio.log_at(5) == LOG_ZERO
     with pytest.raises(ParameterError):
         GeometricTerm(3.0, LOG_ZERO, offset=-1.0).log_at(0)
+
+
+def test_geometric_term_at_zero_ratio_follows_log_at():
+    # 0**0 = 1: the term is its coefficient at exponent 0 and 0 afterwards.
+    term = GeometricTerm(3.0, LOG_ZERO)
+    assert term.at(0) == 3.0
+    assert term.at(5) == 0.0
+    assert term.at(0) == pytest.approx(math.exp(term.log_at(0)), rel=1e-15)
+    assert term.at(np.arange(4)).tolist() == [3.0, 0.0, 0.0, 0.0]
+    shifted = GeometricTerm(2.0, LOG_ZERO, offset=-2.0)
+    assert shifted.at(np.array([2, 3])).tolist() == [2.0, 0.0]
+    with pytest.raises(ParameterError):
+        shifted.at(1)
+    with pytest.raises(ParameterError):
+        shifted.at(np.array([1, 2]))
 
 
 def test_geometric_term_at_matches_log_at():

@@ -488,3 +488,14 @@ def test_pg_demo_serialization():
     payload = demo.to_jsonable()
     assert payload["rows"][1] == {"start": 8, "exact_min_steps": 8, "chisq_min_steps": 12}
     assert json.loads(demo.to_json()) == payload
+
+
+def test_report_to_json_is_json_dumps_of_to_jsonable(compare100):
+    # The row tables are written by one %-template per row; the bytes must be
+    # those of json.dumps over the whole rounded payload.
+    with_decay = compare(n=16, max_steps=300, decay_samples=1000, seed=3)
+    for report in (compare100, with_decay, pg_mixing_demo([0, 8, 64])):
+        text = report.to_json()
+        assert text.splitlines() == json.dumps(report.to_jsonable(), indent=2).splitlines()
+        assert text.endswith("}\n")
+    assert len(with_decay.to_jsonable()["decay_check"]) == len(DECAY_CHECK_STEPS)
