@@ -44,6 +44,7 @@ from .numerics import (
     GeometricTerm,
     LogMagnitude,
     StepCount,
+    is_integer,
     log1mexp,
     log_sum_terms,
     min_steps_geometric,
@@ -56,7 +57,7 @@ AZUMA_RATE = math.exp(_AZUMA_LOG_RATE)
 
 
 def _check_steps(steps: int, minimum: int = 0) -> int:
-    if not isinstance(steps, (int, np.integer)):
+    if not is_integer(steps):
         raise ParameterError(f"step count must be an integer, got {steps!r}")
     steps = int(steps)
     if steps < minimum:
@@ -65,7 +66,7 @@ def _check_steps(steps: int, minimum: int = 0) -> int:
 
 
 def _check_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or int(n) < 1:
+    if not is_integer(n) or int(n) < 1:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
     return int(n)
 
@@ -488,7 +489,7 @@ def systematic_upper(n: int, steps: StepCount, order: str = "x_theta") -> float:
 
 
 def _chisq_pg(j: int, stationary, decay_rate: float) -> GeometricBound:
-    if not isinstance(j, (int, np.integer)) or int(j) < 0:
+    if not is_integer(j) or int(j) < 0:
         raise ParameterError(f"start state j must be a nonnegative integer, got {j!r}")
     weights = stationary.weights if hasattr(stationary, "weights") else np.asarray(stationary, dtype=float)
     if int(j) >= weights.shape[0]:

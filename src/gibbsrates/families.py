@@ -35,6 +35,7 @@ from .numerics import (
     Distribution,
     LogMagnitude,
     StochasticMatrix,
+    is_integer,
     stationary_distribution,
 )
 
@@ -51,7 +52,7 @@ class BetaBinomialFamily:
     b: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or int(self.n) < 1:
+        if not is_integer(self.n) or int(self.n) < 1:
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         for name in ("a", "b"):
@@ -127,7 +128,7 @@ class PoissonGammaFamily:
             if not math.isfinite(value) or value <= 0.0:
                 raise ParameterError(f"gamma {name} must be positive, got {value}")
             object.__setattr__(self, name, value)
-        if not isinstance(self.x_max, (int, np.integer)) or int(self.x_max) < 1:
+        if not is_integer(self.x_max) or int(self.x_max) < 1:
             raise ParameterError(f"x_max must be a positive integer, got {self.x_max!r}")
         object.__setattr__(self, "x_max", int(self.x_max))
         # Stationary law = prior predictive: negative binomial with
@@ -191,7 +192,7 @@ class SpectralLevel:
     eta: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)) or int(self.k) < 1:
+        if not is_integer(self.k) or int(self.k) < 1:
             raise ParameterError(f"level index k must be a positive integer, got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
         product = float(self.product)
@@ -244,7 +245,7 @@ class SpectralData:
                     f"level products must be non-increasing, got {earlier} -> {later}"
                 )
         if self.cutoff is not None and (
-            not isinstance(self.cutoff, (int, np.integer)) or int(self.cutoff) < 2
+            not is_integer(self.cutoff) or int(self.cutoff) < 2
         ):
             raise ParameterError(f"cutoff must be an integer >= 2 or None, got {self.cutoff!r}")
         object.__setattr__(self, "levels", levels)
@@ -294,7 +295,7 @@ def bb_drift_minorization(fam: BetaBinomialFamily, x0: int) -> DriftMinorization
     for large n, which is the seed of the 10^33-step phenomenon.
     """
     fam.require_flat_prior("the drift/minorization certificate")
-    if not isinstance(x0, (int, np.integer)) or not 0 <= int(x0) <= fam.n:
+    if not is_integer(x0) or not 0 <= int(x0) <= fam.n:
         raise ParameterError(f"x0 must be an integer state in 0..{fam.n}, got {x0!r}")
     rate = fam.n / (fam.n + 2.0)
     return DriftMinorization(

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .families import BetaBinomialFamily, PoissonGammaFamily, bb_eigenfunction_phi
-from .numerics import StepCount
+from .numerics import StepCount, is_integer
 
 # Exhaustive word enumeration is capped at 2^20 raw words.
 MAX_WORD_LENGTH = 20
@@ -49,7 +49,7 @@ class JointState:
     theta: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.x, (int, np.integer)):
+        if not is_integer(self.x):
             raise ParameterError(f"state x must be an integer, got {self.x!r}")
         theta = float(self.theta)
         if not math.isfinite(theta):
@@ -129,7 +129,7 @@ def run_trajectory(
     seed: int = 0,
 ) -> list[JointState]:
     """Simulate ``n_steps`` steps from ``start``; returns n_steps + 1 states."""
-    if not isinstance(n_steps, (int, np.integer)) or int(n_steps) < 0:
+    if not is_integer(n_steps) or int(n_steps) < 0:
         raise ParameterError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
     rng = np.random.default_rng(seed)
     states = [start]
@@ -160,9 +160,9 @@ def eigenfunction_decay(
     if strategy.kind != "random":
         raise ParameterError("the decay diagnostic tracks the random scan; "
                              f"got strategy kind {strategy.kind!r}")
-    if not isinstance(n_steps, (int, np.integer)) or int(n_steps) < 0:
+    if not is_integer(n_steps) or int(n_steps) < 0:
         raise ParameterError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
-    if not isinstance(samples, (int, np.integer)) or int(samples) < MIN_DECAY_SAMPLES:
+    if not is_integer(samples) or int(samples) < MIN_DECAY_SAMPLES:
         raise ParameterError(
             f"samples must be an integer >= {MIN_DECAY_SAMPLES} for a stable "
             f"standard error, got {samples!r}"
@@ -254,7 +254,7 @@ def _popcount(values: np.ndarray) -> np.ndarray:
 
 
 def _check_word_length(length: int) -> int:
-    if not isinstance(length, (int, np.integer)) or not 1 <= int(length) <= MAX_WORD_LENGTH:
+    if not is_integer(length) or not 1 <= int(length) <= MAX_WORD_LENGTH:
         raise ParameterError(
             f"word length must be an integer in 1..{MAX_WORD_LENGTH} "
             f"(exhaustive enumeration of 2^length words), got {length!r}"

@@ -54,6 +54,7 @@ from .numerics import (
     StepCount,
     RowTable,
     StochasticMatrix,
+    is_integer,
     iterate_tv,
     json_text,
     jsonable,
@@ -90,14 +91,14 @@ def exact_tv_curve(
     max_steps: StepCount,
 ) -> np.ndarray:
     """TV to stationarity at steps 0..max_steps (at most 10^5) from a point start."""
-    if not isinstance(max_steps, (int, np.integer)) or int(max_steps) < 0:
+    if not is_integer(max_steps) or int(max_steps) < 0:
         raise ParameterError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
     max_steps = int(max_steps)
     if max_steps > MAX_COMPARE_STEPS:
         raise ParameterError(
             f"max_steps {max_steps} exceeds the exact-iteration cap {MAX_COMPARE_STEPS}"
         )
-    return np.concatenate(list(iterate_tv(matrix, stationary, [start], max_steps)))
+    return np.concatenate(list(iterate_tv(matrix, stationary, [start], max_steps)))[:, 0]
 
 
 def first_crossing(curve: np.ndarray, target: float) -> StepCount | None:
@@ -308,13 +309,13 @@ def compare(
     entry; ``decay_samples > 0`` additionally runs the Monte Carlo
     eigenfunction cross-check with that many replicas.
     """
-    if not isinstance(n, (int, np.integer)) or not 1 <= int(n) <= MAX_COMPARE_N:
+    if not is_integer(n) or not 1 <= int(n) <= MAX_COMPARE_N:
         raise ParameterError(
             f"compare-n-out-of-range: n must be an integer in 1..{MAX_COMPARE_N} "
             f"(dense exact computation), got {n!r}"
         )
     n = int(n)
-    if not isinstance(max_steps, (int, np.integer)) or not 1 <= int(max_steps) <= MAX_COMPARE_STEPS:
+    if not is_integer(max_steps) or not 1 <= int(max_steps) <= MAX_COMPARE_STEPS:
         raise ParameterError(
             f"max_steps must be an integer in 1..{MAX_COMPARE_STEPS}, got {max_steps!r}"
         )
@@ -437,10 +438,10 @@ def rebuild_random_scan_upper(n: int, steps: StepCount) -> float:
     sum must reproduce the closed form ((1+x)/2)^(steps-1) to 1e-9, and the
     Azuma tail 3 e^{-(steps-1)/8} is added back on top.
     """
-    if not isinstance(n, (int, np.integer)) or int(n) < 1:
+    if not is_integer(n) or int(n) < 1:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
     n = int(n)
-    if not isinstance(steps, (int, np.integer)) or int(steps) < 1:
+    if not is_integer(steps) or int(steps) < 1:
         raise ParameterError(f"steps must be a positive integer, got {steps!r}")
     steps = int(steps)
     if steps > REBUILD_MAX_STEPS:
@@ -560,8 +561,12 @@ def pg_mixing_demo(
     if decay_rate is None:
         decay_rate = 1.0 / (1.0 + fam.rate)
     crossed = np.full(len(starts), -1)
-    for steps, tv in enumerate(iterate_tv(matrix, stationary, starts, MAX_COMPARE_STEPS)):
-        crossed[(crossed < 0) & (tv <= target)] = steps
+    first = 0  # the step of the chunk's first row
+    for chunk in iterate_tv(matrix, stationary, starts, MAX_COMPARE_STEPS):
+        below = chunk <= target
+        hit = (crossed < 0) & below.any(axis=0)
+        crossed[hit] = first + below[:, hit].argmax(axis=0)
+        first += len(chunk)
         if crossed.min() >= 0:
             break
     else:

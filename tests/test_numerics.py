@@ -20,19 +20,25 @@ from gibbsrates import (
     binomial_tail_le,
     bb_xchain,
     BetaBinomialFamily,
+    PoissonGammaFamily,
+    exact_tv_curve,
     log1mexp,
     log_sum_terms,
     matrix_power_tv,
     min_steps_geometric,
+    pg_xchain,
     reversible_spectrum,
     round_sig,
     stationary_distribution,
     tv_distance,
 )
+from gibbsrates import numerics
 from gibbsrates.numerics import (
+    TV_BLOCK,
     RowTable,
     csv_cell,
     float_cell,
+    iterate_tv,
     json_cell,
     json_text,
     jsonable,
@@ -501,6 +507,201 @@ def test_matrix_power_tv_validation():
     with pytest.raises(ParameterError):
         # Not the invariant law of this chain.
         matrix_power_tv(matrix, 0, Distribution([0.5, 0.5]), 1)
+
+
+def test_matrix_power_tv_keeps_the_last_value_of_a_blocked_curve(bb100):
+    _, matrix, stationary = bb100
+    curve = exact_tv_curve(matrix, stationary, 0, 2000)
+    for steps in (0, TV_BLOCK - 1, 2000):
+        assert matrix_power_tv(matrix, 0, stationary, steps) == curve[steps]
+
+
+# ---------------------------------------------------------------------------
+# iterate_tv: stepwise for the first TV_BLOCK - 1 steps, then blocked
+# ---------------------------------------------------------------------------
+
+
+def _stepwise_tv(matrix, stationary, starts, max_steps):
+    """The plain loop: one product per step for every start.
+
+    Returns the TV of each start at steps 0..max_steps and each law's mass,
+    whose drift from 1 (rows of K summing to 1 only to rounding) moves the
+    loop's own TV by up to that much.
+    """
+    half_pi = 0.5 * stationary.weights
+    laws = np.zeros((len(starts), matrix.dim))
+    laws[np.arange(len(starts)), starts] = 0.5
+    tvs, masses = [], []
+    for step in range(max_steps + 1):
+        if step:
+            laws = laws @ matrix.entries
+        tvs.append(np.abs(laws - half_pi).sum(axis=1))
+        masses.append(2.0 * laws.sum(axis=1))
+    return np.array(tvs), np.array(masses)
+
+
+_ENGINE_CHAINS = {
+    **{f"bb{n}": (lambda n=n: (*bb_xchain(BetaBinomialFamily(n=n)), 0)) for n in (1, 2, 50, 200, 700)},
+    "pg": lambda: (*pg_xchain(PoissonGammaFamily(shape=2.0, x_max=400)), 100),
+}
+_ENGINE_HORIZONS = (0, TV_BLOCK - 1, TV_BLOCK, TV_BLOCK + 1, 2 * TV_BLOCK + 3, 10**4)
+# Agreement demanded of blocked steps with the plain loop.
+_ENGINE_TOL = 2e-14
+
+
+@pytest.fixture(scope="module")
+def engine_reference():
+    """Each chain with its start and the plain loop to the longest horizon."""
+    cache = {}
+
+    def get(key):
+        if key not in cache:
+            matrix, stationary, start = _ENGINE_CHAINS[key]()
+            cache[key] = (matrix, stationary, start,
+                          *_stepwise_tv(matrix, stationary, [start], max(_ENGINE_HORIZONS)))
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["rule", "forced"])
+@pytest.mark.parametrize("horizon", _ENGINE_HORIZONS)
+@pytest.mark.parametrize("chain", sorted(_ENGINE_CHAINS))
+def test_iterate_tv_matches_the_stepwise_loop(engine_reference, monkeypatch, chain, horizon, forced):
+    if forced:  # block whenever a step is left after the first TV_BLOCK - 1
+        monkeypatch.setattr(numerics, "TV_BLOCK_MIN_STEPS_PER_STATE", 0)
+    matrix, stationary, start, tvs, masses = engine_reference(chain)
+    chunks = list(iterate_tv(matrix, stationary, [start], horizon))
+    assert all(chunk.ndim == 2 and chunk.shape[1] == 1 for chunk in chunks)
+    curve = np.concatenate(chunks)[:, 0]
+    assert curve.shape == (horizon + 1,)
+    head = min(horizon + 1, TV_BLOCK)
+    np.testing.assert_array_equal(curve[:head], tvs[:head, 0])
+    # Past the first block the plain loop is only a reference up to its own
+    # mass drift (see the next test).
+    drift = np.abs(masses[: horizon + 1, 0] - 1.0)
+    assert np.all(np.abs(curve - tvs[: horizon + 1, 0]) <= _ENGINE_TOL + drift)
+
+
+def test_iterate_tv_blocked_steps_do_not_drift_with_the_stepwise_loop(engine_reference):
+    # At n = 2 a row of K sums to 1 + 2.2e-16: the plain loop's mass drifts
+    # and by step 10^4 its TV sits 4.2e-13 above the exact value (below
+    # 1e-300), while the blocked laws, rescaled to their mass every product,
+    # stay at 5.6e-17.
+    matrix, stationary, start, tvs, masses = engine_reference("bb2")
+    curve = exact_tv_curve(matrix, stationary, start, 10**4)
+    assert tvs[-1, 0] > 10 * _ENGINE_TOL
+    assert curve[-1] <= _ENGINE_TOL
+
+
+def test_iterate_tv_chunks_several_starts_in_step_order(monkeypatch):
+    monkeypatch.setattr(numerics, "TV_BLOCK_MIN_STEPS_PER_STATE", 0)
+    matrix, stationary = pg_xchain(PoissonGammaFamily(shape=2.0, x_max=400))
+    starts = [0, 5, 100, 150]
+    horizon = 3 * TV_BLOCK + 7
+    chunks = list(iterate_tv(matrix, stationary, starts, horizon))
+    # One step per chunk, then one chunk per product with K^TV_BLOCK.
+    assert [len(chunk) for chunk in chunks] == [1] * TV_BLOCK + [TV_BLOCK, TV_BLOCK, 8]
+    curve = np.concatenate(chunks)
+    tvs, masses = _stepwise_tv(matrix, stationary, starts, horizon)
+    np.testing.assert_array_equal(curve[:TV_BLOCK], tvs[:TV_BLOCK])
+    assert np.all(np.abs(curve - tvs) <= _ENGINE_TOL + np.abs(masses - 1.0))
+
+
+def test_iterate_tv_builds_no_power_for_a_caller_that_stops_early():
+    matrix, stationary = bb_xchain(BetaBinomialFamily(n=100))
+    shapes = []
+
+    class CountingArray(np.ndarray):
+        def __matmul__(self, other):
+            shapes.append((self.shape, other.shape))
+            return np.asarray(self) @ np.asarray(other)
+
+        def __rmatmul__(self, other):
+            shapes.append((other.shape, self.shape))
+            return np.asarray(other) @ np.asarray(self)
+
+    object.__setattr__(matrix, "entries", matrix.entries.view(CountingArray))
+    for _ in zip(range(TV_BLOCK), iterate_tv(matrix, stationary, [0], 10**5)):
+        pass
+    # Steps 1..TV_BLOCK - 1 take one vector product each; K is never squared.
+    assert shapes == [((1, 101), (101, 101))] * (TV_BLOCK - 1)
+
+
+@pytest.mark.parametrize("n, parent_floor", [(50, 1.3e-14), (100, 1.2e-14), (200, 6.1e-14)])
+def test_iterate_tv_floor_does_not_rise(n, parent_floor):
+    # The maximum over the last half of a 10^5-step curve: rounding noise
+    # that the one-product-per-step loop left at parent_floor.
+    matrix, stationary = bb_xchain(BetaBinomialFamily(n=n))
+    curve = exact_tv_curve(matrix, stationary, 0, 10**5)
+    assert curve[5 * 10**4 :].max() <= parent_floor
+
+
+def test_iterate_tv_reruns_are_bit_identical():
+    # Blocked products change their last bit with the BLAS thread count, but
+    # never between two runs with the same threads.
+    matrix, stationary = bb_xchain(BetaBinomialFamily(n=200))
+    first = exact_tv_curve(matrix, stationary, 0, 2 * 10**4)
+    np.testing.assert_array_equal(exact_tv_curve(matrix, stationary, 0, 2 * 10**4), first)
+
+
+def _bool_count_calls():
+    """Every count check, each called with a bool where the count goes."""
+    from gibbsrates import (
+        JointState,
+        ScanStrategy,
+        SpectralData,
+        SpectralLevel,
+        bb_drift_minorization,
+        collapse_census,
+        compare,
+        eigenfunction_decay,
+        random_scan_lower,
+        rebuild_random_scan_upper,
+        run_trajectory,
+    )
+    from gibbsrates.bounds import systematic_upper_bound
+
+    matrix, stationary = _two_state_chain()
+    fam = BetaBinomialFamily(n=4)
+    start = JointState(x=0, theta=0.5)
+    scan = ScanStrategy("random", 0.5)
+    level = SpectralLevel(k=1, product=0.5)
+    return {
+        "compare n": lambda flag: compare(n=flag, max_steps=5, target=0.6),
+        "compare max_steps": lambda flag: compare(n=5, max_steps=flag, target=0.6),
+        "exact_tv_curve max_steps": lambda flag: exact_tv_curve(matrix, stationary, 0, flag),
+        "iterate_tv max_steps": lambda flag: next(iterate_tv(matrix, stationary, [0], flag)),
+        "matrix_power_tv n_steps": lambda flag: matrix_power_tv(matrix, 0, stationary, flag),
+        "BetaBinomialFamily n": lambda flag: BetaBinomialFamily(n=flag),
+        "PoissonGammaFamily x_max": lambda flag: PoissonGammaFamily(x_max=flag),
+        "SpectralLevel k": lambda flag: SpectralLevel(k=flag, product=0.5),
+        "SpectralData cutoff": lambda flag: SpectralData(levels=(level,), cutoff=flag),
+        "bb_drift_minorization x0": lambda flag: bb_drift_minorization(fam, x0=flag),
+        "bound n": lambda flag: systematic_upper_bound(flag),
+        "bound steps": lambda flag: random_scan_lower(4, flag),
+        "rebuild n": lambda flag: rebuild_random_scan_upper(flag, 5),
+        "rebuild steps": lambda flag: rebuild_random_scan_upper(4, flag),
+        "JointState x": lambda flag: JointState(x=flag, theta=0.5),
+        "run_trajectory n_steps": lambda flag: run_trajectory(fam, start, scan, flag),
+        "eigenfunction_decay samples": lambda flag: eigenfunction_decay(fam, start, scan, 1, flag),
+        "word length": lambda flag: collapse_census(flag),
+    }
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("site", sorted(_bool_count_calls()))
+def test_counts_refuse_bools(site, flag):
+    # bool subclasses int: True used to pass as the count 1 (compare with
+    # n = max_steps = True returned a one-row report).
+    with pytest.raises(ParameterError, match="integer"):
+        _bool_count_calls()[site](flag)
+
+
+def test_is_integer():
+    assert numerics.is_integer(3) and numerics.is_integer(np.int64(3))
+    for value in (True, np.bool_(True), 3.0, "3", None):
+        assert not numerics.is_integer(value)
 
 
 def test_stationary_distribution_two_state():

@@ -31,6 +31,7 @@ from gibbsrates import (
     systematic_validity_threshold,
     worst_start_search,
 )
+from gibbsrates import numerics
 from gibbsrates.scan_compare import CSV_COLUMNS, DECAY_CHECK_STEPS
 
 
@@ -280,7 +281,9 @@ def test_compare_n50_work_ratio_near_two():
     assert 1.8 <= report.work_ratio_random_vs_systematic <= 2.2
 
 
-@pytest.mark.parametrize("n, max_steps, exact", [(100, 10**5, 218), (200, 2 * 10**4, 434)])
+@pytest.mark.parametrize(
+    "n, max_steps, exact", [(100, 10**5, 218), (200, 2 * 10**4, 434), (700, 2 * 10**4, 1513)]
+)
 def test_compare_long_horizon_answers(n, max_steps, exact):
     # Row sums exact to rounding keep the iterated TV from drifting onto a
     # floor above the systematic bound, so the row invariants hold.
@@ -453,6 +456,17 @@ def test_pg_demo_rows_do_not_depend_on_a_deep_truncation(shape):
     reference = pg_mixing_demo(starts, shape=shape).rows
     for x_max in (747, 1600, 3000):
         assert pg_mixing_demo(starts, shape=shape, x_max=x_max).rows == reference
+
+
+@pytest.mark.parametrize("block", [2, 4, 8])
+def test_pg_demo_rows_do_not_depend_on_the_block(monkeypatch, block):
+    # With a small block the crossings (5 to 12 steps) fall inside blocked
+    # chunks of several steps, each start at its own row of the chunk.
+    starts = [128, 0, 64, 8, 32, 16]
+    reference = {shape: pg_mixing_demo(starts, shape=shape).rows for shape in (1.0, 2.0)}
+    monkeypatch.setattr(numerics, "TV_BLOCK", block)
+    for shape, rows in reference.items():
+        assert pg_mixing_demo(starts, shape=shape).rows == rows
 
 
 def test_pg_demo_validation():
