@@ -78,9 +78,8 @@ class GeometricBound:
     This is the one representation of every analytic bound here: ``values``
     evaluates it (vectorized over a step array), ``at`` evaluates it at one
     validated step count, ``log_at`` gives the log of that value for bounds
-    too large or too small for a float, ``cells`` tabulates it with None
-    below the gate, and ``min_steps`` solves for its first gated crossing of
-    a target.
+    too large or too small for a float, and ``min_steps`` solves for its
+    first gated crossing of a target.
     """
 
     label: str
@@ -107,13 +106,6 @@ class GeometricBound:
     def log_at(self, steps: StepCount) -> float:
         """ln of the bound at one validated step count, summed in the log domain."""
         return log_sum_terms(self.terms, self.check_steps(steps))
-
-    def cells(self, steps: np.ndarray) -> list:
-        """Python floats at ascending ``steps``, None where below the gate."""
-        cells = self.values(steps).tolist()
-        below = int(np.searchsorted(steps, self.gate))
-        cells[:below] = [None] * below
-        return cells
 
     def min_steps(self, target: float) -> StepCount:
         """First step count at or above the gate where the bound <= target."""

@@ -10,8 +10,8 @@ Output contract, shared by all subcommands:
 * all floats are rounded to 12 significant digits and printed by the one
   cell formatter ``numerics.float_cell`` (``repr`` of the rounded value),
   so repeated runs are byte-identical; only the requested format is built,
-  and row lists are ``numerics.RowTable``s that ``numerics.json_text``
-  writes with one template per row, in the same bytes as
+  and row lists are columnar ``numerics.RowTable``s, each column formatted
+  once and each JSON row written by one template, in the same bytes as
   ``json.dumps(..., indent=2)``;
 * log-scale magnitudes appear as ``{"mantissa": m, "exp10": e}`` pairs
   (value = m * 10^e), the loss-free way to print a 10^-10000-scale bound;
@@ -371,7 +371,7 @@ def _run_rosenthal(cfg: dict):
         d_grid = cfg["d_grid"] if cfg["d_grid"] is not None else [cfg["d"]]
         r_grid = cfg["r_grid"] if cfg["r_grid"] is not None else [cfg["r"]]
         grid = rosenthal_grid_optimize(cert, target, d_grid, r_grid)
-        cells = RowTable(
+        cells = RowTable.from_rows(
             ("d", "r", "status", "steps", "log10_steps"),
             [
                 (
@@ -425,7 +425,7 @@ def _run_rosenthal(cfg: dict):
     }
     return _Output(
         result,
-        RowTable(
+        RowTable.from_rows(
             ("steps", "log10_bound", "bound_mantissa", "bound_exp10"),
             [
                 (entry["steps"], entry["log10_bound"], *rounded_decompose(entry["bound"]))
@@ -454,7 +454,7 @@ def _run_two_term(cfg: dict):
         }
     return _Output(
         result,
-        RowTable(
+        RowTable.from_rows(
             ("min_steps", "value_at_min_steps", "value_just_before"),
             [(steps, value_at_min, value_before)],
         ),
@@ -470,6 +470,9 @@ def _run_spectral(cfg: dict):
         )
     mode = modes[0]
     if mode == "levels":
+        max_levels = cfg["max_levels"]
+        if not isinstance(max_levels, int) or max_levels < 0:
+            raise ParameterError(f"--max-levels must be an integer >= 0, got {max_levels!r}")
         fam = _family_from_config(cfg)
         data = (
             bb_spectral_data(fam)
@@ -477,8 +480,8 @@ def _run_spectral(cfg: dict):
             else pg_spectral_data(fam)
         )
         spectrum = alpha_scan_eigenvalues(cfg["scan_weight"], data)
-        shown = spectrum.levels[: max(0, cfg["max_levels"])]
-        rows = RowTable(
+        shown = spectrum.levels[:max_levels]
+        rows = RowTable.from_rows(
             ("k", "product", "lambda_plus", "lambda_minus", "u_plus", "u_minus"),
             [
                 (
@@ -513,7 +516,7 @@ def _run_spectral(cfg: dict):
         if not isinstance(grid, int) or grid < 2:
             raise ParameterError(f"grid must be an integer >= 2, got {grid!r}")
         alphas = np.linspace(0.0, 1.0, grid)
-        rows = RowTable(
+        rows = RowTable.from_rows(
             ("alpha", "gap"),
             [(alpha, spectral_gap(alpha, cfg["product"])) for alpha in alphas.tolist()],
         )
@@ -530,7 +533,7 @@ def _run_spectral(cfg: dict):
     }
     return _Output(
         result,
-        RowTable(
+        RowTable.from_rows(
             ("alpha_star", "gap_star", "alpha_analytic", "gap_analytic"),
             [(maximum.alpha_star, maximum.gap_star, maximum.alpha_analytic, maximum.gap_analytic)],
         ),
@@ -557,7 +560,7 @@ def _run_exact_tv(cfg: dict):
         bb_xchain(fam) if isinstance(fam, BetaBinomialFamily) else pg_xchain(fam)
     )
     curve = exact_tv_curve(matrix, stationary, cfg["start"], cfg["steps_max"])
-    rows = RowTable(("steps", "tv"), list(enumerate(curve.tolist())))
+    rows = RowTable(("steps", "tv"), (np.arange(curve.size), curve))
     result = {
         "family": cfg["family"],
         "start": cfg["start"],
@@ -583,7 +586,7 @@ def _run_words(cfg: dict):
     result = {"length": census.length, "total": census.total, "words": words}
     return _Output(
         result,
-        RowTable(("word", "count"), [(entry["word"], entry["count"]) for entry in words]),
+        RowTable.from_rows(("word", "count"), [(entry["word"], entry["count"]) for entry in words]),
     )
 
 
@@ -621,13 +624,13 @@ def _run_simulate(cfg: dict):
         result["z_score"] = z_score
         return _Output(
             result,
-            RowTable(
+            RowTable.from_rows(
                 ("steps", "samples", "estimate", "std_error", "predicted", "z_score"),
                 [(cfg["steps"], cfg["samples"], estimate, std_error, predicted, z_score)],
             ),
         )
     states = run_trajectory(fam, start, strategy, cfg["steps"], seed=cfg["seed"])
-    rows = RowTable(
+    rows = RowTable.from_rows(
         ("step", "x", "theta"),
         [(index, state.x, state.theta) for index, state in enumerate(states)],
     )

@@ -16,6 +16,8 @@ chi-square bound's linear-in-start prediction.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -51,8 +53,9 @@ from .families import (
 from .numerics import (
     LN2,
     Distribution,
-    StepCount,
+    GatedColumn,
     RowTable,
+    StepCount,
     StochasticMatrix,
     is_integer,
     iterate_tv,
@@ -188,10 +191,6 @@ def _columns(row_type) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(row_type))
 
 
-def _row_table(columns: tuple[str, ...], rows) -> RowTable:
-    return RowTable(columns, [vars(row).values() for row in rows])
-
-
 CSV_COLUMNS = _columns(ComparisonRow)
 
 
@@ -208,31 +207,38 @@ class DecayCheckRow:
 DECAY_CHECK_COLUMNS = _columns(DecayCheckRow)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Exact mixing of the flat-prior beta-binomial model versus its bounds.
 
-    ``rows`` carry per-step curves for the systematic chain (exact TV, its
-    analytic upper bound, the eigenvalue lower bound) and the balanced
-    random scan (lower and upper bounds).  ``min_steps`` summarizes each
-    curve's first crossing of the target, including the drift/minorization
-    answer, which is the headline contrast.  ``work_ratio_random_vs_systematic``
-    divides random-scan steps by systematic conditional draws (two per
-    sweep) at the target.
+    ``curves`` holds the per-step columns, in ``ComparisonRow`` order: the
+    step array, the exact TV of the systematic chain, its analytic upper
+    bound, the balanced random scan's lower and upper bounds and the
+    eigenvalue lower bound, each bound a ``GatedColumn``.  ``rows`` gives
+    the same numbers as ``ComparisonRow``s, built on first access.
+    ``min_steps`` summarizes each curve's first crossing of the target,
+    including the drift/minorization answer, which is the headline
+    contrast.  ``work_ratio_random_vs_systematic`` divides random-scan
+    steps by systematic conditional draws (two per sweep) at the target.
     """
 
     n: int
     target: float
     worst_start: int
-    rows: tuple[ComparisonRow, ...]
+    curves: RowTable
     min_steps: dict
     work_ratio_random_vs_systematic: float
     scan_time_ratio: float
     notes: dict = field(default_factory=dict)
     decay_check: tuple[DecayCheckRow, ...] = ()
 
+    @functools.cached_property
+    def rows(self) -> tuple[ComparisonRow, ...]:
+        """One ``ComparisonRow`` per step, None where a bound is below its gate."""
+        return tuple(itertools.starmap(ComparisonRow, self.curves.iter_rows()))
+
     def payload(self) -> dict:
-        """The JSON result before rounding; ``rows`` is also the CSV table."""
+        """The JSON result before rounding; ``curves`` is also the CSV table."""
         return {
             "n": self.n,
             "target": self.target,
@@ -240,8 +246,10 @@ class ComparisonReport:
             "min_steps": self.min_steps,
             "work_ratio_random_vs_systematic": self.work_ratio_random_vs_systematic,
             "scan_time_ratio": self.scan_time_ratio,
-            "rows": _row_table(CSV_COLUMNS, self.rows),
-            "decay_check": _row_table(DECAY_CHECK_COLUMNS, self.decay_check),
+            "rows": self.curves,
+            "decay_check": RowTable.from_rows(
+                DECAY_CHECK_COLUMNS, map(dataclasses.astuple, self.decay_check)
+            ),
             "notes": self.notes,
         }
 
@@ -252,7 +260,7 @@ class ComparisonReport:
         return json_text(self.payload())
 
     def to_csv(self) -> str:
-        return _row_table(CSV_COLUMNS, self.rows).to_csv()
+        return self.curves.to_csv()
 
 
 def _check_target(target: float) -> float:
@@ -262,13 +270,16 @@ def _check_target(target: float) -> float:
     return target
 
 
-def _check_row_invariants(steps, exact, systematic, lower, upper, eigen) -> None:
+def _check_row_invariants(steps, exact, bounds, values) -> None:
     """Raise at the first step where the tabulated curves break a provable order.
 
     Eigenvalue lower <= exact <= systematic upper, and random-scan lower <=
     random-scan upper where the latter is valid and informative (below 1).
+    ``bounds`` are the four row bounds in ``ComparisonRow`` order and
+    ``values`` their values at ``steps``, gates not applied.
     """
-    syst, low, up, eig = (bound.values(steps) for bound in (systematic, lower, upper, eigen))
+    systematic, _, upper, _ = bounds
+    syst, low, up, eig = values
     slack = ROW_INVARIANT_SLACK
     # Message fields: {0} exact, {1} systematic, {2} eigen, {3} lower, {4} upper.
     checks = (
@@ -344,9 +355,13 @@ def compare(
     )
     steps = np.arange(1, max_steps + 1)
     exact = curve[1:]
-    _check_row_invariants(steps, exact, systematic, lower, upper, eigen)
-    columns = (bound.cells(steps) for bound in bounds)
-    rows = tuple(map(ComparisonRow, steps.tolist(), exact.tolist(), *columns))
+    values = [bound.values(steps) for bound in bounds]
+    _check_row_invariants(steps, exact, bounds, values)
+    gated = []
+    for bound, column in zip(bounds, values):
+        below = int(np.searchsorted(steps, bound.gate))
+        gated.append(GatedColumn(below, column[below:]))
+    curves = RowTable(CSV_COLUMNS, (steps, exact, *gated))
     systematic_steps = systematic.min_steps(target)
     random_upper_steps = upper.min_steps(target)
 
@@ -418,7 +433,7 @@ def compare(
         n=n,
         target=target,
         worst_start=worst.start,
-        rows=tuple(rows),
+        curves=curves,
         min_steps=min_steps,
         work_ratio_random_vs_systematic=random_upper_steps / (2.0 * systematic_steps),
         scan_time_ratio=scan_time_ratio(n),
@@ -508,15 +523,20 @@ class PgMixingDemo:
     rows: tuple[PgDemoRow, ...]
     notes: dict = field(default_factory=dict)
 
+    @property
+    def table(self) -> RowTable:
+        """``rows`` as a table: the JSON ``rows`` and the CSV table."""
+        return RowTable.from_rows(PG_DEMO_COLUMNS, map(dataclasses.astuple, self.rows))
+
     def payload(self) -> dict:
-        """The JSON result before rounding; ``rows`` is also the CSV table."""
+        """The JSON result before rounding."""
         return {
             "shape": self.shape,
             "rate": self.rate,
             "x_max": self.x_max,
             "target": self.target,
             "decay_rate": self.decay_rate,
-            "rows": _row_table(PG_DEMO_COLUMNS, self.rows),
+            "rows": self.table,
             "notes": self.notes,
         }
 
@@ -527,7 +547,7 @@ class PgMixingDemo:
         return json_text(self.payload())
 
     def to_csv(self) -> str:
-        return _row_table(PG_DEMO_COLUMNS, self.rows).to_csv()
+        return self.table.to_csv()
 
 
 def pg_mixing_demo(

@@ -196,6 +196,17 @@ def test_spectral_mode_selection_errors(run_cli):
     assert "missing-required-option" in err
 
 
+def test_spectral_count_option_errors(run_cli):
+    levels = ["spectral", "--levels", "--family", "bb", "--n", "5"]
+    code, out, err = run_cli(levels + ["--max-levels", "-3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --max-levels must be an integer >= 0")
+    code, out, err = run_cli(levels + ["--max-levels", "0"])
+    assert code == 0 and json.loads(out)["result"]["levels"] == []
+    code, out, err = run_cli(["spectral", "--gap-curve", "--product", "0.5", "--grid", "1"])
+    assert code == 2 and "grid must be an integer >= 2" in err
+
+
 # ---------------------------------------------------------------------------
 # scan-compare / exact-tv
 # ---------------------------------------------------------------------------
@@ -450,7 +461,7 @@ def _plain_render(argv) -> str:
         header = CSV_COLUMNS if isinstance(output, ComparisonReport) else PG_DEMO_COLUMNS
         rows = [vars(row).values() for row in output.rows]
     else:
-        header, rows = output.table.header, output.table.rows
+        header, rows = output.table.header, output.table.iter_rows()
     config = json.dumps(jsonable({**cfg, "command": args.command}), sort_keys=True)
     lines = ["# config: " + config, ",".join(header)]
     lines.extend(",".join(map(_plain_csv_cell, row)) for row in rows)
@@ -462,9 +473,15 @@ def _plain_render(argv) -> str:
     [
         ["scan-compare", "--n", "50", "--steps-max", "2000"],
         ["scan-compare", "--n", "50", "--steps-max", "2000", "--format", "csv"],
+        # Longer than one formatting block; the flags are ordered so that
+        # every id (the command and its last two arguments) stays unique.
+        ["scan-compare", "--steps-max", "10000", "--n", "50"],
+        ["scan-compare", "--n", "50", "--format", "csv", "--steps-max", "10000"],
         ["exact-tv", "--family", "bb", "--n", "100", "--start", "0", "--steps-max", "400",
          "--target", "0.01"],
         ["exact-tv", "--family", "pg", "--start", "64", "--steps-max", "60", "--format", "csv"],
+        ["exact-tv", "--family", "bb", "--n", "50", "--start", "0", "--format", "csv",
+         "--steps-max", "10000"],
         ["pg-demo"],
         ["pg-demo", "--format", "csv"],
         ["rosenthal", "--n", "100"],

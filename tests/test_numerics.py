@@ -34,7 +34,9 @@ from gibbsrates import (
 )
 from gibbsrates import numerics
 from gibbsrates.numerics import (
+    TABLE_BLOCK_ROWS,
     TV_BLOCK,
+    GatedColumn,
     RowTable,
     csv_cell,
     float_cell,
@@ -69,7 +71,7 @@ def test_serializers_carry_a_rounded_mantissa_alike():
     assert rounded_decompose(value) == (1.0, 3)
     assert jsonable({"bound": value}) == {"bound": {"mantissa": 1.0, "exp10": 3}}
     assert csv_cell(value) == "1.0e+3"
-    table = RowTable(("bound_mantissa", "bound_exp10"), [rounded_decompose(value)])
+    table = RowTable.from_rows(("bound_mantissa", "bound_exp10"), [rounded_decompose(value)])
     assert table.to_csv() == "bound_mantissa,bound_exp10\n1.0,3\n"
 
 
@@ -107,12 +109,12 @@ def test_non_finite_cells_keep_their_bytes():
         assert csv_cell(value) == csv
         assert json_cell(value) == js
         assert json.dumps(jsonable(value)) == js
-    payload = {"value": math.inf, "rows": RowTable(("a",), [(math.inf,), (math.nan,)])}
+    payload = {"value": math.inf, "rows": RowTable.from_rows(("a",), [(math.inf,), (math.nan,)])}
     assert json_text(payload) == json.dumps(jsonable(payload), indent=2) + "\n"
 
 
 def test_json_text_matches_json_dumps():
-    table = RowTable(
+    table = RowTable.from_rows(
         ("steps", "tv", "bound", "ok", "label"),
         [
             (1, 0.5, None, True, "a"),
@@ -124,8 +126,8 @@ def test_json_text_matches_json_dumps():
         "config": {"n": 3, "j_list": [0, 8], "target": 0.1 + 0.2},
         "result": {
             "rows": table,
-            "empty": RowTable(("a", "b"), []),
-            "no_columns": RowTable((), [(), ()]),
+            "empty": RowTable.from_rows(("a", "b"), []),
+            "no_columns": RowTable.from_rows((), [(), ()]),
             "nested": [table, {"inner": table}],
             "bound": LogMagnitude.from_linear(999.99999999999),
             "tuple": (1.0, None),
@@ -142,6 +144,79 @@ def test_json_text_matches_json_dumps():
 def test_json_cell_refuses_a_nested_value():
     with pytest.raises(TypeError):
         json_cell([1.0])
+
+
+def _cell_by_cell(table: RowTable) -> tuple[str, str]:
+    """CSV and JSON of a table written one ``csv_cell``/``json_cell`` at a time.
+
+    Callers compare line lists: pytest reports the first differing line, where
+    a text diff of two long tables takes minutes.
+    """
+    rows = list(table.iter_rows())
+    csv = [",".join(table.header)] + [",".join(map(csv_cell, row)) for row in rows]
+    objects = [
+        "  {\n" + ",\n".join(
+            f"    {json.dumps(name)}: {json_cell(value)}" for name, value in zip(table.header, row)
+        ) + "\n  }"
+        for row in rows
+    ]
+    js = "[\n" + ",\n".join(objects) + "\n]" if rows else "[]"
+    return "\n".join(csv) + "\n", js + "\n"
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 999999999999.4,
+    999999999999.5, 1e12, -3e15, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]
+
+
+@given(st.lists(st.floats(), max_size=30), st.integers(min_value=0, max_value=30))
+@example(SPECIAL_FLOATS, 0)
+@example(SPECIAL_FLOATS, 5)
+@example(SPECIAL_FLOATS, len(SPECIAL_FLOATS))
+@example([], 0)
+def test_float_columns_print_each_cell_as_the_cell_formatters(values, below):
+    # A float column and a gated column (``below`` leading Nones) print every
+    # cell exactly as csv_cell / json_cell print it, in both formats.
+    below = min(below, len(values))
+    array = np.array(values, dtype=float)
+    table = RowTable(("plain", "gated"), (array, GatedColumn(below, array[below:])))
+    expected = [(value, None if i < below else value) for i, value in enumerate(values)]
+    assert repr(list(table.iter_rows())) == repr(expected)  # repr: NaN equals itself
+    csv, js = _cell_by_cell(table)
+    assert table.to_csv().splitlines() == csv.splitlines()
+    assert json_text(table).splitlines() == js.splitlines()
+    assert js == json.dumps(jsonable(table), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, TABLE_BLOCK_ROWS - 1, TABLE_BLOCK_ROWS, TABLE_BLOCK_ROWS + 1]
+)
+def test_row_tables_render_alike_across_block_edges(count):
+    steps = np.arange(count)
+    tv = np.linspace(1.0, 1e-15, count) ** 3
+    tv[::997] = math.inf  # non-finite texts in some blocks only
+    belows = {0, 1, count // 2, TABLE_BLOCK_ROWS - 1, TABLE_BLOCK_ROWS, count - 1, count}
+    for below in sorted(b for b in belows if 0 <= b <= count):
+        bound = 2.0 * tv[below:]
+        table = RowTable(("steps", "tv", "bound"), (steps, tv, GatedColumn(below, bound)))
+        assert table.length == count
+        csv, js = _cell_by_cell(table)
+        assert table.to_csv().splitlines() == csv.splitlines() and csv.endswith("\n")
+        assert json_text(table).splitlines() == js.splitlines()
+        assert [len(row) for row in table.iter_rows()] == [3] * count
+    no_columns = RowTable((), (), count)
+    assert no_columns.to_csv().count("\n") == count + 1 and not no_columns.to_csv().strip()
+    assert json_text(no_columns).splitlines() == json.dumps([{}] * count, indent=2).splitlines()
+
+
+def test_row_table_columns_must_match_the_header():
+    with pytest.raises(ValueError):
+        RowTable(("a", "b"), (np.arange(3),))
+    with pytest.raises(ValueError):
+        RowTable(("a", "b"), (np.arange(3), np.arange(4.0)))
+    with pytest.raises(ValueError):
+        RowTable(("a",), (np.arange(3),), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from gibbsrates import (
     BetaBinomialFamily,
+    ComparisonRow,
     ConvergenceError,
     NoSolutionError,
     ParameterError,
@@ -274,6 +275,16 @@ def test_compare_bounds_match_scalar_reference(n, max_steps):
         assert report.min_steps[key] == crossing, column
         assert type(report.min_steps[key]) is int
     assert all(type(row.steps) is int for row in report.rows)
+
+
+def test_report_rows_are_built_once_from_the_curves():
+    # perfbench's size-sweep worker reads ``rows`` twice per compare query.
+    report = compare(16, max_steps=48)
+    first, second = report.rows, report.rows
+    assert isinstance(first, tuple) and first == second and first is second
+    assert all(type(row) is ComparisonRow and type(row.steps) is int for row in first)
+    assert [row.steps for row in first] == list(range(1, 49))
+    assert report.curves.header == CSV_COLUMNS and report.curves.length == 48
 
 
 def test_compare_n50_work_ratio_near_two():
