@@ -480,51 +480,39 @@ def systematic_upper(n: int, steps: StepCount, order: str = "x_theta") -> float:
     return systematic_upper_bound(n, order).at(steps)
 
 
-def _chisq_pg(j: int, stationary, decay_rate: float) -> GeometricBound:
-    if not is_integer(j) or int(j) < 0:
-        raise ParameterError(f"start state j must be a nonnegative integer, got {j!r}")
-    weights = stationary.weights if hasattr(stationary, "weights") else np.asarray(stationary, dtype=float)
-    if int(j) >= weights.shape[0]:
-        raise ParameterError(
-            f"j beyond truncation: start {j} outside the {weights.shape[0]}-state law"
-        )
-    mass = float(weights[int(j)])
-    if mass <= 0.0:
-        raise ParameterError(f"stationary mass at j={j} must be positive, got {mass}")
-    if not 0.0 < float(decay_rate) < 1.0:
-        raise ParameterError(f"decay rate must lie in (0, 1), got {decay_rate}")
-    return GeometricBound(
-        "the chi-square bound",
-        0,
-        (GeometricTerm(math.exp(-0.5 * math.log(mass)), math.log(decay_rate)),),
-    )
-
-
-def chisq_bound_pg(
-    j: int,
-    steps: StepCount,
-    stationary,
-    decay_rate: float = 0.5,
-) -> float:
-    """Chi-square bound sqrt(1/m(j)) * decay_rate^steps for a start at j.
-
-    ``stationary`` is the (truncated) stationary law m — a Distribution or
-    plain vector; ``decay_rate`` defaults to the flat-shape Poisson-gamma
-    chain's second eigenvalue 1/2.  Sharp in rate, poor in constant for
-    far-out starts: the constant costs (j+1)/2 extra halving steps.
-    """
-    steps = _check_steps(steps)
-    return _chisq_pg(j, stationary, decay_rate).at(steps)
-
-
 def chisq_min_steps_pg(
     j: int,
-    stationary,
+    log_stationary,
     target: float,
-    decay_rate: float = 0.5,
+    decay_rate: float,
 ) -> StepCount:
-    """Minimal step count at which the chi-square bound drops to the target."""
-    return _chisq_pg(j, stationary, decay_rate).min_steps(target)
+    """First step count at which the chi-square bound from a start at j,
+    sqrt(1/m(j)) * decay_rate^steps, drops to the target.
+
+    ``log_stationary`` holds the log weights of the (truncated) stationary
+    law m.  The constant -1/2 log m(j) is carried as the term's offset, so a
+    mass below the smallest float still has a crossing.  Sharp in rate, poor in
+    constant for far-out starts: at the flat-shape decay rate 1/2 the
+    constant costs (j+1)/2 extra halving steps.
+    """
+    if not is_integer(j) or int(j) < 0:
+        raise ParameterError(f"start state j must be a nonnegative integer, got {j!r}")
+    log_weights = np.asarray(log_stationary, dtype=float)
+    if int(j) >= log_weights.shape[0]:
+        raise ParameterError(
+            f"j beyond truncation: start {j} outside the {log_weights.shape[0]}-state law"
+        )
+    log_mass = float(log_weights[int(j)])
+    if not -math.inf < log_mass <= 0.0:
+        raise ParameterError(
+            f"stationary log mass at j={j} must be finite and at most 0, got {log_mass}"
+        )
+    if not 0.0 < float(decay_rate) < 1.0:
+        raise ParameterError(f"decay rate must lie in (0, 1), got {decay_rate}")
+    log_rate = math.log(decay_rate)
+    return GeometricBound(
+        "the chi-square bound", 0, (GeometricTerm(1.0, log_rate, -0.5 * log_mass / log_rate),)
+    ).min_steps(target)
 
 
 def scan_time_ratio(n: int) -> float:

@@ -12,10 +12,13 @@ Each family exposes its conditional samplers (array-capable, driven by a
 numpy Generator), its exact x-marginal transition matrix with stationary
 law, and spectral data: the basis-free products mu_k * eta_k, which are
 exactly the nontrivial eigenvalues of the x-chain, together with the
-factors (mu_k, eta_k) where a closed form exists.  The products come from
-the closed forms of Diaconis, Khare & Saloff-Coste (2008): the Hahn
+factors (mu_k, eta_k) where a closed form exists.  The stationary laws and
+the products are closed forms of Diaconis, Khare & Saloff-Coste (2008):
+the prior predictives (beta-binomial and negative binomial), the Hahn
 eigenvalues prod_{i<k} (n - i)/(n + a + b + i) of the beta-binomial chain
-and the Meixner eigenvalues (1 + rate)^-k of the Poisson-gamma chain.
+and the Meixner eigenvalues (1 + rate)^-k of the Poisson-gamma chain.  The
+Poisson-gamma law is kept as log weights (``pg_log_stationary``), so a
+state whose mass underflows a float still has a finite log mass.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln
+from scipy.special import betainc, betaln, gammaln, logsumexp
 
 from .bounds import DriftMinorization
 from .errors import (
@@ -36,7 +39,6 @@ from .numerics import (
     LogMagnitude,
     StochasticMatrix,
     is_integer,
-    stationary_distribution,
 )
 
 # Tail mass allowed beyond the Poisson-gamma truncation point.
@@ -153,6 +155,14 @@ class PoissonGammaFamily:
     @property
     def has_flat_shape(self) -> bool:
         return self.shape == 1.0 and self.rate == 1.0
+
+    def meixner_eigenvalue(self, k: int) -> float:
+        """The k-th nontrivial x-chain eigenvalue (1 + rate)^-k, for every shape.
+
+        Level 1, 1/(1 + rate), is the chain's decay rate (1/2 for the flat
+        shape = rate = 1).
+        """
+        return (1.0 + self.rate) ** -k
 
     def check_x(self, x) -> None:
         arr = np.asarray(x)
@@ -360,8 +370,8 @@ def pg_xchain(fam: PoissonGammaFamily) -> tuple[StochasticMatrix, Distribution]:
     stopping parameter shape + x and success probability 1/(rate + 2).
     Rows are built in place, truncated at x_max and renormalized; the
     family's constructor bounds the exact tail of the worst row below 1e-12.
-    The stationary law is recovered by power iteration.  For shape = rate =
-    1 it is geometric: m(x) = (1/2)^(x+1) on x >= 0.
+    The stationary law is the exponential of ``pg_log_stationary``; entries
+    below the smallest float are 0.0.
     """
     sigma = fam.shape + np.arange(fam.x_max + 1, dtype=float)[:, None]
     xp = np.arange(fam.x_max + 1, dtype=float)[None, :]
@@ -375,16 +385,28 @@ def pg_xchain(fam: PoissonGammaFamily) -> tuple[StochasticMatrix, Distribution]:
     rows += xp * log_p
     np.exp(rows, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
-    matrix = StochasticMatrix(rows)
-    stationary = stationary_distribution(matrix)
-    return matrix, stationary
+    return StochasticMatrix(rows), Distribution(np.exp(pg_log_stationary(fam)))
+
+
+def pg_log_stationary(fam: PoissonGammaFamily) -> np.ndarray:
+    """Log weights of the truncated stationary law, normalized in the log domain.
+
+    The stationary law is the prior predictive NB(shape, rate/(rate + 1)):
+    log m(x) = log Gamma(shape + x) - log x! - x log(1 + rate) + const on
+    0..x_max.  The untruncated x-chain is reversible with respect to it;
+    truncation only renormalizes rows that leak under 1e-12 and carry almost
+    no mass.  For shape = rate = 1 it is geometric: m(x) = (1/2)^(x+1).
+    """
+    x = np.arange(fam.x_max + 1, dtype=float)
+    log_weights = gammaln(fam.shape + x) - gammaln(x + 1.0) - x * math.log1p(fam.rate)
+    return log_weights - logsumexp(log_weights)
 
 
 def pg_geometric_reference(fam: PoissonGammaFamily) -> Distribution:
     """The flat-shape stationary law written directly: (1/2)^(x+1), renormalized.
 
-    Only defined for shape = rate = 1; used to cross-check the numerically
-    recovered stationary law of the truncated chain.
+    Only defined for shape = rate = 1; used to cross-check the general
+    negative binomial law of ``pg_log_stationary``.
     """
     if not fam.has_flat_shape:
         raise UnsupportedPriorError(
@@ -404,9 +426,11 @@ def pg_spectral_data(fam: PoissonGammaFamily) -> SpectralData:
     the sharp rate that makes mixing take order log(start) steps rather
     than the chi-square bound's order-start prediction.
     """
-    ratio = 1.0 + fam.rate
     return SpectralData(
-        levels=tuple(SpectralLevel(k=k, product=ratio**-k) for k in range(1, fam.x_max + 1)),
+        levels=tuple(
+            SpectralLevel(k=k, product=fam.meixner_eigenvalue(k))
+            for k in range(1, fam.x_max + 1)
+        ),
         cutoff=None,
         basis_note=(
             "all levels are basis-free products recovered from the truncated "

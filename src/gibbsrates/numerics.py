@@ -10,8 +10,9 @@ is the one term type of every analytic bound: ``at`` evaluates it in
 linear space, over numpy step arrays too, and ``log_at`` in the log domain,
 where ``log_sum_terms`` sums terms with ``np.logaddexp`` and
 ``min_steps_geometric`` solves for the first crossing of a target.  The
-dense-matrix half (total variation, matrix powers, stationary laws,
-reversible spectra) is conventional numpy; its one evolve-and-measure loop,
+dense-matrix half (total variation, matrix powers, and the power-iteration
+stationary laws and reversible spectra that only tests use as independent
+references) is conventional numpy; its one evolve-and-measure loop,
 ``iterate_tv``, runs step by step for the first ``TV_BLOCK - 1`` steps and
 then, on long horizons, advances the last ``TV_BLOCK`` laws of every start
 by one product with K^TV_BLOCK.  The serialization policy
@@ -621,29 +622,6 @@ def min_steps_geometric(
     return high
 
 
-def _as_weights(p: "Distribution | np.ndarray | Sequence[float]") -> np.ndarray:
-    if isinstance(p, Distribution):
-        return p.weights
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1:
-        raise ParameterError("a distribution must be a one-dimensional vector")
-    return arr
-
-
-def tv_distance(
-    p: "Distribution | np.ndarray | Sequence[float]",
-    q: "Distribution | np.ndarray | Sequence[float]",
-) -> float:
-    """Total variation distance: half the l1 distance between mass vectors."""
-    pv = _as_weights(p)
-    qv = _as_weights(q)
-    if pv.shape != qv.shape:
-        raise ParameterError(
-            f"dimension mismatch: {pv.shape[0]} versus {qv.shape[0]} states"
-        )
-    return 0.5 * float(np.abs(pv - qv).sum())
-
-
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """A probability vector: nonnegative entries summing to 1 within 1e-12.
@@ -821,6 +799,8 @@ def stationary_distribution(
     Stops when successive iterates differ by less than 1e-13 in TV; raises
     ``ConvergenceError`` after ``max_iterations`` (default 10^6).  The input
     chain should be irreducible and aperiodic for the limit to be meaningful.
+    No program path calls it: both families' stationary laws are closed
+    forms, and this is the tests' independent reference for them.
     """
     if max_iterations < 1:
         raise ParameterError("max_iterations must be at least 1")

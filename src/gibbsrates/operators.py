@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -223,11 +222,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-
-def word_reduce(word: Word) -> Word:
-    """Collapse adjacent repeats: conditional refreshes are idempotent."""
-    return Word(letters=tuple(letter for letter, _ in groupby(word.letters)))
 
 
 def _alternating_word(first_is_theta: bool, runs: int) -> Word:

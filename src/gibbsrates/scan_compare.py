@@ -48,6 +48,7 @@ from .families import (
     bb_drift_minorization,
     bb_eigenfunction_phi,
     bb_xchain,
+    pg_log_stationary,
     pg_xchain,
 )
 from .numerics import (
@@ -556,14 +557,14 @@ def pg_mixing_demo(
     shape: float = 1.0,
     rate: float = 1.0,
     x_max: int = 400,
-    decay_rate: float | None = None,
 ) -> PgMixingDemo:
     """Exact versus chi-square mixing times for Poisson-gamma far starts.
 
     Starts must stay at or below x_max/2 so truncation never touches the
-    answer.  ``decay_rate`` defaults to the x-chain's second eigenvalue,
-    the Meixner closed form 1/(1 + rate) for every shape (1/2 in the flat
-    case shape = rate = 1).
+    answer.  The chi-square column decays at the x-chain's second
+    eigenvalue, the Meixner closed form 1/(1 + rate) for every shape (1/2 in
+    the flat case shape = rate = 1), from the log stationary mass at the
+    start, so a start whose mass underflows a float still gets its row.
     """
     target = _check_target(target)
     fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
@@ -578,8 +579,8 @@ def pg_mixing_demo(
                 f"(half of x_max={fam.x_max}) to keep truncation error away"
             )
     matrix, stationary = pg_xchain(fam)
-    if decay_rate is None:
-        decay_rate = 1.0 / (1.0 + fam.rate)
+    log_stationary = pg_log_stationary(fam)
+    decay_rate = fam.meixner_eigenvalue(1)
     crossed = np.full(len(starts), -1)
     first = 0  # the step of the chunk's first row
     for chunk in iterate_tv(matrix, stationary, starts, MAX_COMPARE_STEPS):
@@ -598,7 +599,7 @@ def pg_mixing_demo(
         PgDemoRow(
             start=int(j),
             exact_min_steps=int(steps),
-            chisq_min_steps=chisq_min_steps_pg(j, stationary, target, decay_rate),
+            chisq_min_steps=chisq_min_steps_pg(j, log_stationary, target, decay_rate),
         )
         for j, steps in zip(starts, crossed)
     ]
@@ -613,7 +614,7 @@ def pg_mixing_demo(
         rate=fam.rate,
         x_max=fam.x_max,
         target=target,
-        decay_rate=float(decay_rate),
+        decay_rate=decay_rate,
         rows=tuple(rows),
         notes=notes,
     )

@@ -19,9 +19,8 @@ from gibbsrates import (
     ValidityThresholdError,
     bb_drift_minorization,
     binomial_tail_le,
-    chisq_bound_pg,
     chisq_min_steps_pg,
-    pg_geometric_reference,
+    pg_log_stationary,
     PoissonGammaFamily,
     random_scan_lower,
     random_scan_rate,
@@ -380,44 +379,50 @@ def test_azuma_rate_dominates_exact_binomial_tails():
 
 
 @pytest.fixture(scope="module")
-def pg_stationary():
-    return pg_geometric_reference(PoissonGammaFamily())
+def pg_log_flat():
+    return pg_log_stationary(PoissonGammaFamily())
 
 
-def test_chisq_bound_values(pg_stationary):
-    assert chisq_bound_pg(0, 0, pg_stationary) == pytest.approx(math.sqrt(2.0), rel=1e-9)
-    # One extra step halves the bound at the default decay rate 1/2.
-    assert chisq_bound_pg(0, 5, pg_stationary) == pytest.approx(
-        chisq_bound_pg(0, 4, pg_stationary) / 2.0, rel=1e-12
-    )
-    # Starting deeper costs sqrt of the inverse stationary mass.
-    assert chisq_bound_pg(8, 0, pg_stationary) == pytest.approx(
-        2.0 ** (9.0 / 2.0), rel=1e-9
-    )
+def test_chisq_bound_values(pg_log_flat):
+    # From j = 0 the bound is sqrt(1/m(0)) 2^-steps = sqrt(2) 2^-steps, so
+    # a target just above its value at a step is crossed at that step and
+    # one just below it a step later: each extra step halves the bound.
+    for steps in range(30):
+        value = math.sqrt(2.0) * 2.0**-steps
+        assert chisq_min_steps_pg(0, pg_log_flat, value * (1 + 1e-9), 0.5) == steps
+        assert chisq_min_steps_pg(0, pg_log_flat, value * (1 - 1e-9), 0.5) == steps + 1
+    # Starting deeper costs sqrt of the inverse stationary mass, 2^(9/2) at j = 8.
+    assert chisq_min_steps_pg(8, pg_log_flat, 2.0**4.5 * (1 + 1e-9), 0.5) == 0
+    assert chisq_min_steps_pg(8, pg_log_flat, 2.0**4.5 * (1 - 1e-9), 0.5) == 1
+    # A mass far below the smallest float enters through its log:
+    # 1000 + steps * ln(1/2) <= ln(0.01) first holds at steps = 1450.
+    assert chisq_min_steps_pg(1, [0.0, -2000.0], 0.01, 0.5) == 1450
 
 
-def test_chisq_min_steps_slope(pg_stationary):
-    assert chisq_min_steps_pg(0, pg_stationary, 0.01) == 8
+def test_chisq_min_steps_slope(pg_log_flat):
+    assert chisq_min_steps_pg(0, pg_log_flat, 0.01, 0.5) == 8
     for j, expected in ((8, 12), (16, 16), (32, 24), (64, 40), (128, 72)):
-        assert chisq_min_steps_pg(j, pg_stationary, 0.01) == expected
+        assert chisq_min_steps_pg(j, pg_log_flat, 0.01, 0.5) == expected
     # The crossing grows by one step for every two levels of start depth.
     for j in range(2, 120, 2):
-        early = chisq_min_steps_pg(j - 2, pg_stationary, 0.01)
-        late = chisq_min_steps_pg(j, pg_stationary, 0.01)
+        early = chisq_min_steps_pg(j - 2, pg_log_flat, 0.01, 0.5)
+        late = chisq_min_steps_pg(j, pg_log_flat, 0.01, 0.5)
         assert late - early == 1
 
 
-def test_chisq_validation(pg_stationary):
+def test_chisq_validation(pg_log_flat):
     with pytest.raises(ParameterError):
-        chisq_bound_pg(-1, 0, pg_stationary)
+        chisq_min_steps_pg(-1, pg_log_flat, 0.01, 0.5)
     with pytest.raises(ParameterError, match="beyond truncation"):
-        chisq_bound_pg(10**6, 0, pg_stationary)
+        chisq_min_steps_pg(10**6, pg_log_flat, 0.01, 0.5)
+    for decay_rate in (0.0, 1.0):
+        with pytest.raises(ParameterError, match="decay rate"):
+            chisq_min_steps_pg(0, pg_log_flat, 0.01, decay_rate)
     with pytest.raises(ParameterError):
-        chisq_bound_pg(0, 0, pg_stationary, decay_rate=1.0)
-    with pytest.raises(ParameterError):
-        chisq_bound_pg(0, -1, pg_stationary)
-    with pytest.raises(ParameterError, match="must be positive"):
-        chisq_bound_pg(1, 0, [1.0, 0.0])
+        chisq_min_steps_pg(0, pg_log_flat, 0.0, 0.5)
+    for log_mass in (-math.inf, math.nan, 0.5):
+        with pytest.raises(ParameterError, match="finite and at most 0"):
+            chisq_min_steps_pg(1, [0.0, log_mass], 0.01, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from gibbsrates import round_sig
 from gibbsrates.cli import _HANDLERS, build_parser, main, resolve_config
@@ -329,6 +330,37 @@ def test_pg_demo(run_cli, schema):
     assert starts == [0, 8, 16, 32, 64, 128]
     assert [row["exact_min_steps"] for row in result["rows"]] == [5, 8, 9, 10, 11, 12]
     assert [row["chisq_min_steps"] for row in result["rows"]] == [8, 12, 16, 24, 40, 72]
+
+
+@pytest.mark.parametrize(
+    "shape, rate, x_max, j_list, expected",
+    [
+        (0.5, 3.0, 1200, "0,500,560", [(0, 2, 4), (500, 8, 255), (560, 8, 285)]),
+        (3.0, 2.0, 1488, "0,703,744", [(0, 4, 5), (703, 9, 351), (744, 9, 372)]),
+    ],
+)
+def test_pg_demo_answers_starts_whose_mass_underflows(
+    run_cli, schema, shape, rate, x_max, j_list, expected
+):
+    # The stationary mass of the deepest start is below the smallest float
+    # (from j = 533 and j = 703); the chi-square column reads its log.
+    code, out, err = run_cli(
+        ["pg-demo", "--shape", str(shape), "--rate", str(rate), "--x-max", str(x_max),
+         "--j-list", j_list]
+    )
+    assert code == 0 and err == ""
+    rows = check_json(schema, out)["result"]["rows"]
+    x = np.arange(x_max + 1, dtype=float)
+    log_pi = gammaln(shape + x) - gammaln(x + 1.0) - x * math.log1p(rate)
+    log_pi -= logsumexp(log_pi)
+    assert math.exp(log_pi[rows[-1]["start"]]) == 0.0
+    log_rate = math.log(1.0 / (1.0 + rate))
+    for row in rows:
+        j = row["start"]
+        # The smallest t with -log(pi(j))/2 + t log(1/(1 + rate)) <= log(0.01).
+        steps = max(0, math.ceil((math.log(0.01) + 0.5 * log_pi[j]) / log_rate))
+        assert row["chisq_min_steps"] == steps
+    assert [tuple(row.values()) for row in rows] == expected
 
 
 def test_pg_demo_truncation_failure_exits_3(run_cli):

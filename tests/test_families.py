@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import betabinom
 
+import gibbsrates
+from gibbsrates import cli
 from gibbsrates import (
     BetaBinomialFamily,
     ConvergenceError,
@@ -21,10 +23,12 @@ from gibbsrates import (
     bb_spectral_data,
     bb_xchain,
     pg_geometric_reference,
+    pg_log_stationary,
+    pg_mixing_demo,
     pg_spectral_data,
     pg_xchain,
     reversible_spectrum,
-    tv_distance,
+    stationary_distribution,
 )
 
 
@@ -295,10 +299,50 @@ def test_pg_xchain_row_zero_closed_form(pg_default):
 def test_pg_stationary_matches_geometric_reference(pg_default):
     fam, _, stationary = pg_default
     reference = pg_geometric_reference(fam)
-    assert tv_distance(stationary.weights, reference.weights) <= 1e-8
+    assert 0.5 * np.abs(stationary.weights - reference.weights).sum() <= 1e-8
     assert reference.weights[0] == pytest.approx(0.5, abs=1e-12)
     ratios = reference.weights[1:10] / reference.weights[:9]
     np.testing.assert_allclose(ratios, 0.5, rtol=1e-12)
+
+
+PG_RANGE = [
+    (1.0, 1.0, 400),
+    (2.0, 1.0, 700),
+    (0.5, 1.0, 400),
+    (0.5, 3.0, 400),
+    (0.5, 3.0, 1200),
+    (3.0, 2.0, 1600),
+    (1.0, 1.0, 1600),
+    (2.0, 1.0, 1600),
+]
+
+
+@pytest.mark.parametrize("shape, rate, x_max", PG_RANGE)
+def test_pg_closed_form_stationary_law(shape, rate, x_max):
+    fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
+    matrix, stationary = pg_xchain(fam)
+    pi, entries = stationary.weights, matrix.entries
+    np.testing.assert_array_equal(pi, np.exp(pg_log_stationary(fam)))
+    assert np.abs(pi @ entries - pi).max() <= 1e-15
+    flux = pi[:, None] * entries
+    assert np.abs(flux - flux.T).max() <= 1e-15
+    # Power iteration is the independent reference.
+    reference = stationary_distribution(matrix).weights
+    assert 0.5 * np.abs(pi - reference).sum() <= 1e-12
+
+
+def test_pg_paths_run_no_iterative_solver(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stationary_distribution called")
+
+    for module in (gibbsrates, *vars(gibbsrates).values()):
+        if getattr(module, "stationary_distribution", None) is stationary_distribution:
+            monkeypatch.setattr(module, "stationary_distribution", refuse)
+    assert pg_mixing_demo([0, 8, 16], shape=2.0, rate=3.0).rows
+    out = str(tmp_path / "out.json")
+    assert cli.main(["exact-tv", "--family", "pg", "--start", "8", "--steps-max", "40",
+                     "--out", out]) == 0
+    assert cli.main(["spectral", "--levels", "--family", "pg", "--out", out]) == 0
 
 
 def test_pg_geometric_reference_flat_only():

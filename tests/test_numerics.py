@@ -30,7 +30,6 @@ from gibbsrates import (
     reversible_spectrum,
     round_sig,
     stationary_distribution,
-    tv_distance,
 )
 from gibbsrates import numerics
 from gibbsrates.numerics import (
@@ -499,29 +498,8 @@ def test_min_steps_is_the_first_crossing(coeff, ratio, target):
 
 
 # ---------------------------------------------------------------------------
-# tv_distance / Distribution / StochasticMatrix
+# Distribution / StochasticMatrix
 # ---------------------------------------------------------------------------
-
-
-def test_tv_distance_examples():
-    assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
-    assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert tv_distance([0.5, 0.5], [0.25, 0.75]) == pytest.approx(0.25)
-
-
-@given(
-    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=3, max_size=3),
-    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=3, max_size=3),
-    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=3, max_size=3),
-)
-def test_tv_distance_is_a_metric(raw_p, raw_q, raw_r):
-    p = np.asarray(raw_p) / np.sum(raw_p)
-    q = np.asarray(raw_q) / np.sum(raw_q)
-    r = np.asarray(raw_r) / np.sum(raw_r)
-    d_pq = tv_distance(p, q)
-    assert 0.0 <= d_pq <= 1.0
-    assert d_pq == pytest.approx(tv_distance(q, p), abs=1e-15)
-    assert d_pq <= tv_distance(p, r) + tv_distance(r, q) + 1e-12
 
 
 def test_distribution_validation():

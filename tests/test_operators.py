@@ -1,12 +1,11 @@
 """Scan simulation, update words, collapse census, and alpha multipliers."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gibbsrates import (
     BetaBinomialFamily,
@@ -24,7 +23,6 @@ from gibbsrates import (
     random_scan_rate,
     run_trajectory,
     step,
-    word_reduce,
 )
 from gibbsrates.operators import MAX_WORD_LENGTH
 
@@ -238,19 +236,6 @@ def test_word_validation():
         Word.from_name("")
 
 
-def test_word_reduce_examples():
-    assert word_reduce(Word.from_name("P1P1P2P2P2P1")).name == "P1P2P1"
-    assert word_reduce(Word.from_name("P2P2P2")).name == "P2"
-    assert word_reduce(Word.from_name("P1P2")).name == "P1P2"
-
-
-@given(st.lists(st.sampled_from(["P1", "P2"]), min_size=1, max_size=12))
-def test_word_reduce_idempotent_and_alternating(letters):
-    reduced = word_reduce(Word(letters=tuple(letters)))
-    assert word_reduce(reduced) == reduced
-    assert all(a != b for a, b in zip(reduced.letters, reduced.letters[1:]))
-
-
 # ---------------------------------------------------------------------------
 # collapse_census
 # ---------------------------------------------------------------------------
@@ -275,6 +260,17 @@ def test_census_length_three():
         "P1", "P1P2", "P1P2P1", "P2", "P2P1", "P2P1P2",
     ]
     assert census.total == 8
+
+
+def test_census_matches_groupby_reduction():
+    # Reference: collapse every raw word's adjacent repeats with groupby
+    # (conditional refreshes are idempotent) and tally the reduced names.
+    for length in range(1, 11):
+        expected = {}
+        for letters in itertools.product(("P1", "P2"), repeat=length):
+            name = "".join(letter for letter, _ in itertools.groupby(letters))
+            expected[name] = expected.get(name, 0) + 1
+        assert collapse_census(length).by_name() == expected
 
 
 def test_census_length_five_single_word():

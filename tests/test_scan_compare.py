@@ -20,7 +20,7 @@ from gibbsrates import (
     compare,
     exact_tv_curve,
     first_crossing,
-    pg_geometric_reference,
+    pg_log_stationary,
     pg_mixing_demo,
     random_scan_lower,
     random_scan_upper,
@@ -489,12 +489,13 @@ def test_pg_demo_validation():
         pg_mixing_demo([-1])
 
 
-def test_pg_demo_decay_rate_override():
-    demo = pg_mixing_demo([0, 8], decay_rate=0.25)
-    stationary = pg_geometric_reference(PoissonGammaFamily())
+def test_pg_demo_chisq_reads_the_meixner_rate_and_log_stationary():
+    fam = PoissonGammaFamily(shape=0.5, rate=3.0)
+    demo = pg_mixing_demo([0, 8, 100], shape=0.5, rate=3.0)
+    assert demo.decay_rate == fam.meixner_eigenvalue(1)
     for row in demo.rows:
         assert row.chisq_min_steps == chisq_min_steps_pg(
-            row.start, stationary, 0.01, decay_rate=0.25
+            row.start, pg_log_stationary(fam), 0.01, 0.25
         )
 
 
