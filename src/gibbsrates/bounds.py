@@ -50,10 +50,9 @@ from .numerics import (
     min_steps_geometric,
 )
 
-# Decay rate of the Azuma-style tail term in the random-scan upper bound:
+# Log decay rate of the Azuma-style tail term in the random-scan upper bound:
 # 3 * exp(-(steps - 1)/8).
 _AZUMA_LOG_RATE = -0.125
-AZUMA_RATE = math.exp(_AZUMA_LOG_RATE)
 
 
 def _check_steps(steps: int, minimum: int = 0) -> int:
@@ -63,6 +62,14 @@ def _check_steps(steps: int, minimum: int = 0) -> int:
     if steps < minimum:
         raise ParameterError(f"step count must be at least {minimum}, got {steps}")
     return steps
+
+
+def check_target(target: float) -> float:
+    """A total-variation target as a float; it must lie in (0, 1)."""
+    target = float(target)
+    if not 0.0 < target < 1.0:
+        raise ParameterError(f"target must lie in (0, 1), got {target}")
+    return target
 
 
 def _check_n(n: int) -> int:
@@ -272,9 +279,7 @@ def rosenthal_min_steps(
     target: float,
 ) -> StepCount:
     """Minimal step count at which the drift/minorization bound <= target."""
-    target = float(target)
-    if not 0.0 < target < 1.0:
-        raise ParameterError(f"target must lie in (0, 1), got {target}")
+    target = check_target(target)
     ing = rosenthal_ingredients(cert, params)
     if ing.log_ratio_drift >= 0.0:
         raise NonContractingError(
@@ -293,6 +298,28 @@ class RosenthalGridCell:
     min_steps: StepCount | None
     status: str  # "ok" | "infeasible" | "non-contracting" | "no-solution"
     detail: str = ""
+
+    @property
+    def log10_steps(self) -> float | None:
+        return math.log10(self.min_steps) if self.min_steps else None
+
+
+def rosenthal_cell(
+    cert: DriftMinorization, params: RosenthalParams, target: float
+) -> RosenthalGridCell:
+    """Solve one (d, r) point, or record why it has no answer ("infeasible",
+    "non-contracting" or "no-solution"); any other error propagates."""
+    try:
+        steps = rosenthal_min_steps(cert, params, target)
+    except ValidityThresholdError as exc:
+        status, failure = "infeasible", exc
+    except NonContractingError as exc:
+        status, failure = "non-contracting", exc
+    except NoSolutionError as exc:
+        status, failure = "no-solution", exc
+    else:
+        return RosenthalGridCell(params, steps, "ok")
+    return RosenthalGridCell(params, None, status, str(failure))
 
 
 @dataclass(frozen=True)
@@ -316,22 +343,9 @@ def rosenthal_grid_optimize(
     """
     if not d_grid or not r_grid:
         raise ParameterError("empty-feasible-grid: d and r grids must be non-empty")
-    cells: list[RosenthalGridCell] = []
-    for d in d_grid:
-        for r in r_grid:
-            try:
-                params = RosenthalParams(d=d, r=r)
-                steps = rosenthal_min_steps(cert, params, target)
-            except ValidityThresholdError as exc:
-                cells.append(RosenthalGridCell(params, None, "infeasible", str(exc)))
-                continue
-            except NonContractingError as exc:
-                cells.append(RosenthalGridCell(params, None, "non-contracting", str(exc)))
-                continue
-            except NoSolutionError as exc:
-                cells.append(RosenthalGridCell(params, None, "no-solution", str(exc)))
-                continue
-            cells.append(RosenthalGridCell(params, steps, "ok"))
+    cells = [
+        rosenthal_cell(cert, RosenthalParams(d=d, r=r), target) for d in d_grid for r in r_grid
+    ]
     feasible = [c for c in cells if c.status == "ok"]
     if not feasible:
         raise EmptyFeasibleGridError(

@@ -30,11 +30,12 @@ import numpy as np
 
 from .bounds import (
     RosenthalParams,
+    check_target,
+    random_scan_rate,
     rosenthal_bound,
     rosenthal_grid_optimize,
     rosenthal_ingredients,
     rosenthal_min_steps,
-    systematic_rate,
     two_term_bound,
     two_term_min_steps,
 )
@@ -59,8 +60,8 @@ from .operators import (
     eigenfunction_decay,
     run_trajectory,
 )
-from .scan_compare import _check_target, compare, exact_tv_curve, first_crossing, pg_mixing_demo
-from .spectral import alpha_scan_eigenvalues, argmax_gap, scan_eigenvalue_pair, spectral_gap
+from .scan_compare import compare, exact_tv_curve, first_crossing, pg_mixing_demo
+from .spectral import alpha_scan_eigenvalues, argmax_gap, spectral_gap
 
 COMMANDS = (
     "rosenthal",
@@ -374,13 +375,7 @@ def _run_rosenthal(cfg: dict):
         cells = RowTable.from_rows(
             ("d", "r", "status", "steps", "log10_steps"),
             [
-                (
-                    cell.params.d,
-                    cell.params.r,
-                    cell.status,
-                    cell.min_steps,
-                    None if cell.min_steps in (None, 0) else math.log10(cell.min_steps),
-                )
+                (cell.params.d, cell.params.r, cell.status, cell.min_steps, cell.log10_steps)
                 for cell in grid.cells
             ],
         )
@@ -554,7 +549,7 @@ def _run_scan_compare(cfg: dict):
 
 
 def _run_exact_tv(cfg: dict):
-    target = None if cfg["target"] is None else _check_target(cfg["target"])
+    target = None if cfg["target"] is None else check_target(cfg["target"])
     fam = _family_from_config(cfg)
     matrix, stationary = (
         bb_xchain(fam) if isinstance(fam, BetaBinomialFamily) else pg_xchain(fam)
@@ -614,9 +609,9 @@ def _run_simulate(cfg: dict):
         predicted = None
         z_score = None
         if strategy.scan_weight == 0.5:
-            lam_plus, _ = scan_eigenvalue_pair(0.5, systematic_rate(fam.n))
             predicted = float(
-                bb_eigenfunction_phi(fam, start.x, start.theta) * lam_plus ** cfg["steps"]
+                bb_eigenfunction_phi(fam, start.x, start.theta)
+                * random_scan_rate(fam.n) ** cfg["steps"]
             )
             if std_error > 0.0:
                 z_score = (estimate - predicted) / std_error

@@ -23,12 +23,12 @@ state whose mass underflows a float still has a finite log mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, betaln, gammaln, logsumexp
 
-from .bounds import DriftMinorization
+from .bounds import DriftMinorization, systematic_rate
 from .errors import (
     ParameterError,
     TruncationError,
@@ -43,6 +43,9 @@ from .numerics import (
 
 # Tail mass allowed beyond the Poisson-gamma truncation point.
 TRUNCATION_TOL = 1e-12
+# Most states a dense x-chain may have: its float64 matrix is then 800 MB,
+# and the builders hold about two of them at once.
+MAX_DENSE_STATES = 10_001
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,6 @@ class BetaBinomialFamily:
             if not math.isfinite(value) or value <= 0.0:
                 raise ParameterError(f"prior shape {name} must be positive, got {value}")
             object.__setattr__(self, name, value)
-
-    @property
-    def state_count(self) -> int:
-        return self.n + 1
 
     @property
     def has_flat_prior(self) -> bool:
@@ -147,10 +146,6 @@ class PoissonGammaFamily:
                 f"truncation-too-small: mass {worst} beyond x_max={self.x_max} "
                 f"(needs < {TRUNCATION_TOL}); raise x_max"
             )
-
-    @property
-    def state_count(self) -> int:
-        return self.x_max + 1
 
     @property
     def has_flat_shape(self) -> bool:
@@ -263,6 +258,14 @@ class SpectralData:
             object.__setattr__(self, "cutoff", int(self.cutoff))
 
 
+def _check_dense_states(states: int) -> None:
+    if states > MAX_DENSE_STATES:
+        raise ParameterError(
+            f"too-many-states: the dense x-chain would have {states} states, "
+            f"above the cap of {MAX_DENSE_STATES}"
+        )
+
+
 def bb_xchain(fam: BetaBinomialFamily) -> tuple[StochasticMatrix, Distribution]:
     """Exact x-marginal transition matrix and stationary law.
 
@@ -273,8 +276,9 @@ def bb_xchain(fam: BetaBinomialFamily) -> tuple[StochasticMatrix, Distribution]:
     normalized by their own sums, not by B(x + a, n - x + b), whose rounding
     left row sums 7e-12 off 1 and a mass drift that iterating accumulates.
     The stationary law is the beta-binomial(n, a, b) marginal — uniform for
-    the flat prior.
+    the flat prior.  More than ``MAX_DENSE_STATES`` states are refused.
     """
+    _check_dense_states(fam.n + 1)
     n, a, b = fam.n, fam.a, fam.b
     x = np.arange(n + 1, dtype=float)
     xp = x[None, :]
@@ -307,7 +311,7 @@ def bb_drift_minorization(fam: BetaBinomialFamily, x0: int) -> DriftMinorization
     fam.require_flat_prior("the drift/minorization certificate")
     if not is_integer(x0) or not 0 <= int(x0) <= fam.n:
         raise ParameterError(f"x0 must be an integer state in 0..{fam.n}, got {x0!r}")
-    rate = fam.n / (fam.n + 2.0)
+    rate = systematic_rate(fam.n)
     return DriftMinorization(
         lam=rate,
         b=rate,
@@ -371,8 +375,10 @@ def pg_xchain(fam: PoissonGammaFamily) -> tuple[StochasticMatrix, Distribution]:
     Rows are built in place, truncated at x_max and renormalized; the
     family's constructor bounds the exact tail of the worst row below 1e-12.
     The stationary law is the exponential of ``pg_log_stationary``; entries
-    below the smallest float are 0.0.
+    below the smallest float are 0.0.  More than ``MAX_DENSE_STATES`` states
+    are refused.
     """
+    _check_dense_states(fam.x_max + 1)
     sigma = fam.shape + np.arange(fam.x_max + 1, dtype=float)[:, None]
     xp = np.arange(fam.x_max + 1, dtype=float)[None, :]
     log_p = -math.log(fam.rate + 2.0)
@@ -433,7 +439,8 @@ def pg_spectral_data(fam: PoissonGammaFamily) -> SpectralData:
         ),
         cutoff=None,
         basis_note=(
-            "all levels are basis-free products recovered from the truncated "
-            "x-chain spectrum; individual mu_k, eta_k are not resolved"
+            "all levels are basis-free products, the closed-form Meixner "
+            "eigenvalues (1 + rate)^-k of the x-chain; individual mu_k, eta_k "
+            "are not resolved"
         ),
     )

@@ -5,7 +5,8 @@ Convergence certificates for slowly mixing chains produce step counts near
 double arithmetic.  Everything here therefore works in the log domain or
 in exact integer/rational arithmetic (step counts are plain Python ints,
 binomial tails are ``Fraction``).  ``LogMagnitude`` carries a magnitude as
-its log.  ``GeometricTerm`` (a linear coefficient, a log ratio, an offset)
+its log for printing (``decompose``, ``log10``); it does no arithmetic.
+``GeometricTerm`` (a linear coefficient, a log ratio, an offset)
 is the one term type of every analytic bound: ``at`` evaluates it in
 linear space, over numpy step arrays too, and ``log_at`` in the log domain,
 where ``log_sum_terms`` sums terms with ``np.logaddexp`` and
@@ -35,7 +36,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -106,8 +106,8 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def round_sig(value: float, digits: int = 12) -> float:
-    """Round to a fixed number of significant digits (default 12).
+def round_sig(value: float) -> float:
+    """Round to 12 significant digits.
 
     Serialization helper: every float that leaves the package in JSON or CSV
     passes through this once (via ``jsonable`` or ``csv_cell``), so repeated
@@ -115,7 +115,7 @@ def round_sig(value: float, digits: int = 12) -> float:
     """
     if not math.isfinite(value):
         return value
-    return float(f"{value:.{digits}g}")
+    return float(f"{value:.12g}")
 
 
 def rounded_decompose(value: "LogMagnitude") -> tuple[float, int]:
@@ -236,8 +236,8 @@ class RowTable:
 
     Columns are the only representation.  A column is a numpy integer or
     float array, a ``GatedColumn``, or a sequence of scalars; a small table
-    given as row tuples is transposed once by ``from_rows``.  ``length``
-    counts the rows, which only a table without columns needs to be told.
+    given as row tuples is transposed once by ``from_rows``.  A table has at
+    least one column.
 
     Each column is formatted once, by the path its type picks, in blocks of
     ``TABLE_BLOCK_ROWS`` rows, and rows are assembled without a Python call
@@ -249,40 +249,34 @@ class RowTable:
 
     header: tuple[str, ...]
     columns: tuple
-    length: int = 0
 
     def __post_init__(self) -> None:
         header, columns = tuple(self.header), tuple(self.columns)
-        if len(columns) != len(header):
+        if not columns or len(columns) != len(header):
             raise ValueError(f"{len(header)} column names for {len(columns)} columns")
-        length = len(columns[0]) if columns else int(self.length)
-        if any(len(column) != length for column in columns) or self.length not in (0, length):
+        length = len(columns[0])
+        if any(len(column) != length for column in columns):
             raise ValueError(f"table columns differ in length from {length} rows")
         object.__setattr__(self, "header", header)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "length", length)
 
     @classmethod
     def from_rows(cls, header: Sequence[str], rows: Iterable[Sequence]) -> "RowTable":
         """A table of row tuples, transposed into columns once."""
         rows = list(rows)
         columns = tuple(zip(*rows)) if rows else ((),) * len(header)
-        return cls(header, columns, len(rows))
+        return cls(header, columns)
 
     def iter_rows(self) -> Iterator[tuple]:
         """The rows as tuples of Python scalars (None in a gated cell), built
         on access."""
-        if not self.columns:
-            return repeat((), self.length)
         return zip(*map(_column_values, self.columns))
 
     def _text_blocks(self, as_json: bool) -> Iterator[Iterator[tuple[str, ...]]]:
         """Rows of printed cells, ``TABLE_BLOCK_ROWS`` rows per block."""
-        for start in range(0, self.length, TABLE_BLOCK_ROWS):
-            stop = min(start + TABLE_BLOCK_ROWS, self.length)
-            if not self.columns:
-                yield repeat((), stop - start)
-                continue
+        length = len(self.columns[0])
+        for start in range(0, length, TABLE_BLOCK_ROWS):
+            stop = min(start + TABLE_BLOCK_ROWS, length)
             yield zip(*(_column_texts(column, start, stop, as_json) for column in self.columns))
 
     def to_csv(self) -> str:
@@ -293,13 +287,13 @@ class RowTable:
     def json_lines(self, indent: int) -> str:
         """The table as ``json.dumps(jsonable(self), indent=2)`` writes it
         at ``indent`` spaces, without the leading indent of its first line."""
-        if not self.length:
+        if not len(self.columns[0]):
             return "[]"
         pad = " " * (indent + 2)
         fields = ",\n".join(
             f"{pad}  " + json.dumps(name).replace("%", "%%") + ": %s" for name in self.header
         )
-        template = f"{pad}{{\n{fields}\n{pad}}}" if self.header else pad + "{}"
+        template = f"{pad}{{\n{fields}\n{pad}}}"
         body = ",\n".join(
             ",\n".join(map(template.__mod__, rows)) for rows in self._text_blocks(True)
         )
@@ -380,14 +374,14 @@ def log1mexp(log_x: float) -> float:
     return math.log1p(-math.exp(log_x))
 
 
-@total_ordering
 @dataclass(frozen=True)
 class LogMagnitude:
     """A nonnegative magnitude stored as its natural logarithm.
 
     ``log_value`` holds ln(x); ``-inf`` encodes exactly zero.  Storing the
     log is what makes quantities like (1 - 2^-100)^(10^33) or 10^-10^31
-    representable at all.  Round-tripping through ``to_float`` is faithful
+    representable at all.  It carries a value to print and does no
+    arithmetic.  Round-tripping through ``to_float`` is faithful
     to about ``|ln x| * eps`` relative error (a float near ln(1e300) ~ 690
     has absolute spacing ~1e-13, so the exponential cannot do better); the
     log itself is the exact carrier.
@@ -404,14 +398,6 @@ class LogMagnitude:
         object.__setattr__(self, "log_value", lv)
 
     @classmethod
-    def zero(cls) -> "LogMagnitude":
-        return cls(LOG_ZERO)
-
-    @classmethod
-    def one(cls) -> "LogMagnitude":
-        return cls(0.0)
-
-    @classmethod
     def from_linear(cls, value: float) -> "LogMagnitude":
         value = _require_finite("magnitude", value)
         if value < 0:
@@ -419,10 +405,6 @@ class LogMagnitude:
         if value == 0:
             return cls(LOG_ZERO)
         return cls(math.log(value))
-
-    @classmethod
-    def from_log(cls, log_value: float) -> "LogMagnitude":
-        return cls(log_value)
 
     @classmethod
     def from_log2(cls, log2_value: float) -> "LogMagnitude":
@@ -461,33 +443,6 @@ class LogMagnitude:
             mantissa /= 10.0
             exponent += 1
         return (mantissa, exponent)
-
-    def __mul__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if not isinstance(other, LogMagnitude):
-            return NotImplemented
-        if self.log_value == LOG_ZERO or other.log_value == LOG_ZERO:
-            return LogMagnitude(LOG_ZERO)
-        return LogMagnitude(self.log_value + other.log_value)
-
-    def __add__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if not isinstance(other, LogMagnitude):
-            return NotImplemented
-        return LogMagnitude(float(np.logaddexp(self.log_value, other.log_value)))
-
-    def __pow__(self, exponent: float) -> "LogMagnitude":
-        exponent = _require_finite("exponent", exponent)
-        if exponent == 0:
-            return LogMagnitude(0.0)
-        if self.log_value == LOG_ZERO:
-            if exponent < 0:
-                raise ParameterError("zero magnitude to a negative power")
-            return LogMagnitude(LOG_ZERO)
-        return LogMagnitude(self.log_value * exponent)
-
-    def __lt__(self, other: "LogMagnitude") -> bool:
-        if not isinstance(other, LogMagnitude):
-            return NotImplemented
-        return self.log_value < other.log_value
 
     def __repr__(self) -> str:
         if self.log_value == LOG_ZERO:
@@ -565,11 +520,7 @@ def log_sum_terms(terms: Sequence[GeometricTerm], steps: int) -> float:
     return float(np.logaddexp.reduce([term.log_at(steps) for term in terms]))
 
 
-def min_steps_geometric(
-    terms: Sequence[GeometricTerm],
-    target: "LogMagnitude | float",
-    max_steps: int = STEP_SEARCH_CAP,
-) -> int:
+def min_steps_geometric(terms: Sequence[GeometricTerm], target: float) -> int:
     """Smallest step count at which the summed terms drop to the target.
 
     The sum is strictly decreasing in the step count (every ratio is below
@@ -578,7 +529,8 @@ def min_steps_geometric(
     step counts are exact Python ints, valid far beyond 2^63.
 
     Returns the minimal ``steps >= 0`` with sum(steps) <= target.  Raises
-    ``NoSolutionError`` if even ``max_steps`` (default 10^40) is not enough.
+    ``NoSolutionError`` if even ``STEP_SEARCH_CAP`` = 10^40 steps are not
+    enough.
     """
     if not terms:
         raise ParameterError("at least one geometric term is required")
@@ -587,17 +539,10 @@ def min_steps_geometric(
             raise ParameterError(
                 f"invalid ratio: log ratio must be negative (ratio < 1), got {term.log_ratio}"
             )
-    if isinstance(target, LogMagnitude):
-        log_target = target.log_value
-    else:
-        target = _require_finite("target", target)
-        if target <= 0:
-            raise ParameterError(f"target must be positive, got {target}")
-        log_target = math.log(target)
-    if log_target == LOG_ZERO:
-        raise ParameterError("target must be positive")
-    if max_steps < 1:
-        raise ParameterError("max_steps must be at least 1")
+    target = _require_finite("target", target)
+    if target <= 0:
+        raise ParameterError(f"target must be positive, got {target}")
+    log_target = math.log(target)
 
     if log_sum_terms(terms, 0) <= log_target:
         return 0
@@ -606,12 +551,12 @@ def min_steps_geometric(
     while log_sum_terms(terms, high) > log_target:
         low = high
         high *= 2
-        if high >= max_steps:
-            if log_sum_terms(terms, max_steps) > log_target:
+        if high >= STEP_SEARCH_CAP:
+            if log_sum_terms(terms, STEP_SEARCH_CAP) > log_target:
                 raise NoSolutionError(
-                    f"no solution: target not reached within {max_steps} steps"
+                    f"no solution: target not reached within {STEP_SEARCH_CAP} steps"
                 )
-            high = max_steps
+            high = STEP_SEARCH_CAP
             break
     while low + 1 < high:
         mid = (low + high) // 2
@@ -651,9 +596,6 @@ class Distribution:
 
     def __len__(self) -> int:
         return int(self.weights.shape[0])
-
-    def __getitem__(self, index: int) -> float:
-        return float(self.weights[index])
 
 
 @dataclass(frozen=True, eq=False)

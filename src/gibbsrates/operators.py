@@ -85,14 +85,6 @@ class ScanStrategy:
             raise ParameterError("scan_weight applies only to the random scan")
 
     @classmethod
-    def theta_then_x(cls) -> "ScanStrategy":
-        return cls(kind="systematic_theta_x")
-
-    @classmethod
-    def x_then_theta(cls) -> "ScanStrategy":
-        return cls(kind="systematic_x_theta")
-
-    @classmethod
     def random_scan(cls, scan_weight: float = 0.5) -> "ScanStrategy":
         return cls(kind="random", scan_weight=scan_weight)
 
@@ -120,6 +112,13 @@ def step(
     return JointState(x=int(fam.draw_x(rng, state.theta)), theta=state.theta)
 
 
+def _seeded_generator(seed: int) -> np.random.Generator:
+    """A generator for a nonnegative integer seed; anything else is refused."""
+    if not is_integer(seed) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def run_trajectory(
     fam: Family,
     start: JointState,
@@ -130,7 +129,7 @@ def run_trajectory(
     """Simulate ``n_steps`` steps from ``start``; returns n_steps + 1 states."""
     if not is_integer(n_steps) or int(n_steps) < 0:
         raise ParameterError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_generator(seed)
     states = [start]
     for _ in range(int(n_steps)):
         states.append(step(fam, states[-1], strategy, rng))
@@ -166,12 +165,12 @@ def eigenfunction_decay(
             f"samples must be an integer >= {MIN_DECAY_SAMPLES} for a stable "
             f"standard error, got {samples!r}"
         )
+    rng = _seeded_generator(seed)
     n_steps = int(n_steps)
     samples = int(samples)
     start_value = float(bb_eigenfunction_phi(fam, start.x, start.theta))
     if n_steps == 0:
         return start_value, 0.0
-    rng = np.random.default_rng(seed)
     x = np.full(samples, start.x, dtype=np.int64)
     theta = np.full(samples, start.theta, dtype=float)
     for _ in range(n_steps):
@@ -201,20 +200,6 @@ class Word:
             if letter not in LETTERS:
                 raise ParameterError(f"unknown letter {letter!r}; use one of {LETTERS}")
         object.__setattr__(self, "letters", letters)
-
-    @classmethod
-    def from_name(cls, name: str) -> "Word":
-        letters = []
-        rest = name
-        while rest:
-            for letter in LETTERS:
-                if rest.startswith(letter):
-                    letters.append(letter)
-                    rest = rest[len(letter):]
-                    break
-            else:
-                raise ParameterError(f"cannot parse word name {name!r}")
-        return cls(letters=tuple(letters))
 
     @property
     def name(self) -> str:
@@ -318,18 +303,6 @@ class AlphaMultiplier:
     length: int
     word: Word
     coeffs: tuple[int, ...]
-
-    def evaluate(self, scan_weight: float) -> float:
-        alpha = float(scan_weight)
-        if not 0.0 <= alpha <= 1.0:
-            raise ParameterError(f"scan weight must lie in [0, 1], got {alpha}")
-        return float(
-            sum(
-                c * alpha**i * (1.0 - alpha) ** (self.length - i)
-                for i, c in enumerate(self.coeffs)
-                if c
-            )
-        )
 
     def evaluate_exact(self, scan_weight: Fraction) -> Fraction:
         alpha = Fraction(scan_weight)

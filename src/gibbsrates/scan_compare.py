@@ -26,22 +26,17 @@ from scipy.special import gammaln, logsumexp
 
 from .bounds import (
     RosenthalParams,
+    check_target,
     chisq_min_steps_pg,
     eigen_witness_bound,
     random_scan_lower_bound,
+    random_scan_rate,
     random_scan_upper_bound,
-    rosenthal_min_steps,
+    rosenthal_cell,
     scan_time_ratio,
-    systematic_rate,
     systematic_upper_bound,
 )
-from .errors import (
-    ConvergenceError,
-    NoSolutionError,
-    NonContractingError,
-    ParameterError,
-    ValidityThresholdError,
-)
+from .errors import ConvergenceError, NoSolutionError, ParameterError
 from .families import (
     BetaBinomialFamily,
     PoissonGammaFamily,
@@ -71,7 +66,6 @@ from .operators import (
     collapse_census,
     eigenfunction_decay,
 )
-from .spectral import scan_eigenvalue_pair
 
 # Kept for importers; the worst-start search no longer depends on it.
 FULL_SCAN_LIMIT = 512
@@ -134,7 +128,7 @@ def worst_start_search(
     confirms every crossing.  The cost is about 2 log2(max_steps) dense
     products instead of one per step.  Ties break toward the smaller start.
     """
-    target = _check_target(target)
+    target = check_target(target)
     pi = stationary.weights
     max_steps = int(max_steps)
 
@@ -264,13 +258,6 @@ class ComparisonReport:
         return self.curves.to_csv()
 
 
-def _check_target(target: float) -> float:
-    target = float(target)
-    if not 0.0 < target < 1.0:
-        raise ParameterError(f"target must lie in (0, 1), got {target}")
-    return target
-
-
 def _check_row_invariants(steps, exact, bounds, values) -> None:
     """Raise at the first step where the tabulated curves break a provable order.
 
@@ -332,7 +319,7 @@ def compare(
             f"max_steps must be an integer in 1..{MAX_COMPARE_STEPS}, got {max_steps!r}"
         )
     max_steps = int(max_steps)
-    target = _check_target(target)
+    target = check_target(target)
 
     fam = BetaBinomialFamily(n=n)
     matrix, stationary = bb_xchain(fam)
@@ -369,20 +356,16 @@ def compare(
     cert = bb_drift_minorization(fam, x0=0)
     if v_x0:
         cert = dataclasses.replace(cert, v_x0=float(v_x0))
-    rosenthal_entry: dict = {"d": float(d), "r": float(r)}
-    try:
-        ros_steps = rosenthal_min_steps(cert, RosenthalParams(d=d, r=r), target)
-        rosenthal_entry.update(
-            status="ok", steps=ros_steps, log10_steps=math.log10(ros_steps)
-        )
-    except ValidityThresholdError as exc:
-        rosenthal_entry.update(status="infeasible", steps=None, log10_steps=None, detail=str(exc))
-    except NonContractingError as exc:
-        rosenthal_entry.update(
-            status="non-contracting", steps=None, log10_steps=None, detail=str(exc)
-        )
-    except NoSolutionError as exc:
-        rosenthal_entry.update(status="no-solution", steps=None, log10_steps=None, detail=str(exc))
+    cell = rosenthal_cell(cert, RosenthalParams(d=d, r=r), target)
+    rosenthal_entry = {
+        "d": cell.params.d,
+        "r": cell.params.r,
+        "status": cell.status,
+        "steps": cell.min_steps,
+        "log10_steps": cell.log10_steps,
+    }
+    if cell.status != "ok":
+        rosenthal_entry["detail"] = cell.detail
 
     min_steps = {
         "exact": worst.min_steps,
@@ -395,7 +378,7 @@ def compare(
 
     decay_rows: list[DecayCheckRow] = []
     if decay_samples:
-        lam_plus, _ = scan_eigenvalue_pair(0.5, systematic_rate(n))
+        rate = random_scan_rate(n)
         theta0 = 0.0 if worst.start <= n / 2 else 1.0
         start_state = JointState(x=worst.start, theta=theta0)
         phi0 = float(bb_eigenfunction_phi(fam, worst.start, theta0))
@@ -409,7 +392,7 @@ def compare(
                     steps=length,
                     observed=observed,
                     std_error=std_error,
-                    predicted=phi0 * lam_plus**length,
+                    predicted=phi0 * rate**length,
                 )
             )
 
@@ -485,7 +468,7 @@ def rebuild_random_scan_upper(n: int, steps: StepCount) -> float:
             - (steps - 1.0) * LN2
         )
         main_sum = float(np.exp(logsumexp(log_terms)))
-    closed = ((1.0 + x) / 2.0) ** (steps - 1)
+    closed = random_scan_rate(n) ** (steps - 1)
     if abs(main_sum - closed) > REBUILD_SELF_CHECK_TOL * closed:
         raise ConvergenceError(
             f"word-by-word sum {main_sum} disagrees with its closed form {closed}"
@@ -566,7 +549,7 @@ def pg_mixing_demo(
     the flat case shape = rate = 1), from the log stationary mass at the
     start, so a start whose mass underflows a float still gets its row.
     """
-    target = _check_target(target)
+    target = check_target(target)
     fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
     starts = list(j_list)
     if not starts:

@@ -60,16 +60,12 @@ def _check_product(product: float) -> float:
 class CouplingRoots:
     """Roots u of the eigenfunction-coupling quadratic on one level.
 
-    ``u_plus`` pairs with the larger eigenvalue.  When the quadratic
-    degenerates to a linear equation (mu = 0 with alpha != 1/2) there is a
-    single root, stored as ``u_plus`` with ``degenerate_linear`` set.
-    ``residual`` is the largest absolute error of the roots substituted
+    ``u_plus`` pairs with the larger eigenvalue.  ``residual`` is the largest absolute error of the roots substituted
     back into alpha*u*(1+mu*u) - (1-alpha)*(eta+u).
     """
 
     u_plus: float
-    u_minus: float | None
-    degenerate_linear: bool
+    u_minus: float
     residual: float
 
 
@@ -80,28 +76,18 @@ def _coupling_residual(scan_weight: float, mu: float, eta: float, u: float) -> f
 def coupling_u(scan_weight: float, mu: float, eta: float) -> CouplingRoots:
     """Solve alpha*u*(1 + mu*u) = (1 - alpha)*(eta + u) for the mixing coefficient u.
 
-    Requires the factors mu (theta-level contraction onto x) and eta (the
-    reverse); the scan weight must be strictly interior — at the boundary
-    one coordinate is never refreshed and no coupled eigenfunction exists.
+    Requires the factors mu > 0 (theta-level contraction onto x) and
+    eta >= 0 (the reverse); the scan weight must be strictly interior — at
+    the boundary one coordinate is never refreshed and no coupled
+    eigenfunction exists.
     """
     alpha = _check_scan_weight(scan_weight, allow_boundary=False)
     mu = float(mu)
     eta = float(eta)
-    if not (math.isfinite(mu) and math.isfinite(eta)) or mu < 0.0 or eta < 0.0:
-        raise ParameterError(f"factors mu, eta must be finite and nonnegative, got {mu}, {eta}")
-    if mu == 0.0:
-        # Quadratic coefficient alpha*mu vanishes: a single linear root,
-        # (2 alpha - 1) u = (1 - alpha) eta.
-        if alpha == 0.5:
-            raise ParameterError(
-                "alpha-boundary: with mu = 0 the balanced scan leaves the "
-                "coupling equation with no finite root"
-            )
-        root = (1.0 - alpha) * eta / (2.0 * alpha - 1.0)
-        residual = _coupling_residual(alpha, mu, eta, root)
-        if residual > COUPLING_RESIDUAL_TOL:
-            raise ConvergenceError(f"coupling root failed its residual check: {residual}")
-        return CouplingRoots(u_plus=root, u_minus=None, degenerate_linear=True, residual=residual)
+    if not (math.isfinite(mu) and math.isfinite(eta)) or mu <= 0.0 or eta < 0.0:
+        raise ParameterError(
+            f"factors must be finite with mu > 0 and eta >= 0, got mu = {mu}, eta = {eta}"
+        )
     # alpha*mu*u^2 + (2*alpha - 1)*u - (1 - alpha)*eta = 0
     half_b = (2.0 * alpha - 1.0) / 2.0
     a_coef = alpha * mu
@@ -121,7 +107,7 @@ def coupling_u(scan_weight: float, mu: float, eta: float) -> CouplingRoots:
     )
     if residual > COUPLING_RESIDUAL_TOL:
         raise ConvergenceError(f"coupling roots failed their residual check: {residual}")
-    return CouplingRoots(u_plus=u_plus, u_minus=u_minus, degenerate_linear=False, residual=residual)
+    return CouplingRoots(u_plus=u_plus, u_minus=u_minus, residual=residual)
 
 
 def scan_eigenvalue_pair(scan_weight: float, product: float) -> tuple[float, float]:

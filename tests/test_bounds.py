@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gibbsrates import (
-    AZUMA_RATE,
     BetaBinomialFamily,
     DriftMinorization,
     EmptyFeasibleGridError,
@@ -30,6 +29,7 @@ from gibbsrates import (
     rosenthal_grid_optimize,
     rosenthal_ingredients,
     rosenthal_min_steps,
+    scan_eigenvalue_pair,
     scan_time_ratio,
     systematic_rate,
     systematic_upper,
@@ -37,6 +37,7 @@ from gibbsrates import (
     two_term_bound,
     two_term_min_steps,
 )
+from gibbsrates.bounds import random_scan_upper_bound
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +113,7 @@ def test_certificate_validation():
     with pytest.raises(ParameterError):
         DriftMinorization(lam=0.5, b=0.5, epsilon=LogMagnitude.from_linear(1.5))
     with pytest.raises(ParameterError):
-        DriftMinorization(lam=0.5, b=0.5, epsilon=LogMagnitude.zero())
+        DriftMinorization(lam=0.5, b=0.5, epsilon=LogMagnitude.from_linear(0.0))
     with pytest.raises(ParameterError):
         DriftMinorization(lam=0.5, b=0.5, epsilon=eps, v_x0=-1.0)
 
@@ -323,6 +324,11 @@ def test_rates():
     assert systematic_rate(100) == pytest.approx(100.0 / 102.0, rel=1e-15)
     assert random_scan_rate(1) == pytest.approx(0.7886751345948129, rel=1e-15)
     assert random_scan_rate(100) == pytest.approx(0.9950737714883371, rel=1e-15)
+    # The report's decay prediction and the word rebuild read this one rate;
+    # it equals their former forms bit for bit.
+    for n in range(1, 20_001):
+        balanced = scan_eigenvalue_pair(0.5, systematic_rate(n))[0]
+        assert random_scan_rate(n) == balanced == (1.0 + math.sqrt(n / (n + 2.0))) / 2.0
 
 
 def test_random_scan_lower():
@@ -370,7 +376,8 @@ def test_azuma_rate_dominates_exact_binomial_tails():
     for flips in range(1, 65):
         tail = binomial_tail_le(flips, flips // 4)
         assert float(tail) <= math.exp(-flips / 8.0) * (1.0 - 1e-9)
-    assert AZUMA_RATE == math.exp(-0.125)
+    azuma, _ = random_scan_upper_bound(100).terms
+    assert (azuma.coeff, azuma.log_ratio, azuma.offset) == (3.0, -0.125, -1.0)
 
 
 # ---------------------------------------------------------------------------

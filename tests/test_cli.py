@@ -313,6 +313,22 @@ def test_simulate_decay(run_cli, schema):
     assert abs(result["z_score"]) < 4.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "10", "--steps", "3", "--start-x", "1", "--start-theta", "0.5",
+         "--seed", "-1"],
+        ["simulate", "--decay", "--n", "10", "--scan", "random", "--steps", "3",
+         "--samples", "1000", "--start-x", "1", "--start-theta", "0.5", "--seed", "-1"],
+        ["scan-compare", "--n", "5", "--decay-samples", "1000", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_exits_2(run_cli, argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: seed must be a nonnegative integer, got -1")
+
+
 def test_simulate_weight_with_systematic_scan_fails(run_cli):
     code, out, err = run_cli(
         ["simulate", "--family", "bb", "--n", "5", "--scan-weight", "0.5",
@@ -361,6 +377,20 @@ def test_pg_demo_answers_starts_whose_mass_underflows(
         steps = max(0, math.ceil((math.log(0.01) + 0.5 * log_pi[j]) / log_rate))
         assert row["chisq_min_steps"] == steps
     assert [tuple(row.values()) for row in rows] == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact-tv", "--family", "pg", "--start", "0", "--steps-max", "10", "--x-max", "100000"],
+        ["exact-tv", "--family", "bb", "--n", "100000", "--start", "0", "--steps-max", "10"],
+        ["pg-demo", "--x-max", "100000"],
+    ],
+)
+def test_dense_chain_over_the_state_cap_exits_2(run_cli, argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: too-many-states: the dense x-chain would have 100001 states")
 
 
 def test_pg_demo_truncation_failure_exits_3(run_cli):

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import betabinom
 
 import gibbsrates
-from gibbsrates import cli
+from gibbsrates import cli, families
 from gibbsrates import (
     BetaBinomialFamily,
     ConvergenceError,
@@ -47,7 +47,6 @@ def test_bb_validation():
     with pytest.raises(ParameterError):
         BetaBinomialFamily(n=2, b=-1.0)
     fam = BetaBinomialFamily(n=3)
-    assert fam.state_count == 4
     assert fam.has_flat_prior
     assert not BetaBinomialFamily(n=3, a=2.0).has_flat_prior
 
@@ -361,6 +360,7 @@ def test_pg_spectral_data(pg_default):
     fam, _, _ = pg_default
     data = pg_spectral_data(fam)
     assert data.cutoff is None
+    assert "Meixner eigenvalues (1 + rate)^-k" in data.basis_note
     assert data.levels[0].product == pytest.approx(0.5, abs=1e-6)
     products = [level.product for level in data.levels]
     assert all(b <= a + 1e-12 for a, b in zip(products, products[1:]))
@@ -425,3 +425,23 @@ def test_pg_draws_respect_domains():
     x = fam.draw_x(rng, theta)
     assert x.shape == (3,)
     assert np.all(x >= 0)
+
+
+def test_dense_chains_refuse_more_states_than_the_cap(monkeypatch):
+    # The cap is checked before anything is allocated; a lowered cap shows
+    # where the line falls without building an 800 MB matrix.
+    too_many = families.MAX_DENSE_STATES
+    assert too_many >= 10_001
+    for build, fam in (
+        (bb_xchain, BetaBinomialFamily(n=too_many)),
+        (pg_xchain, PoissonGammaFamily(x_max=too_many)),
+    ):
+        with pytest.raises(ParameterError, match=f"above the cap of {too_many}"):
+            build(fam)
+    monkeypatch.setattr(families, "MAX_DENSE_STATES", 11)
+    assert bb_xchain(BetaBinomialFamily(n=10))[0].dim == 11
+    assert pg_xchain(PoissonGammaFamily(x_max=10, rate=50.0))[0].dim == 11
+    with pytest.raises(ParameterError, match="12 states, above the cap of 11"):
+        bb_xchain(BetaBinomialFamily(n=11))
+    with pytest.raises(ParameterError, match="12 states, above the cap of 11"):
+        pg_xchain(PoissonGammaFamily(x_max=11, rate=50.0))

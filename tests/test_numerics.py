@@ -59,7 +59,6 @@ def test_round_sig_examples():
     assert round_sig(0.0) == 0.0
     assert round_sig(-1.23456789012345e-7) == -1.23456789012e-7
     assert round_sig(float("inf")) == float("inf")
-    assert round_sig(2.5, digits=2) == 2.5
 
 
 def test_serializers_carry_a_rounded_mantissa_alike():
@@ -126,7 +125,6 @@ def test_json_text_matches_json_dumps():
         "result": {
             "rows": table,
             "empty": RowTable.from_rows(("a", "b"), []),
-            "no_columns": RowTable.from_rows((), [(), ()]),
             "nested": [table, {"inner": table}],
             "bound": LogMagnitude.from_linear(999.99999999999),
             "tuple": (1.0, None),
@@ -199,14 +197,10 @@ def test_row_tables_render_alike_across_block_edges(count):
     for below in sorted(b for b in belows if 0 <= b <= count):
         bound = 2.0 * tv[below:]
         table = RowTable(("steps", "tv", "bound"), (steps, tv, GatedColumn(below, bound)))
-        assert table.length == count
         csv, js = _cell_by_cell(table)
         assert table.to_csv().splitlines() == csv.splitlines() and csv.endswith("\n")
         assert json_text(table).splitlines() == js.splitlines()
         assert [len(row) for row in table.iter_rows()] == [3] * count
-    no_columns = RowTable((), (), count)
-    assert no_columns.to_csv().count("\n") == count + 1 and not no_columns.to_csv().strip()
-    assert json_text(no_columns).splitlines() == json.dumps([{}] * count, indent=2).splitlines()
 
 
 def test_row_table_columns_must_match_the_header():
@@ -215,7 +209,7 @@ def test_row_table_columns_must_match_the_header():
     with pytest.raises(ValueError):
         RowTable(("a", "b"), (np.arange(3), np.arange(4.0)))
     with pytest.raises(ValueError):
-        RowTable(("a",), (np.arange(3),), 4)
+        RowTable((), ())
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +256,9 @@ def test_log_magnitude_from_log2_below_linear_floor():
 
 
 def test_log_magnitude_constructors_and_special_values():
-    assert LogMagnitude.zero().to_float() == 0.0
-    assert LogMagnitude.one().to_float() == 1.0
     assert LogMagnitude.from_linear(0.0).log_value == LOG_ZERO
-    assert LogMagnitude.from_log(-3.0).log_value == -3.0
+    assert LogMagnitude.from_linear(0.0).to_float() == 0.0
+    assert LogMagnitude.from_linear(1.0).to_float() == 1.0
     assert float(LogMagnitude.from_linear(2.5)) == pytest.approx(2.5, rel=1e-15)
     with pytest.raises(ParameterError):
         LogMagnitude.from_linear(-1.0)
@@ -279,9 +272,9 @@ def test_log_magnitude_decompose():
     mantissa, exponent = LogMagnitude.from_linear(1234.5).decompose()
     assert exponent == 3
     assert mantissa == pytest.approx(1.2345, rel=1e-12)
-    assert LogMagnitude.zero().decompose() == (0.0, 0)
+    assert LogMagnitude.from_linear(0.0).decompose() == (0.0, 0)
     # A 10^33-scale magnitude decomposes without ever being a float.
-    mantissa, exponent = LogMagnitude.from_log(33.7662 * math.log(10.0)).decompose()
+    mantissa, exponent = LogMagnitude(33.7662 * math.log(10.0)).decompose()
     assert exponent == 33
     assert 1.0 <= mantissa < 10.0
     # Power-of-ten edges stay in [1, 10).
@@ -291,34 +284,16 @@ def test_log_magnitude_decompose():
         assert mantissa * 10.0**exponent == pytest.approx(value, rel=1e-12)
 
 
-def test_log_magnitude_algebra():
-    a = LogMagnitude.from_linear(3.0)
-    b = LogMagnitude.from_linear(4.0)
-    assert (a * b).to_float() == pytest.approx(12.0, rel=1e-14)
-    assert (a + b).to_float() == pytest.approx(7.0, rel=1e-14)
-    assert (a**2).to_float() == pytest.approx(9.0, rel=1e-14)
-    assert (a**0).to_float() == 1.0
-    assert a < b
-    assert max(a, b) is b
-    zero = LogMagnitude.zero()
-    assert (zero * a).to_float() == 0.0
-    assert (zero + a).to_float() == pytest.approx(3.0, rel=1e-14)
-    assert (zero**2).to_float() == 0.0
-    assert (zero**0).to_float() == 1.0
-    with pytest.raises(ParameterError):
-        zero**-1
-
-
 def test_log_magnitude_repr_mentions_decomposition():
-    text = repr(LogMagnitude.from_log(33.766245 * math.log(10.0)))
+    text = repr(LogMagnitude(33.766245 * math.log(10.0)))
     assert "e+33" in text
-    assert repr(LogMagnitude.zero()) == "LogMagnitude(0)"
+    assert repr(LogMagnitude.from_linear(0.0)) == "LogMagnitude(0)"
 
 
 @given(st.floats(min_value=-600.0, max_value=600.0))
 def test_log_magnitude_round_trip_is_faithful(log_x):
     # to_float cannot beat |ln x| * eps relative error; allow a 4x margin.
-    value = LogMagnitude.from_log(log_x)
+    value = LogMagnitude(log_x)
     linear = value.to_float()
     back = LogMagnitude.from_linear(linear)
     slack = max(1.0, abs(log_x)) * 4.0 * 2.2e-16
@@ -423,14 +398,11 @@ def test_min_steps_boundary_equality_counts():
     assert min_steps_geometric([GeometricTerm(1.0, math.log(0.1))], 0.1) == 1
 
 
-def test_min_steps_accepts_log_magnitude_target():
-    term = GeometricTerm(1.0, math.log(0.5))
-    assert min_steps_geometric([term], LogMagnitude.from_linear(0.01)) == 7
-
-
 def test_min_steps_no_solution_within_cap():
+    # A ratio of 1 - 2^-140 has decayed by only e^-0.007 after the cap of
+    # 10^40 steps.
     with pytest.raises(NoSolutionError, match="no solution"):
-        min_steps_geometric([GeometricTerm(1.0, math.log(0.99))], 1e-9, max_steps=3)
+        min_steps_geometric([GeometricTerm(1.0, math.log1p(-(2.0**-140)))], 0.01)
 
 
 def test_min_steps_parameter_errors():
@@ -440,8 +412,6 @@ def test_min_steps_parameter_errors():
         min_steps_geometric([GeometricTerm(1.0, math.log(0.5))], 0.0)
     with pytest.raises(ParameterError):
         min_steps_geometric([GeometricTerm(1.0, math.log(0.5))], -0.5)
-    with pytest.raises(ParameterError):
-        min_steps_geometric([GeometricTerm(1.0, math.log(0.5))], 0.01, max_steps=0)
 
 
 def test_min_steps_two_term_against_extended_precision_oracle():
@@ -505,7 +475,7 @@ def test_min_steps_is_the_first_crossing(coeff, ratio, target):
 def test_distribution_validation():
     dist = Distribution([0.25, 0.75])
     assert len(dist) == 2
-    assert dist[1] == pytest.approx(0.75)
+    assert dist.weights[1] == pytest.approx(0.75)
     Distribution([1.0 - 1e-16, 1e-16])  # fine
     Distribution([1.0, -1e-16])  # tiny negative dust is clipped
     with pytest.raises(ParameterError):
@@ -760,8 +730,8 @@ def test_is_integer():
 def test_stationary_distribution_two_state():
     matrix, _ = _two_state_chain()
     stationary = stationary_distribution(matrix)
-    assert stationary[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
-    assert stationary[1] == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert stationary.weights[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert stationary.weights[1] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_stationary_distribution_convergence_error():

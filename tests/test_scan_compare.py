@@ -284,7 +284,7 @@ def test_report_rows_are_built_once_from_the_curves():
     assert isinstance(first, tuple) and first == second and first is second
     assert all(type(row) is ComparisonRow and type(row.steps) is int for row in first)
     assert [row.steps for row in first] == list(range(1, 49))
-    assert report.curves.header == CSV_COLUMNS and report.curves.length == 48
+    assert report.curves.header == CSV_COLUMNS
 
 
 def test_compare_n50_work_ratio_near_two():

@@ -33,7 +33,6 @@ def test_coupling_balanced_scan_frozen_roots():
     assert roots.u_plus == pytest.approx(0.5773502691896257, rel=1e-12)
     assert roots.u_minus == pytest.approx(-0.5773502691896257, rel=1e-12)
     assert roots.u_plus == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
-    assert not roots.degenerate_linear
     assert roots.residual <= 1e-10
 
 
@@ -44,17 +43,12 @@ def test_coupling_boundary_weight_rejected():
         coupling_u(1.0, 1.0, 0.5)
 
 
-def test_coupling_zero_mu_linear_root():
-    roots = coupling_u(0.25, 0.0, 0.5)
-    assert roots.degenerate_linear
-    assert roots.u_minus is None
-    # (2 alpha - 1) u = (1 - alpha) eta with alpha = 1/4, eta = 1/2.
-    assert roots.u_plus == pytest.approx(-0.75, rel=1e-12)
-
-
-def test_coupling_zero_mu_balanced_is_singular():
-    with pytest.raises(ParameterError, match="alpha-boundary"):
-        coupling_u(0.5, 0.0, 0.5)
+def test_coupling_zero_mu_rejected():
+    # With mu = 0 the quadratic has no u^2 term; no level of either family
+    # has a zero factor, so such a level is refused at any scan weight.
+    for alpha in (0.25, 0.5):
+        with pytest.raises(ParameterError, match="mu > 0"):
+            coupling_u(alpha, 0.0, 0.5)
 
 
 def test_coupling_negative_factors_rejected():
@@ -95,8 +89,6 @@ def test_coupling_roots_solve_quadratic(alpha, mu, eta):
     roots = coupling_u(alpha, mu, eta)
     assert roots.residual <= 1e-10
     for u in (roots.u_plus, roots.u_minus):
-        if u is None:
-            continue
         value = alpha * mu * u * u + (2.0 * alpha - 1.0) * u - (1.0 - alpha) * eta
         scale = max(1.0, abs(alpha * mu * u * u), abs((2.0 * alpha - 1.0) * u))
         assert abs(value) <= 1e-9 * scale
