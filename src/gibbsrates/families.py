@@ -46,6 +46,10 @@ TRUNCATION_TOL = 1e-12
 # Most states a dense x-chain may have: its float64 matrix is then 800 MB,
 # and the builders hold about two of them at once.
 MAX_DENSE_STATES = 10_001
+# Highest Meixner level ``meixner_basis`` tries, and how far the Gram matrix
+# of the levels it keeps may stray from the identity on 0..x_max.
+MEIXNER_MAX_LEVEL = 60
+MEIXNER_GRAM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -258,7 +262,8 @@ class SpectralData:
             object.__setattr__(self, "cutoff", int(self.cutoff))
 
 
-def _check_dense_states(states: int) -> None:
+def check_dense_states(states: int) -> None:
+    """Refuse a dense x-chain of more than ``MAX_DENSE_STATES`` states."""
     if states > MAX_DENSE_STATES:
         raise ParameterError(
             f"too-many-states: the dense x-chain would have {states} states, "
@@ -278,7 +283,7 @@ def bb_xchain(fam: BetaBinomialFamily) -> tuple[StochasticMatrix, Distribution]:
     The stationary law is the beta-binomial(n, a, b) marginal — uniform for
     the flat prior.  More than ``MAX_DENSE_STATES`` states are refused.
     """
-    _check_dense_states(fam.n + 1)
+    check_dense_states(fam.n + 1)
     n, a, b = fam.n, fam.a, fam.b
     x = np.arange(n + 1, dtype=float)
     xp = x[None, :]
@@ -367,7 +372,7 @@ def bb_eigenfunction_phi(fam: BetaBinomialFamily, x, theta):
 
 
 def pg_xchain(fam: PoissonGammaFamily) -> tuple[StochasticMatrix, Distribution]:
-    """Truncated exact x-chain of the Poisson-gamma pair, with stationary law.
+    """Truncated dense x-chain of the Poisson-gamma pair, with stationary law.
 
     A sweep from x draws theta ~ Gamma(shape + x, rate + 1) and then
     x' ~ Poisson(theta); marginally x' follows a negative binomial row with
@@ -376,9 +381,11 @@ def pg_xchain(fam: PoissonGammaFamily) -> tuple[StochasticMatrix, Distribution]:
     family's constructor bounds the exact tail of the worst row below 1e-12.
     The stationary law is the exponential of ``pg_log_stationary``; entries
     below the smallest float are 0.0.  More than ``MAX_DENSE_STATES`` states
-    are refused.
+    are refused.  ``pg_mixing_demo`` reads its crossings from
+    ``meixner_basis`` and builds this chain only for the starts that basis
+    cannot decide; ``exact-tv --family pg`` and the tests use it directly.
     """
-    _check_dense_states(fam.x_max + 1)
+    check_dense_states(fam.x_max + 1)
     sigma = fam.shape + np.arange(fam.x_max + 1, dtype=float)[:, None]
     xp = np.arange(fam.x_max + 1, dtype=float)[None, :]
     log_p = -math.log(fam.rate + 2.0)
@@ -403,9 +410,97 @@ def pg_log_stationary(fam: PoissonGammaFamily) -> np.ndarray:
     truncation only renormalizes rows that leak under 1e-12 and carry almost
     no mass.  For shape = rate = 1 it is geometric: m(x) = (1/2)^(x+1).
     """
-    x = np.arange(fam.x_max + 1, dtype=float)
-    log_weights = gammaln(fam.shape + x) - gammaln(x + 1.0) - x * math.log1p(fam.rate)
+    log_weights = _pg_log_weights(fam)
     return log_weights - logsumexp(log_weights)
+
+
+def _pg_log_weights(fam: PoissonGammaFamily) -> np.ndarray:
+    """log Gamma(shape + x) - log x! - x log(1 + rate) on 0..x_max, unnormalized."""
+    x = np.arange(fam.x_max + 1, dtype=float)
+    return gammaln(fam.shape + x) - gammaln(x + 1.0) - x * math.log1p(fam.rate)
+
+
+@dataclass(frozen=True, eq=False)
+class MeixnerBasis:
+    """The orthonormal Meixner basis of the Poisson-gamma x-chain on 0..x_max.
+
+    ``phi[k, y]`` is phi_k(y) = sqrt(m(y)) p_k(y), where m is the
+    untruncated stationary law NB(shape, rate/(1 + rate)), held as
+    ``log_mass``, and p_0, p_1, ... are its orthonormal polynomials, the
+    x-chain's eigenfunctions with eigenvalues (1 + rate)^-k.  ``levels`` is
+    the chosen K and ``gram_residual`` the largest entry of |Phi Phi^T - I|
+    over levels 0..K on the truncated grid.  ``recurrence`` holds the
+    coefficients (a_k, b_k) of x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1}.
+    """
+
+    log_mass: np.ndarray
+    phi: np.ndarray
+    gram_residual: float
+    recurrence: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def levels(self) -> int:
+        return self.phi.shape[0] - 1
+
+    def polynomials(self, x) -> np.ndarray:
+        """p_0..p_K at the points ``x``, one row per level.
+
+        Far from the bulk of m the values grow like x^k; one that overflows
+        is inf (or nan), with no warning, and the caller must treat it as
+        unknown.
+        """
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _three_term(np.ones_like(x), x, *self.recurrence, self.levels)
+
+
+def _three_term(first: np.ndarray, x: np.ndarray, a, b, levels: int) -> np.ndarray:
+    """Rows v_0 = first, v_{k+1} = ((x - a_k) v_k - b_k v_{k-1}) / b_{k+1}."""
+    rows = np.empty((levels + 1, x.size))
+    rows[0] = first
+    previous = np.zeros_like(x)
+    for k in range(levels):
+        rows[k + 1] = ((x - a[k]) * rows[k] - b[k] * previous) / b[k + 1]
+        previous = rows[k]
+    return rows
+
+
+def meixner_basis(fam: PoissonGammaFamily) -> MeixnerBasis:
+    """Meixner basis phi_0..phi_K of ``fam``'s x-chain, K chosen by its Gram matrix.
+
+    With c = 1/(1 + rate) the orthonormal Meixner polynomials of
+    NB(shape, 1 - c) satisfy the three-term recurrence with
+    a_k = (k + (k + shape) c)/(1 - c) and b_k = sqrt(k (k + shape - 1) c)/(1 - c)
+    (Koekoek, Lesky & Swarttouw, section 9.10).  The recurrence runs on
+    phi_k = sqrt(m) p_k directly, from phi_0 = sqrt(m) in the log domain,
+    so a state whose mass underflows gives phi = 0 rather than inf * 0.
+    Far levels lose accuracy, through the forward recurrence and through
+    the tail cut at x_max, so K is the largest level up to
+    ``MEIXNER_MAX_LEVEL`` whose leading Gram block on 0..x_max is within
+    ``MEIXNER_GRAM_TOL`` of the identity (level 0 is always kept).
+    """
+    c = 1.0 / (1.0 + fam.rate)
+    k = np.arange(MEIXNER_MAX_LEVEL + 1, dtype=float)
+    a = (k + (k + fam.shape) * c) / (1.0 - c)
+    b = np.sqrt(k * (k + fam.shape - 1.0) * c) / (1.0 - c)
+    log_mass = _pg_log_weights(fam) - gammaln(fam.shape) + fam.shape * (
+        math.log(fam.rate) - math.log1p(fam.rate)
+    )
+    y = np.arange(fam.x_max + 1, dtype=float)
+    # A level the recurrence loses may overflow; its nan gap rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _three_term(np.exp(0.5 * log_mass), y, a, b, MEIXNER_MAX_LEVEL)
+        gap = np.abs(phi @ phi.T - np.eye(MEIXNER_MAX_LEVEL + 1))
+    gap = np.tril(np.maximum(gap, gap.T))
+    # residual[K]: the largest gap within the leading (K + 1) x (K + 1) block.
+    residual = np.maximum.accumulate(gap.max(axis=1))
+    levels = max(int(np.count_nonzero(residual <= MEIXNER_GRAM_TOL)) - 1, 0)
+    return MeixnerBasis(
+        log_mass=log_mass,
+        phi=phi[: levels + 1],
+        gram_residual=float(residual[levels]),
+        recurrence=(a[: levels + 1], b[: levels + 1]),
+    )
 
 
 def pg_geometric_reference(fam: PoissonGammaFamily) -> Distribution:

@@ -151,9 +151,6 @@ def csv_cell(value) -> str:
         return float_cell(value)
     if value is None:
         return ""
-    if isinstance(value, LogMagnitude):
-        mantissa, exp10 = rounded_decompose(value)
-        return f"{mantissa!r}e{exp10:+d}"
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, (int, np.integer)):
@@ -647,6 +644,14 @@ def _check_invariant(matrix: StochasticMatrix, stationary: Distribution) -> None
         )
 
 
+def check_start(start, dim: int) -> None:
+    """Refuse a point start that is not an integer state in 0..dim - 1."""
+    if not is_integer(start):
+        raise ParameterError(f"start state must be an integer, got {start!r}")
+    if not 0 <= start < dim:
+        raise ParameterError(f"start state {start} outside 0..{dim - 1}")
+
+
 def iterate_tv(
     matrix: StochasticMatrix,
     stationary: Distribution,
@@ -676,10 +681,7 @@ def iterate_tv(
     if not is_integer(max_steps) or max_steps < 0:
         raise ParameterError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
     for start in starts:
-        if not is_integer(start):
-            raise ParameterError(f"start state must be an integer, got {start!r}")
-        if not 0 <= start < dim:
-            raise ParameterError(f"start state {start} outside 0..{dim - 1}")
+        check_start(start, dim)
     # Every law is carried halved, so that its l1 distance to half of pi is
     # the TV itself; halving is exact in binary floating point.
     half_pi = 0.5 * stationary.weights

@@ -38,11 +38,14 @@ from .bounds import (
 )
 from .errors import ConvergenceError, NoSolutionError, ParameterError
 from .families import (
+    TRUNCATION_TOL,
     BetaBinomialFamily,
     PoissonGammaFamily,
     bb_drift_minorization,
     bb_eigenfunction_phi,
     bb_xchain,
+    check_dense_states,
+    meixner_basis,
     pg_log_stationary,
     pg_xchain,
 )
@@ -53,6 +56,7 @@ from .numerics import (
     RowTable,
     StepCount,
     StochasticMatrix,
+    check_start,
     is_integer,
     iterate_tv,
     json_text,
@@ -81,6 +85,12 @@ REBUILD_SELF_CHECK_TOL = 1e-9
 ROW_INVARIANT_SLACK = 1e-9
 # Step counts at which the Monte Carlo decay cross-check is evaluated.
 DECAY_CHECK_STEPS = (1, 2, 5, 10)
+# The certified Poisson-gamma search first tries this many steps, then
+# doubles, holding at most PG_CERTIFY_BLOCK (start, step, state) values.
+PG_CERTIFY_FIRST_STEPS = 16
+PG_CERTIFY_BLOCK = 1 << 22
+# One unit in the last place of 1.0.
+EPS = float(np.finfo(float).eps)
 
 def exact_tv_curve(
     matrix: StochasticMatrix,
@@ -437,8 +447,7 @@ def rebuild_random_scan_upper(n: int, steps: StepCount) -> float:
     sum must reproduce the closed form ((1+x)/2)^(steps-1) to 1e-9, and the
     Azuma tail 3 e^{-(steps-1)/8} is added back on top.
     """
-    if not is_integer(n) or int(n) < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    bound = random_scan_upper_bound(n)  # validates n
     n = int(n)
     if not is_integer(steps) or int(steps) < 1:
         raise ParameterError(f"steps must be a positive integer, got {steps!r}")
@@ -448,7 +457,6 @@ def rebuild_random_scan_upper(n: int, steps: StepCount) -> float:
             f"word-by-word reconstruction is capped at {REBUILD_MAX_STEPS} steps, "
             f"got {steps}"
         )
-    bound = random_scan_upper_bound(n)
     bound.check_steps(steps)
     x = math.sqrt(n / (n + 2.0))
     if steps <= MAX_WORD_LENGTH:
@@ -496,7 +504,10 @@ class PgMixingDemo:
     The exact chain forgets a start at j in about log2(j) extra steps; the
     chi-square bound charges (j+1)/2 extra steps because its constant pays
     the full 1/sqrt(stationary mass at j).  Same decay rate, wildly
-    different predictions — rows make that contrast concrete.
+    different predictions — rows make that contrast concrete.  An exact
+    crossing is the one the truncated dense chain would give: certified
+    from the Meixner expansion, or read from the dense chain where that
+    certificate cannot decide.
     """
 
     shape: float
@@ -534,6 +545,100 @@ class PgMixingDemo:
         return self.table.to_csv()
 
 
+def _pg_certified_crossings(fam: PoissonGammaFamily, starts, target: float) -> np.ndarray:
+    """Each start's crossing where the Meixner expansion certifies it, else -1.
+
+    From a start x the untruncated chain has
+    K^t(x, y) - m(y) = sqrt(m(y)) sum_{k>=1} lambda_k^t p_k(x) phi_k(y), so
+    TV_K(t) = 1/2 sum_{y<=x_max} sqrt(m(y)) |sum_{1<=k<=K} lambda_k^t p_k(x) phi_k(y)|,
+    one (K x dim) product for every start and step at once.  Its distance
+    to the TV of the truncated dense chain is at most the sum of:
+
+    * the Christoffel tail 1/2 lambda_{K+1}^t sqrt(1/m(x) - sum_{k<=K} p_k(x)^2)
+      (Cauchy-Schwarz over the levels above K, whose p_k(x)^2 sum to the
+      rest of 1/m(x)), taken in the log domain, with the subtraction's
+      rounding added;
+    * (t + 1) ``TRUNCATION_TOL``: each step of the dense chain drops a row
+      tail below it, and its stationary law differs from m by less;
+    * rounding: the basis's Gram residual plus 4 (K + 2) ulps, times
+      1/2 sum_k |lambda_k^t p_k(x)|, and the dense loop's own (t + 1) dim
+      ulps, so that a certified crossing is the one that loop prints.
+
+    Step 0 is read exactly as 1 - m(x).  TV never rises with t, so a start
+    crosses at the first step t whose bounds put TV(t) at or below the
+    target if those of step t - 1 put it above; otherwise it is left at -1,
+    as is a start not settled within ``MAX_COMPARE_STEPS`` steps or before
+    the (t + 1) terms alone reach the target.
+    """
+    basis = meixner_basis(fam)
+    levels = basis.levels
+    log_rate = math.log(fam.meixner_eigenvalue(1))
+    dim = fam.x_max + 1
+    x = np.asarray(starts)
+    log_m = basis.log_mass[x]
+    poly = basis.polynomials(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_sum = logsumexp(2.0 * np.log(np.abs(poly)), axis=0)
+        share = np.exp(log_sum + log_m)  # m(x) sum_{k<=K} p_k(x)^2, at most 1
+        rest = np.maximum(1.0 - share, 0.0) + 4 * (levels + 2) * EPS * share
+        log_christoffel = 0.5 * (np.log(rest) - log_m)
+    # Per step: the truncation term and the dense loop's rounding.
+    floor = TRUNCATION_TOL + dim * EPS
+    tv0 = -np.expm1(log_m)
+    crossing = np.where(tv0 + floor <= target, 0, -1)
+    was_above = tv0 - floor > target  # at the step before the next one tried
+    active = (crossing < 0) & np.isfinite(log_christoffel) & np.isfinite(poly).all(axis=0)
+    poly[0] = 0.0  # level 0 is m itself, which K^t - m has lost
+    rounding = 0.5 * (basis.gram_residual + 4 * (levels + 2) * EPS)
+    last = min(MAX_COMPARE_STEPS, int(target / floor))
+    first, width = 1, PG_CERTIFY_FIRST_STEPS
+    while active.any() and first <= last:
+        index = np.flatnonzero(active)
+        width = max(1, min(width, PG_CERTIFY_BLOCK // (index.size * dim)))
+        t = np.arange(first, min(first + width, last + 1))[:, None]
+        # coeff[i, s, k] = lambda_k^t_i p_k(x_s); lambda_k = (1 + rate)^-k.
+        coeff = np.exp(t * log_rate * np.arange(levels + 1))[:, None, :] * poly[:, index].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            tv = 0.5 * (np.abs(coeff @ basis.phi) @ basis.phi[0])
+            error = (
+                0.5 * np.exp(t * (levels + 1) * log_rate + log_christoffel[index])
+                + (t + 1) * floor
+                + rounding * np.abs(coeff).sum(axis=2)
+            )
+            above = tv - error > target
+            below = tv + error <= target
+        # The first step certified at or below the target settles a start;
+        # it is the crossing if the step before is certified above.
+        before = np.vstack([was_above[index], above[:-1]])
+        settled = np.flatnonzero(below.any(axis=0))
+        step = np.argmax(below[:, settled], axis=0)
+        certified = before[step, settled]
+        crossing[index[settled[certified]]] = t[step[certified], 0]
+        active[index[settled]] = False
+        was_above[index] = above[-1]
+        first += len(t)
+        width *= 2
+    return crossing
+
+
+def _pg_dense_crossings(fam: PoissonGammaFamily, starts, target: float) -> np.ndarray:
+    """Each start's first step at or below the target on the dense chain."""
+    matrix, stationary = pg_xchain(fam)
+    crossed = np.full(len(starts), -1)
+    first = 0  # the step of the chunk's first row
+    for chunk in iterate_tv(matrix, stationary, starts, MAX_COMPARE_STEPS):
+        below = chunk <= target
+        hit = (crossed < 0) & below.any(axis=0)
+        crossed[hit] = first + below[:, hit].argmax(axis=0)
+        first += len(chunk)
+        if crossed.min() >= 0:
+            return crossed
+    raise NoSolutionError(
+        f"target-not-reached: start {starts[int(np.argmin(crossed))]} needs more "
+        f"than {MAX_COMPARE_STEPS} exact steps"
+    )
+
+
 def pg_mixing_demo(
     j_list,
     target: float = 0.01,
@@ -544,10 +649,14 @@ def pg_mixing_demo(
     """Exact versus chi-square mixing times for Poisson-gamma far starts.
 
     Starts must stay at or below x_max/2 so truncation never touches the
-    answer.  The chi-square column decays at the x-chain's second
-    eigenvalue, the Meixner closed form 1/(1 + rate) for every shape (1/2 in
-    the flat case shape = rate = 1), from the log stationary mass at the
-    start, so a start whose mass underflows a float still gets its row.
+    answer.  The exact column is the crossing of the truncated dense chain:
+    certified from the Meixner expansion (``_pg_certified_crossings``) where
+    it can decide, and otherwise read from that chain, built once for the
+    starts left.  The chain's ``MAX_DENSE_STATES`` cap applies either way.
+    The chi-square column decays at the x-chain's second eigenvalue, the
+    Meixner closed form 1/(1 + rate) for every shape (1/2 in the flat case
+    shape = rate = 1), from the log stationary mass at the start, so a
+    start whose mass underflows a float still gets its row.
     """
     target = check_target(target)
     fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
@@ -561,23 +670,15 @@ def pg_mixing_demo(
                 f"start-too-deep: start {j} must lie in 0..{margin} "
                 f"(half of x_max={fam.x_max}) to keep truncation error away"
             )
-    matrix, stationary = pg_xchain(fam)
+    check_dense_states(fam.x_max + 1)
+    for j in starts:
+        check_start(j, fam.x_max + 1)
+    crossed = _pg_certified_crossings(fam, starts, target)
+    undecided = np.flatnonzero(crossed < 0)
+    if undecided.size:
+        crossed[undecided] = _pg_dense_crossings(fam, [starts[i] for i in undecided], target)
     log_stationary = pg_log_stationary(fam)
     decay_rate = fam.meixner_eigenvalue(1)
-    crossed = np.full(len(starts), -1)
-    first = 0  # the step of the chunk's first row
-    for chunk in iterate_tv(matrix, stationary, starts, MAX_COMPARE_STEPS):
-        below = chunk <= target
-        hit = (crossed < 0) & below.any(axis=0)
-        crossed[hit] = first + below[:, hit].argmax(axis=0)
-        first += len(chunk)
-        if crossed.min() >= 0:
-            break
-    else:
-        raise NoSolutionError(
-            f"target-not-reached: start {starts[int(np.argmin(crossed))]} needs more "
-            f"than {MAX_COMPARE_STEPS} exact steps"
-        )
     rows = [
         PgDemoRow(
             start=int(j),

@@ -22,6 +22,7 @@ from gibbsrates import (
     bb_eigenfunction_phi,
     bb_spectral_data,
     bb_xchain,
+    meixner_basis,
     pg_geometric_reference,
     pg_log_stationary,
     pg_mixing_demo,
@@ -382,6 +383,36 @@ def test_pg_nonflat_spectral_data_still_works():
     fam = PoissonGammaFamily(shape=2.0)
     data = pg_spectral_data(fam)
     assert 0.0 < data.levels[0].product < 1.0
+
+
+# ---------------------------------------------------------------------------
+# meixner_basis
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape, rate, x_max", [*PG_RANGE, (1.0, 0.2, 2981), (3.0, 3.0, 57)])
+def test_meixner_basis_gram_residual_within_tolerance(shape, rate, x_max):
+    fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
+    basis = meixner_basis(fam)
+    levels = basis.levels
+    assert 8 <= levels <= families.MEIXNER_MAX_LEVEL
+    assert basis.phi.shape == (levels + 1, x_max + 1)
+    assert basis.gram_residual <= families.MEIXNER_GRAM_TOL
+    gram = basis.phi @ basis.phi.T
+    assert np.abs(gram - np.eye(levels + 1)).max() <= families.MEIXNER_GRAM_TOL
+    # m is the untruncated law, log(1 - tail) below the truncated one.
+    np.testing.assert_allclose(basis.log_mass, pg_log_stationary(fam), rtol=1e-14, atol=1e-12)
+    np.testing.assert_array_equal(basis.phi[0], np.exp(0.5 * basis.log_mass))
+
+
+@pytest.mark.parametrize("shape, rate, x_max", [(1.0, 1.0, 400), (2.0, 1.0, 700), (0.5, 3.0, 400)])
+def test_meixner_polynomials_are_eigenfunctions_of_the_dense_chain(shape, rate, x_max):
+    fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
+    poly = meixner_basis(fam).polynomials(np.arange(x_max + 1))
+    entries = pg_xchain(fam)[0].entries
+    for k in range(4):
+        residual = entries @ poly[k] - fam.meixner_eigenvalue(k) * poly[k]
+        assert np.abs(residual).max() <= 1e-13 * np.abs(poly[k]).max()
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,6 @@ def test_serializers_carry_a_rounded_mantissa_alike():
     assert value.decompose()[1] == 2
     assert rounded_decompose(value) == (1.0, 3)
     assert jsonable({"bound": value}) == {"bound": {"mantissa": 1.0, "exp10": 3}}
-    assert csv_cell(value) == "1.0e+3"
     table = RowTable.from_rows(("bound_mantissa", "bound_exp10"), [rounded_decompose(value)])
     assert table.to_csv() == "bound_mantissa,bound_exp10\n1.0,3\n"
 

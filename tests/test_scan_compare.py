@@ -1,5 +1,6 @@
 """Exact-versus-bounds comparison reports and the mixing demos."""
 
+import dataclasses
 import json
 import math
 
@@ -32,8 +33,16 @@ from gibbsrates import (
     systematic_validity_threshold,
     worst_start_search,
 )
-from gibbsrates import numerics
-from gibbsrates.scan_compare import CSV_COLUMNS, DECAY_CHECK_STEPS
+from gibbsrates import cli, numerics, scan_compare
+from gibbsrates.bounds import random_scan_upper_bound
+from gibbsrates.errors import TruncationError
+from gibbsrates.families import pg_xchain
+from gibbsrates.scan_compare import (
+    CSV_COLUMNS,
+    DECAY_CHECK_STEPS,
+    MAX_COMPARE_STEPS,
+    _pg_certified_crossings,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +446,15 @@ def test_rebuild_validation():
         rebuild_random_scan_upper(4, 2)
 
 
+@pytest.mark.parametrize("n", [0, 2.5, True])
+def test_rebuild_refuses_n_with_the_bounds_message(n):
+    with pytest.raises(ParameterError) as refused:
+        random_scan_upper_bound(n)
+    with pytest.raises(ParameterError, match="n must be a positive integer") as rebuilt:
+        rebuild_random_scan_upper(n, 5)
+    assert str(rebuilt.value) == str(refused.value)
+
+
 # ---------------------------------------------------------------------------
 # pg_mixing_demo
 # ---------------------------------------------------------------------------
@@ -471,13 +489,121 @@ def test_pg_demo_rows_do_not_depend_on_a_deep_truncation(shape):
 
 @pytest.mark.parametrize("block", [2, 4, 8])
 def test_pg_demo_rows_do_not_depend_on_the_block(monkeypatch, block):
-    # With a small block the crossings (5 to 12 steps) fall inside blocked
-    # chunks of several steps, each start at its own row of the chunk.
+    # The rows are certified without a chain; the dense fallback must give
+    # them too.  With a small block its crossings (5 to 12 steps) fall
+    # inside blocked chunks of several steps, each start at its own row.
     starts = [128, 0, 64, 8, 32, 16]
     reference = {shape: pg_mixing_demo(starts, shape=shape).rows for shape in (1.0, 2.0)}
     monkeypatch.setattr(numerics, "TV_BLOCK", block)
     for shape, rows in reference.items():
-        assert pg_mixing_demo(starts, shape=shape).rows == rows
+        dense = scan_compare._pg_dense_crossings(PoissonGammaFamily(shape=shape), starts, 0.01)
+        assert list(dense) == [row.exact_min_steps for row in rows]
+
+
+def _smallest_x_max(shape, rate):
+    """The smallest truncation the Poisson-gamma constructor accepts."""
+    low, high = 1, 64
+    while True:
+        try:
+            PoissonGammaFamily(shape=shape, rate=rate, x_max=high)
+            break
+        except TruncationError:
+            low, high = high, 2 * high
+    while low + 1 < high:
+        middle = (low + high) // 2
+        try:
+            PoissonGammaFamily(shape=shape, rate=rate, x_max=middle)
+            high = middle
+        except TruncationError:
+            low = middle
+    return high
+
+
+def _dense_crossings(fam, starts, targets):
+    """Per target, each start's first step at or below it on the dense chain."""
+    matrix, stationary = pg_xchain(fam)
+    chunks = []
+    for chunk in numerics.iterate_tv(matrix, stationary, starts, MAX_COMPARE_STEPS):
+        chunks.append(chunk)
+        if (chunk <= min(targets)).all():
+            break
+    curve = np.concatenate(chunks)
+    return {
+        target: [first_crossing(curve[:, i], target) for i in range(len(starts))]
+        for target in targets
+    }
+
+
+@pytest.mark.parametrize("rate", [0.2, 1.0, 3.0])
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 3.0])
+def test_pg_certified_crossings_match_the_dense_chain(shape, rate):
+    # Every crossing the Meixner certificate decides is the dense one, from
+    # the smallest valid truncation up to 1600, with starts up to x_max/2.
+    # At the second target, 1 - m(0)/2, start 0 crosses at step 0.
+    smallest = _smallest_x_max(shape, rate)
+    if smallest < 1600:
+        x_maxes = [smallest, round(math.sqrt(smallest * 1600)), 1600]
+    else:  # rate 0.2 needs about 3000 states
+        x_maxes = [smallest]
+    step0 = 1.0 - 0.5 * (rate / (1.0 + rate)) ** shape
+    for x_max in x_maxes:
+        fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
+        margin = x_max // 2
+        starts = [j for j in (0, 1, 2, 3, 5, 8, 16, 32, 64, 128) if j < margin // 2]
+        starts += [margin // 2, margin]
+        dense = _dense_crossings(fam, starts, (0.01, step0))
+        for target, reference in dense.items():
+            certified = _pg_certified_crossings(fam, starts, target)
+            for start, steps, expected in zip(starts, certified, reference):
+                assert steps in (-1, expected), (x_max, target, start)
+            if target == 0.01:
+                # Starts near the bulk of m are always decided.
+                assert all(steps >= 0 for start, steps in zip(starts, certified) if start <= 64)
+        assert _pg_certified_crossings(fam, [0], step0)[0] == 0 == dense[step0][0]
+
+
+def test_pg_demo_builds_no_chain_for_certified_starts(monkeypatch, capsys):
+    def refuse(fam):
+        raise AssertionError("pg_xchain called")
+
+    monkeypatch.setattr(scan_compare, "pg_xchain", refuse)
+    demo = pg_mixing_demo([0, 8, 16, 32, 64, 128])
+    assert [row.exact_min_steps for row in demo.rows] == [5, 8, 9, 10, 11, 12]
+    assert cli.main(["pg-demo"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == demo.to_jsonable()
+    for x_max in (437, 747, 1001, 1600):
+        for shape in (1.0, 2.0):
+            assert pg_mixing_demo([0, 8, 16, 32, 64, 128], shape=shape, x_max=x_max).rows
+
+
+@pytest.mark.parametrize(
+    "shape, rate, x_max, starts, expected",
+    [
+        (0.5, 3.0, 1200, [0, 500, 560], [(0, 2, 4), (500, 8, 255), (560, 8, 285)]),
+        (3.0, 2.0, 1488, [0, 703, 744], [(0, 4, 5), (703, 9, 351), (744, 9, 372)]),
+    ],
+)
+def test_pg_demo_far_starts_take_the_dense_fallback(monkeypatch, shape, rate, x_max, starts,
+                                                    expected):
+    # Their stationary mass underflows a float, so the Christoffel tail is
+    # astronomically large and only start 0 is certified.
+    fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
+    assert list(_pg_certified_crossings(fam, starts, 0.01)) == [expected[0][1], -1, -1]
+    dense = _dense_crossings(fam, starts, (0.01,))[0.01]
+    assert dense == [steps for _, steps, _ in expected]
+    fallback = []
+    dense_crossings = scan_compare._pg_dense_crossings
+
+    def spy(fam, starts, target):
+        fallback.append(list(starts))
+        return dense_crossings(fam, starts, target)
+
+    monkeypatch.setattr(scan_compare, "_pg_dense_crossings", spy)
+    for block in (numerics.TV_BLOCK, 2):
+        monkeypatch.setattr(numerics, "TV_BLOCK", block)
+        rows = pg_mixing_demo(starts, shape=shape, rate=rate, x_max=x_max).rows
+        assert [tuple(dataclasses.astuple(row)) for row in rows] == expected
+    assert fallback == [starts[1:], starts[1:]]
 
 
 def test_pg_demo_validation():
