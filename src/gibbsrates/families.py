@@ -46,10 +46,12 @@ TRUNCATION_TOL = 1e-12
 # Most states a dense x-chain may have: its float64 matrix is then 800 MB,
 # and the builders hold about two of them at once.
 MAX_DENSE_STATES = 10_001
-# Highest Meixner level ``meixner_basis`` tries, and how far the Gram matrix
-# of the levels it keeps may stray from the identity on 0..x_max.
-MEIXNER_MAX_LEVEL = 60
-MEIXNER_GRAM_TOL = 1e-12
+# Highest level an orthonormal basis tries, and how far the Gram matrix of
+# the levels it keeps may stray from the identity on the state space.
+BASIS_MAX_LEVEL = 60
+BASIS_GRAM_TOL = 1e-12
+# One unit in the last place of 1.0.
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -421,26 +423,36 @@ def _pg_log_weights(fam: PoissonGammaFamily) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class MeixnerBasis:
-    """The orthonormal Meixner basis of the Poisson-gamma x-chain on 0..x_max.
+class OrthonormalBasis:
+    """The orthonormal polynomial eigenbasis of an x-chain on 0..dim-1.
 
-    ``phi[k, y]`` is phi_k(y) = sqrt(m(y)) p_k(y), where m is the
-    untruncated stationary law NB(shape, rate/(1 + rate)), held as
-    ``log_mass``, and p_0, p_1, ... are its orthonormal polynomials, the
-    x-chain's eigenfunctions with eigenvalues (1 + rate)^-k.  ``levels`` is
-    the chosen K and ``gram_residual`` the largest entry of |Phi Phi^T - I|
-    over levels 0..K on the truncated grid.  ``recurrence`` holds the
-    coefficients (a_k, b_k) of x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1}.
+    ``phi[k, y]`` is phi_k(y) = sqrt(m(y)) p_k(y), where m is the law held
+    as ``log_mass`` and p_0, p_1, ... are its orthonormal polynomials, the
+    x-chain's eigenfunctions with eigenvalues lambda_k (Diaconis, Khare &
+    Saloff-Coste 2008).  ``levels`` is the chosen K and ``gram_residual``
+    the largest entry of |Phi Phi^T - I| over levels 0..K.  ``recurrence``
+    holds the coefficients (a_k, b_k) of
+    x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1}, and ``log_eigenvalues``
+    log lambda_0..lambda_{K+1}: level K + 1 is the rate of the tail the
+    basis leaves out.  ``step_error`` bounds, per step, how far in TV the
+    family's dense x-chain and its stationary law stray from the chain this
+    basis diagonalizes, with the dense loop's rounding included.
     """
 
     log_mass: np.ndarray
     phi: np.ndarray
     gram_residual: float
     recurrence: tuple[np.ndarray, np.ndarray]
+    log_eigenvalues: np.ndarray
+    step_error: float
 
     @property
     def levels(self) -> int:
         return self.phi.shape[0] - 1
+
+    @property
+    def dim(self) -> int:
+        return self.phi.shape[1]
 
     def polynomials(self, x) -> np.ndarray:
         """p_0..p_K at the points ``x``, one row per level.
@@ -465,42 +477,99 @@ def _three_term(first: np.ndarray, x: np.ndarray, a, b, levels: int) -> np.ndarr
     return rows
 
 
-def meixner_basis(fam: PoissonGammaFamily) -> MeixnerBasis:
-    """Meixner basis phi_0..phi_K of ``fam``'s x-chain, K chosen by its Gram matrix.
+def _orthonormal_basis(
+    log_mass: np.ndarray, a: np.ndarray, b: np.ndarray, log_eigenvalues: np.ndarray,
+    step_error: float,
+) -> OrthonormalBasis:
+    """The basis phi_0..phi_K of m = exp(``log_mass``), K chosen by its Gram matrix.
+
+    The recurrence runs on phi_k = sqrt(m) p_k directly, from phi_0 = sqrt(m)
+    in the log domain, so a state whose mass underflows gives phi = 0 rather
+    than inf * 0.  Far levels lose accuracy (Gautschi 2004, on forward
+    recurrences), so K is the largest level up to ``BASIS_MAX_LEVEL`` and
+    dim - 1 whose leading Gram block is within ``BASIS_GRAM_TOL`` of the
+    identity (level 0 is always kept).  ``a``, ``b`` and ``log_eigenvalues``
+    cover levels 0..top and 0..top + 1, top = min(``BASIS_MAX_LEVEL``, dim - 1).
+    """
+    top = min(BASIS_MAX_LEVEL, log_mass.size - 1)
+    y = np.arange(log_mass.size, dtype=float)
+    # A level the recurrence loses may overflow; its nan gap rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _three_term(np.exp(0.5 * log_mass), y, a, b, top)
+        gap = np.abs(phi @ phi.T - np.eye(top + 1))
+    gap = np.tril(np.maximum(gap, gap.T))
+    # residual[K]: the largest gap within the leading (K + 1) x (K + 1) block.
+    residual = np.maximum.accumulate(gap.max(axis=1))
+    levels = max(int(np.count_nonzero(residual <= BASIS_GRAM_TOL)) - 1, 0)
+    return OrthonormalBasis(
+        log_mass=log_mass,
+        phi=phi[: levels + 1],
+        gram_residual=float(residual[levels]),
+        recurrence=(a[: levels + 1], b[: levels + 1]),
+        log_eigenvalues=log_eigenvalues[: levels + 2],
+        step_error=float(step_error),
+    )
+
+
+def meixner_basis(fam: PoissonGammaFamily) -> OrthonormalBasis:
+    """Meixner basis of ``fam``'s x-chain on 0..x_max.
 
     With c = 1/(1 + rate) the orthonormal Meixner polynomials of
-    NB(shape, 1 - c) satisfy the three-term recurrence with
-    a_k = (k + (k + shape) c)/(1 - c) and b_k = sqrt(k (k + shape - 1) c)/(1 - c)
-    (Koekoek, Lesky & Swarttouw, section 9.10).  The recurrence runs on
-    phi_k = sqrt(m) p_k directly, from phi_0 = sqrt(m) in the log domain,
-    so a state whose mass underflows gives phi = 0 rather than inf * 0.
-    Far levels lose accuracy, through the forward recurrence and through
-    the tail cut at x_max, so K is the largest level up to
-    ``MEIXNER_MAX_LEVEL`` whose leading Gram block on 0..x_max is within
-    ``MEIXNER_GRAM_TOL`` of the identity (level 0 is always kept).
+    m = NB(shape, 1 - c), the untruncated stationary law, satisfy the
+    three-term recurrence with a_k = (k + (k + shape) c)/(1 - c) and
+    b_k = sqrt(k (k + shape - 1) c)/(1 - c) (Koekoek, Lesky & Swarttouw,
+    section 9.10); lambda_k = (1 + rate)^-k.  Beyond the forward
+    recurrence, the tail cut at x_max costs the far levels accuracy.  Per
+    step the truncated dense chain drops a row tail below
+    ``TRUNCATION_TOL``, and its stationary law differs from m by less; with
+    the dense loop's dim ulps that is the step error.
     """
     c = 1.0 / (1.0 + fam.rate)
-    k = np.arange(MEIXNER_MAX_LEVEL + 1, dtype=float)
+    k = np.arange(min(BASIS_MAX_LEVEL, fam.x_max) + 2, dtype=float)
     a = (k + (k + fam.shape) * c) / (1.0 - c)
     b = np.sqrt(k * (k + fam.shape - 1.0) * c) / (1.0 - c)
     log_mass = _pg_log_weights(fam) - gammaln(fam.shape) + fam.shape * (
         math.log(fam.rate) - math.log1p(fam.rate)
     )
-    y = np.arange(fam.x_max + 1, dtype=float)
-    # A level the recurrence loses may overflow; its nan gap rejects it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = _three_term(np.exp(0.5 * log_mass), y, a, b, MEIXNER_MAX_LEVEL)
-        gap = np.abs(phi @ phi.T - np.eye(MEIXNER_MAX_LEVEL + 1))
-    gap = np.tril(np.maximum(gap, gap.T))
-    # residual[K]: the largest gap within the leading (K + 1) x (K + 1) block.
-    residual = np.maximum.accumulate(gap.max(axis=1))
-    levels = max(int(np.count_nonzero(residual <= MEIXNER_GRAM_TOL)) - 1, 0)
-    return MeixnerBasis(
-        log_mass=log_mass,
-        phi=phi[: levels + 1],
-        gram_residual=float(residual[levels]),
-        recurrence=(a[: levels + 1], b[: levels + 1]),
+    log_eigenvalues = k * math.log(fam.meixner_eigenvalue(1))
+    return _orthonormal_basis(
+        log_mass, a, b, log_eigenvalues, TRUNCATION_TOL + (fam.x_max + 1) * EPS
     )
+
+
+def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
+    """Gram basis of the flat-prior beta-binomial x-chain on 0..n.
+
+    Under the flat prior the stationary law is uniform, m = 1/(n + 1), and
+    its orthonormal polynomials are the Gram (discrete Chebyshev)
+    polynomials, the Hahn polynomials at a = b = 1: a_k = n/2 and
+    b_k = (k/2) sqrt(((n + 1)^2 - k^2)/(4k^2 - 1)), with the Hahn
+    eigenvalues lambda_k = prod_{i<k} (n - i)/(n + 2 + i) of
+    ``bb_spectral_data``.  Since lambda_{n+1} = 0 a full basis leaves no
+    tail, but the forward recurrence keeps all n + 1 levels only up to
+    n = 17 (K = 44 at n = 100, and the cap of 60 from n = 180); the
+    Christoffel tail covers the levels left out.  The step error covers
+    ``bb_xchain``: each of its log entries sums log-gamma values whose
+    magnitudes add up to at most 3 gammaln(2n + 2) (three in the log
+    binomial coefficient, three in the log beta function, with arguments at
+    most 2n + 2), so rounding each to half an ulp of its size moves an
+    entry by at most 1.5 gammaln(2n + 2) ulps relatively, and a normalized
+    row by at most 3 gammaln(2n + 2) ulps in L1, twice what its TV needs.
+    The same count bounds its uniform stationary law, and the dense loop
+    adds dim ulps per step.
+    """
+    fam.require_flat_prior("the Gram basis")
+    n = fam.n
+    k = np.arange(min(BASIS_MAX_LEVEL, n) + 2, dtype=float)
+    a = np.full(k.size, n / 2.0)
+    b = np.zeros(k.size)
+    b[1:] = 0.5 * k[1:] * np.sqrt(((n + 1.0) ** 2 - k[1:] ** 2) / (4.0 * k[1:] ** 2 - 1.0))
+    with np.errstate(divide="ignore"):  # lambda_{n+1} = 0
+        log_factors = np.log((n - k[:-1]) / (n + 2.0 + k[:-1]))
+    log_eigenvalues = np.concatenate([[0.0], np.cumsum(log_factors)])
+    log_mass = np.full(n + 1, -math.log(n + 1.0))
+    step_error = 3.0 * float(gammaln(2.0 * n + 2.0)) * EPS + (n + 1) * EPS
+    return _orthonormal_basis(log_mass, a, b, log_eigenvalues, step_error)
 
 
 def pg_geometric_reference(fam: PoissonGammaFamily) -> Distribution:

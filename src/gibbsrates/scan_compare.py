@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -38,13 +39,15 @@ from .bounds import (
 )
 from .errors import ConvergenceError, NoSolutionError, ParameterError
 from .families import (
-    TRUNCATION_TOL,
+    EPS,
     BetaBinomialFamily,
+    OrthonormalBasis,
     PoissonGammaFamily,
     bb_drift_minorization,
     bb_eigenfunction_phi,
     bb_xchain,
     check_dense_states,
+    gram_basis,
     meixner_basis,
     pg_log_stationary,
     pg_xchain,
@@ -85,12 +88,11 @@ REBUILD_SELF_CHECK_TOL = 1e-9
 ROW_INVARIANT_SLACK = 1e-9
 # Step counts at which the Monte Carlo decay cross-check is evaluated.
 DECAY_CHECK_STEPS = (1, 2, 5, 10)
-# The certified Poisson-gamma search first tries this many steps, then
-# doubles, holding at most PG_CERTIFY_BLOCK (start, step, state) values.
-PG_CERTIFY_FIRST_STEPS = 16
-PG_CERTIFY_BLOCK = 1 << 22
-# One unit in the last place of 1.0.
-EPS = float(np.finfo(float).eps)
+# The certified TV evaluator holds at most this many (start, step, state)
+# values at once, and the certified crossing search probes this many steps
+# per start in each round.
+CERTIFY_BLOCK = 1 << 22
+CERTIFY_PROBES = 16
 
 def exact_tv_curve(
     matrix: StochasticMatrix,
@@ -115,6 +117,128 @@ def first_crossing(curve: np.ndarray, target: float) -> StepCount | None:
     return int(hits[0]) if hits.size else None
 
 
+class _StartTerms(NamedTuple):
+    """The factors of ``_certified_tv`` that depend on the start alone, one
+    row per start: log m(x), the coefficients p_0..p_K(x) with level 0 set
+    to 0 (it is m itself, which K^t - m has lost), the log of the
+    Christoffel tail's coefficient sqrt(1/m(x) - sum_{k<=K} p_k(x)^2), and
+    whether any of them overflowed."""
+
+    log_mass: np.ndarray
+    poly: np.ndarray
+    log_christoffel: np.ndarray
+    unknown: np.ndarray
+
+    def take(self, index) -> "_StartTerms":
+        return _StartTerms(*(column[index] for column in self))
+
+
+def _start_terms(basis: OrthonormalBasis, starts) -> _StartTerms:
+    """``_StartTerms`` of ``starts``; the Christoffel coefficient is taken in
+    the log domain, with the subtraction's rounding added."""
+    x = np.asarray(starts, dtype=np.int64)
+    log_m = basis.log_mass[x]
+    poly = basis.polynomials(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_sum = logsumexp(2.0 * np.log(np.abs(poly)), axis=0)
+        share = np.exp(log_sum + log_m)  # m(x) sum_{k<=K} p_k(x)^2, at most 1
+        rest = np.maximum(1.0 - share, 0.0) + 4 * (basis.levels + 2) * EPS * share
+        log_christoffel = 0.5 * (np.log(rest) - log_m)
+    unknown = ~(np.isfinite(log_christoffel) & np.isfinite(poly).all(axis=0))
+    poly[0] = 0.0
+    return _StartTerms(log_m, poly.T, log_christoffel, unknown)
+
+
+def _certified_tv(
+    basis: OrthonormalBasis, terms: _StartTerms, steps
+) -> tuple[np.ndarray, np.ndarray]:
+    """TV_K from each start at its row of ``steps``, and a bound on its distance
+    to the dense TV, both of the shape of ``steps`` (one row per start).
+
+    From a start x the chain ``basis`` diagonalizes has
+    K^t(x, y) - m(y) = sqrt(m(y)) sum_{k>=1} lambda_k^t p_k(x) phi_k(y), so
+    TV_K(t) = 1/2 sum_y sqrt(m(y)) |sum_{1<=k<=K} lambda_k^t p_k(x) phi_k(y)|,
+    one (pairs x K)(K x dim) product.  Its distance to the TV the dense loop
+    prints is at most the sum of:
+
+    * the Christoffel tail 1/2 lambda_{K+1}^t sqrt(1/m(x) - sum_{k<=K} p_k(x)^2)
+      (Cauchy-Schwarz over the levels above K, whose p_k(x)^2 sum to the
+      rest of 1/m(x));
+    * (t + 1) times the basis's ``step_error``: one per step of the dense
+      chain, and one for its stationary law;
+    * rounding: the basis's Gram residual plus 4 (K + 2) ulps, times
+      1/2 sum_k |lambda_k^t p_k(x)|.
+
+    Step 0 is read exactly as 1 - m(x), within one ``step_error``.  A start
+    whose polynomials or Christoffel tail overflow gets an infinite bound.
+    """
+    t = np.asarray(steps, dtype=np.int64).reshape(terms.log_mass.size, -1)
+    rounding = 0.5 * (basis.gram_residual + 4 * (basis.levels + 2) * EPS)
+    log_levels, log_tail = basis.log_eigenvalues[:-1], basis.log_eigenvalues[-1]
+    tv = np.empty(t.shape)
+    error = (t + 1) * basis.step_error
+    chunk = max(1, CERTIFY_BLOCK // (t.shape[1] * basis.dim))
+    # Step 0 makes 0 * -inf of a zero tail rate; its entries are replaced below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, t.shape[0], chunk):
+            part = slice(first, first + chunk)
+            # coeff[s, p, k] = lambda_k^t[s, p] p_k(x_s)
+            coeff = np.exp(t[part, :, None] * log_levels) * terms.poly[part, None, :]
+            flat = coeff.reshape(-1, basis.levels + 1)
+            tv[part] = (0.5 * (np.abs(flat @ basis.phi) @ basis.phi[0])).reshape(coeff.shape[:2])
+            error[part] += (
+                0.5 * np.exp(t[part] * log_tail + terms.log_christoffel[part, None])
+                + rounding * np.abs(coeff).sum(axis=2)
+            )
+    at_zero = t == 0
+    tv[at_zero] = -np.expm1(np.broadcast_to(terms.log_mass[:, None], t.shape)[at_zero])
+    error[at_zero] = basis.step_error
+    error[terms.unknown] = np.inf
+    return tv, error
+
+
+def _certified_crossings(
+    basis: OrthonormalBasis, terms: _StartTerms, target: float, last: int
+) -> np.ndarray:
+    """Each start's crossing of the target where ``_certified_tv`` decides it.
+
+    A decided start gets its crossing in 0..``last``, or ``last`` + 1 if it
+    is certified above the target at step ``last``; an undecided one gets
+    -1.  TV never rises with t (Levin, Peres & Wilmer, ch. 4), so a start
+    crosses at t if its bounds put TV(t) at or below the target and
+    TV(t - 1) above it.  Each round probes ``CERTIFY_PROBES`` steps of
+    every open start: until one is certified at or below the target, the
+    steps after the last probe at a stride of one more than it (0..15,
+    then 16..256, ...), and after that steps spread over the gap down to
+    the last probe that was not.  A probe that decides neither way only
+    moves the search: early steps, where the Christoffel tail can exceed
+    1, settle nothing, and only the step just before the crossing must be
+    certified above.
+    """
+    size = terms.log_mass.size
+    low = np.full(size, -1)  # the last step probed and not certified below
+    low_above = np.zeros(size, dtype=bool)  # whether it was certified above
+    high = np.full(size, last + 1)  # the first step certified below
+    probes = np.arange(CERTIFY_PROBES)
+    index = np.arange(size)
+    while index.size:
+        low_i, high_i = low[index, None], high[index, None]
+        stride = np.where(high_i <= last, 0, np.maximum(low_i + 1, 1))
+        spread = (high_i - low_i - 1) * probes // CERTIFY_PROBES
+        steps = np.minimum(low_i + 1 + np.where(stride > 0, stride * probes, spread), last)
+        tv, error = _certified_tv(basis, terms.take(index), steps)
+        below = tv + error <= target
+        hit = below.any(axis=1)
+        first = np.where(hit, np.argmax(below, axis=1), CERTIFY_PROBES)
+        high[index[hit]] = steps[hit, first[hit]]
+        moved = first > 0
+        before = first[moved] - 1
+        low[index[moved]] = steps[moved, before]
+        low_above[index[moved]] = (tv - error > target)[moved, before]
+        index = index[high[index] - low[index] > 1]
+    return np.where((low < 0) | low_above, high, -1)
+
+
 @dataclass(frozen=True)
 class WorstStart:
     """Outcome of the worst-start search: which start, and how slow."""
@@ -123,24 +247,89 @@ class WorstStart:
     min_steps: StepCount
 
 
+def _not_reached(target: float, max_steps: int) -> NoSolutionError:
+    return NoSolutionError(
+        f"target-not-reached: some starts still exceed TV {target} "
+        f"after {max_steps} steps; raise max_steps"
+    )
+
+
+def _certified_worst_start(
+    basis: OrthonormalBasis, target: float, max_steps: int
+) -> WorstStart | None:
+    """The worst start as the expansion certifies it, or None where it cannot.
+
+    The candidate is the first start maximizing |p_1(x)|, the start the
+    slowest eigenfunction weighs most.  Its certified crossing t* is the
+    worst one, and the candidate the first start to need it, if every
+    later start is certified at or below the target at t* and every
+    earlier one at t* - 1.  Each start that fails this gets its own
+    certified crossing, and the worst is the first maximum over all.
+    """
+    states = np.arange(basis.dim)
+    terms = _start_terms(basis, states)
+    candidate = int(np.argmax(np.abs(terms.poly[:, 1])))
+    worst = int(_certified_crossings(basis, terms.take([candidate]), target, max_steps)[0])
+    if worst < 0:
+        return None
+    if worst > max_steps:
+        raise _not_reached(target, max_steps)
+    # crossing[x]: x's crossing, or a bound that keeps it from being the answer.
+    crossing = np.where(states < candidate, worst - 1, worst)
+    others = np.flatnonzero((states != candidate) & (crossing >= 0))
+    tv, error = _certified_tv(basis, terms.take(others), crossing[others])
+    passed = np.zeros(basis.dim, dtype=bool)
+    passed[candidate] = True
+    passed[others] = (tv + error <= target)[:, 0]
+    failed = np.flatnonzero(~passed)
+    if failed.size:
+        found = _certified_crossings(basis, terms.take(failed), target, max_steps)
+        if np.any(found < 0):
+            return None
+        crossing[failed] = found
+    start = int(np.argmax(crossing))  # argmax returns the first (smallest) tie
+    if crossing[start] > max_steps:
+        raise _not_reached(target, max_steps)
+    return WorstStart(start=start, min_steps=int(crossing[start]))
+
+
 def worst_start_search(
     matrix: StochasticMatrix,
     stationary: Distribution,
     target: float,
     max_steps: StepCount,
+    *,
+    basis: OrthonormalBasis | None = None,
 ) -> WorstStart:
     """Find the start needing the most steps to bring TV down to the target.
 
-    Every start is searched, by binary lifting over the powers K^(2^j).  TV
-    from a fixed start never increases with the step count (Levin, Peres &
-    Wilmer, ch. 4), so each start's last step above the target is the sum
-    of the powers, largest first, that keep it above; one more product
-    confirms every crossing.  The cost is about 2 log2(max_steps) dense
-    products instead of one per step.  Ties break toward the smaller start.
+    Every start is searched.  Given ``basis``, the orthonormal eigenbasis of
+    ``matrix`` (``gram_basis`` for the flat beta-binomial chain), the answer
+    is certified from its expansion (``_certified_worst_start``): a handful
+    of (dim x K)(K x dim) products, with no chain power.  Where that
+    certificate cannot decide a start, and always without ``basis``, the
+    search runs by binary lifting over the powers K^(2^j).  TV from a fixed
+    start never increases with the step count (Levin, Peres & Wilmer,
+    ch. 4), so each start's last step above the target is the sum of the
+    powers, largest first, that keep it above; one more product confirms
+    every crossing.  The cost is about 2 log2(max_steps) dense products
+    instead of one per step.  Both give the dense chain's crossings, and
+    ties break toward the smaller start.
     """
     target = check_target(target)
-    pi = stationary.weights
     max_steps = int(max_steps)
+    if basis is not None:
+        found = _certified_worst_start(basis, target, max_steps)
+        if found is not None:
+            return found
+    return _lifted_worst_start(matrix, stationary, target, max_steps)
+
+
+def _lifted_worst_start(
+    matrix: StochasticMatrix, stationary: Distribution, target: float, max_steps: int
+) -> WorstStart:
+    """``worst_start_search`` by binary lifting over the dense powers K^(2^j)."""
+    pi = stationary.weights
 
     def tv_rows(laws: np.ndarray) -> np.ndarray:
         return 0.5 * np.abs(laws - pi).sum(axis=1)
@@ -170,10 +359,7 @@ def worst_start_search(
         last[trying[above]] += 2**j
     everyone = np.arange(active.size)
     if np.any(last >= max_steps) or np.any(tv_rows(advance(everyone, matrix.entries)) > target):
-        raise NoSolutionError(
-            f"target-not-reached: some starts still exceed TV {target} "
-            f"after {max_steps} steps; raise max_steps"
-        )
+        raise _not_reached(target, max_steps)
     crossing = np.zeros(matrix.dim, dtype=np.int64)
     crossing[active] = last + 1
     worst = int(np.argmax(crossing))  # argmax returns the first (smallest) tie
@@ -314,9 +500,13 @@ def compare(
 ) -> ComparisonReport:
     """Run the full exact-versus-bounds comparison for a flat-prior model.
 
-    ``d``, ``r`` and ``v_x0`` parameterize the drift/minorization summary
-    entry; ``decay_samples > 0`` additionally runs the Monte Carlo
-    eigenfunction cross-check with that many replicas.
+    The worst start and its crossing come from ``worst_start_search`` with
+    the Gram basis of the chain (``gram_basis``), so lifting over dense
+    powers runs only for a start the certificate cannot decide; the exact
+    curve from that start is the dense stepwise one, and the crossing is
+    re-checked against it.  ``d``, ``r`` and ``v_x0`` parameterize the
+    drift/minorization summary entry; ``decay_samples > 0`` additionally
+    runs the Monte Carlo eigenfunction cross-check with that many replicas.
     """
     if not is_integer(n) or not 1 <= int(n) <= MAX_COMPARE_N:
         raise ParameterError(
@@ -333,7 +523,7 @@ def compare(
 
     fam = BetaBinomialFamily(n=n)
     matrix, stationary = bb_xchain(fam)
-    worst = worst_start_search(matrix, stationary, target, max_steps)
+    worst = worst_start_search(matrix, stationary, target, max_steps, basis=gram_basis(fam))
     curve = exact_tv_curve(matrix, stationary, worst.start, max_steps)
     t = worst.min_steps
     if curve[t] > target or (t > 0 and curve[t - 1] <= target):
@@ -548,76 +738,16 @@ class PgMixingDemo:
 def _pg_certified_crossings(fam: PoissonGammaFamily, starts, target: float) -> np.ndarray:
     """Each start's crossing where the Meixner expansion certifies it, else -1.
 
-    From a start x the untruncated chain has
-    K^t(x, y) - m(y) = sqrt(m(y)) sum_{k>=1} lambda_k^t p_k(x) phi_k(y), so
-    TV_K(t) = 1/2 sum_{y<=x_max} sqrt(m(y)) |sum_{1<=k<=K} lambda_k^t p_k(x) phi_k(y)|,
-    one (K x dim) product for every start and step at once.  Its distance
-    to the TV of the truncated dense chain is at most the sum of:
-
-    * the Christoffel tail 1/2 lambda_{K+1}^t sqrt(1/m(x) - sum_{k<=K} p_k(x)^2)
-      (Cauchy-Schwarz over the levels above K, whose p_k(x)^2 sum to the
-      rest of 1/m(x)), taken in the log domain, with the subtraction's
-      rounding added;
-    * (t + 1) ``TRUNCATION_TOL``: each step of the dense chain drops a row
-      tail below it, and its stationary law differs from m by less;
-    * rounding: the basis's Gram residual plus 4 (K + 2) ulps, times
-      1/2 sum_k |lambda_k^t p_k(x)|, and the dense loop's own (t + 1) dim
-      ulps, so that a certified crossing is the one that loop prints.
-
-    Step 0 is read exactly as 1 - m(x).  TV never rises with t, so a start
-    crosses at the first step t whose bounds put TV(t) at or below the
-    target if those of step t - 1 put it above; otherwise it is left at -1,
-    as is a start not settled within ``MAX_COMPARE_STEPS`` steps or before
-    the (t + 1) terms alone reach the target.
+    ``_certified_crossings`` on ``meixner_basis(fam)``, whose step error
+    holds the truncation: the untruncated chain the basis diagonalizes and
+    the truncated dense one differ by a row tail below ``TRUNCATION_TOL``
+    per step.  A start not settled within ``MAX_COMPARE_STEPS`` steps, or
+    before the (t + 1) step terms alone reach the target, is left at -1.
     """
     basis = meixner_basis(fam)
-    levels = basis.levels
-    log_rate = math.log(fam.meixner_eigenvalue(1))
-    dim = fam.x_max + 1
-    x = np.asarray(starts)
-    log_m = basis.log_mass[x]
-    poly = basis.polynomials(x)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_sum = logsumexp(2.0 * np.log(np.abs(poly)), axis=0)
-        share = np.exp(log_sum + log_m)  # m(x) sum_{k<=K} p_k(x)^2, at most 1
-        rest = np.maximum(1.0 - share, 0.0) + 4 * (levels + 2) * EPS * share
-        log_christoffel = 0.5 * (np.log(rest) - log_m)
-    # Per step: the truncation term and the dense loop's rounding.
-    floor = TRUNCATION_TOL + dim * EPS
-    tv0 = -np.expm1(log_m)
-    crossing = np.where(tv0 + floor <= target, 0, -1)
-    was_above = tv0 - floor > target  # at the step before the next one tried
-    active = (crossing < 0) & np.isfinite(log_christoffel) & np.isfinite(poly).all(axis=0)
-    poly[0] = 0.0  # level 0 is m itself, which K^t - m has lost
-    rounding = 0.5 * (basis.gram_residual + 4 * (levels + 2) * EPS)
-    last = min(MAX_COMPARE_STEPS, int(target / floor))
-    first, width = 1, PG_CERTIFY_FIRST_STEPS
-    while active.any() and first <= last:
-        index = np.flatnonzero(active)
-        width = max(1, min(width, PG_CERTIFY_BLOCK // (index.size * dim)))
-        t = np.arange(first, min(first + width, last + 1))[:, None]
-        # coeff[i, s, k] = lambda_k^t_i p_k(x_s); lambda_k = (1 + rate)^-k.
-        coeff = np.exp(t * log_rate * np.arange(levels + 1))[:, None, :] * poly[:, index].T
-        with np.errstate(over="ignore", invalid="ignore"):
-            tv = 0.5 * (np.abs(coeff @ basis.phi) @ basis.phi[0])
-            error = (
-                0.5 * np.exp(t * (levels + 1) * log_rate + log_christoffel[index])
-                + (t + 1) * floor
-                + rounding * np.abs(coeff).sum(axis=2)
-            )
-            above = tv - error > target
-            below = tv + error <= target
-        # The first step certified at or below the target settles a start;
-        # it is the crossing if the step before is certified above.
-        before = np.vstack([was_above[index], above[:-1]])
-        settled = np.flatnonzero(below.any(axis=0))
-        step = np.argmax(below[:, settled], axis=0)
-        certified = before[step, settled]
-        crossing[index[settled[certified]]] = t[step[certified], 0]
-        active[index[settled]] = False
-        was_above[index] = above[-1]
-        first += len(t)
-        width *= 2
+    last = min(MAX_COMPARE_STEPS, int(target / basis.step_error))
+    crossing = _certified_crossings(basis, _start_terms(basis, starts), target, last)
+    crossing[crossing > last] = -1
     return crossing
 
 

@@ -22,6 +22,7 @@ from gibbsrates import (
     bb_eigenfunction_phi,
     bb_spectral_data,
     bb_xchain,
+    gram_basis,
     meixner_basis,
     pg_geometric_reference,
     pg_log_stationary,
@@ -395,11 +396,11 @@ def test_meixner_basis_gram_residual_within_tolerance(shape, rate, x_max):
     fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
     basis = meixner_basis(fam)
     levels = basis.levels
-    assert 8 <= levels <= families.MEIXNER_MAX_LEVEL
+    assert 8 <= levels <= families.BASIS_MAX_LEVEL
     assert basis.phi.shape == (levels + 1, x_max + 1)
-    assert basis.gram_residual <= families.MEIXNER_GRAM_TOL
+    assert basis.gram_residual <= families.BASIS_GRAM_TOL
     gram = basis.phi @ basis.phi.T
-    assert np.abs(gram - np.eye(levels + 1)).max() <= families.MEIXNER_GRAM_TOL
+    assert np.abs(gram - np.eye(levels + 1)).max() <= families.BASIS_GRAM_TOL
     # m is the untruncated law, log(1 - tail) below the truncated one.
     np.testing.assert_allclose(basis.log_mass, pg_log_stationary(fam), rtol=1e-14, atol=1e-12)
     np.testing.assert_array_equal(basis.phi[0], np.exp(0.5 * basis.log_mass))
@@ -413,6 +414,85 @@ def test_meixner_polynomials_are_eigenfunctions_of_the_dense_chain(shape, rate, 
     for k in range(4):
         residual = entries @ poly[k] - fam.meixner_eigenvalue(k) * poly[k]
         assert np.abs(residual).max() <= 1e-13 * np.abs(poly[k]).max()
+
+
+# ---------------------------------------------------------------------------
+# gram_basis
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 100, 723, 2000])
+def test_gram_basis_gram_residual_within_tolerance(n):
+    basis = gram_basis(BetaBinomialFamily(n=n))
+    levels = basis.levels
+    assert basis.phi.shape == (levels + 1, n + 1)
+    assert basis.gram_residual <= families.BASIS_GRAM_TOL
+    gram = basis.phi @ basis.phi.T
+    assert np.abs(gram - np.eye(levels + 1)).max() <= families.BASIS_GRAM_TOL
+    np.testing.assert_allclose(basis.phi[0], 1.0 / math.sqrt(n + 1), rtol=1e-15)
+    # log lambda_0..lambda_{K+1}, the Hahn products of bb_spectral_data.
+    assert basis.log_eigenvalues.shape == (levels + 2,)
+    assert basis.log_eigenvalues[0] == 0.0
+    products = [level.product for level in bb_spectral_data(BetaBinomialFamily(n=n)).levels]
+    known = min(levels + 1, n)
+    np.testing.assert_allclose(
+        np.exp(basis.log_eigenvalues[1 : known + 1]), products[:known], rtol=1e-13
+    )
+
+
+def test_gram_basis_levels():
+    # Up to n = 17 every level passes the Gram check, so the basis is full
+    # and the tail rate lambda_{n+1} is 0.  Beyond that the forward
+    # recurrence loses the levels near n, and K stops where the Gram
+    # residual leaves BASIS_GRAM_TOL, at most BASIS_MAX_LEVEL.
+    for n in range(1, 18):
+        basis = gram_basis(BetaBinomialFamily(n=n))
+        assert basis.levels == n
+        assert basis.log_eigenvalues[-1] == -math.inf
+    for n in (37, 60, 100, 200, 723, 2000):
+        basis = gram_basis(BetaBinomialFamily(n=n))
+        assert 20 <= basis.levels <= min(n - 1, families.BASIS_MAX_LEVEL)
+        assert math.isfinite(basis.log_eigenvalues[-1])
+    assert gram_basis(BetaBinomialFamily(n=200)).levels == families.BASIS_MAX_LEVEL
+    with pytest.raises(UnsupportedPriorError):
+        gram_basis(BetaBinomialFamily(n=10, a=2.0))
+
+
+@pytest.mark.parametrize("n", [50, 723, 2000])
+def test_gram_polynomials_are_eigenfunctions_of_bb_xchain(n):
+    fam = BetaBinomialFamily(n=n)
+    basis = gram_basis(fam)
+    poly = basis.polynomials(np.arange(n + 1))
+    entries = bb_xchain(fam)[0].entries
+    for k in range(4):
+        residual = entries @ poly[k] - math.exp(basis.log_eigenvalues[k]) * poly[k]
+        assert np.abs(residual).max() <= 1e-12 * np.abs(poly[k]).max()
+
+
+@pytest.mark.parametrize("n", [100, 600, 2000])
+def test_gram_step_error_covers_bb_xchain_rows(n):
+    # Against a 30-digit kernel, the L1 error of bb_xchain's rows stays
+    # within half of the certificate's per-step term.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        log_factorial = [mpmath.mpf(0)]
+        for m in range(1, 2 * n + 2):
+            log_factorial.append(log_factorial[-1] + mpmath.log(m))
+
+        def exact(x, y):
+            # C(n, y) B(x + y + 1, 2n - x - y + 1) / B(x + 1, n - x + 1).
+            lf = log_factorial
+            return mpmath.exp(
+                lf[n] - lf[y] - lf[n - y] + lf[x + y] + lf[2 * n - x - y] - lf[2 * n + 1]
+                - lf[x] - lf[n - x] + lf[n + 1]
+            )
+
+        entries = bb_xchain(BetaBinomialFamily(n=n))[0].entries
+        errors = [
+            sum(abs(float(mpmath.mpf(entries[x, y]) - exact(x, y))) for y in range(n + 1))
+            for x in (0, n // 3, n // 2, n)
+        ]
+    assert 2.0 * max(errors) <= gram_basis(BetaBinomialFamily(n=n)).step_error
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from gibbsrates import (
     compare,
     exact_tv_curve,
     first_crossing,
+    gram_basis,
     pg_log_stationary,
     pg_mixing_demo,
     random_scan_lower,
@@ -114,10 +115,32 @@ def test_worst_start_search_matches_manual_scan():
 LIFTING_TARGETS = (0.6, 0.25, 0.1, 0.03, 0.01, 0.001)
 
 
+def _refuse_lifting(*args):
+    raise AssertionError("dense lifting ran")
+
+
+def _search_engines(monkeypatch, fam):
+    """worst_start_search by dense lifting, and by the Gram certificate alone."""
+    matrix, stationary = bb_xchain(fam)
+    basis = gram_basis(fam)
+
+    def lifted(target, max_steps):
+        return worst_start_search(matrix, stationary, target, max_steps)
+
+    def certified(target, max_steps):
+        with monkeypatch.context() as patch:
+            patch.setattr(scan_compare, "_lifted_worst_start", _refuse_lifting)
+            return worst_start_search(matrix, stationary, target, max_steps, basis=basis)
+
+    return lifted, certified
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 37, 100, 233])
-def test_worst_start_search_matches_iteration(n):
-    matrix, stationary = bb_xchain(BetaBinomialFamily(n=n))
+def test_worst_start_search_matches_iteration(n, monkeypatch):
+    fam = BetaBinomialFamily(n=n)
+    matrix, stationary = bb_xchain(fam)
     curves = [exact_tv_curve(matrix, stationary, x, 4 * n + 40) for x in range(n + 1)]
+    engines = _search_engines(monkeypatch, fam)
     for target in LIFTING_TARGETS:
         crossings = [first_crossing(curve, target) for curve in curves]
         worst_steps = max(crossings)
@@ -125,12 +148,46 @@ def test_worst_start_search_matches_iteration(n):
         for max_steps in (worst_steps - 1, worst_steps, worst_steps + 1, 2 * worst_steps + 3):
             if max_steps < 0:
                 continue
-            if max_steps < worst_steps:
-                with pytest.raises(NoSolutionError, match="target-not-reached"):
-                    worst_start_search(matrix, stationary, target, max_steps)
-                continue
-            worst = worst_start_search(matrix, stationary, target, max_steps)
-            assert (worst.start, worst.min_steps) == (worst_start, worst_steps)
+            for search in engines:
+                if max_steps < worst_steps:
+                    with pytest.raises(NoSolutionError, match="target-not-reached"):
+                        search(target, max_steps)
+                    continue
+                worst = search(target, max_steps)
+                assert (worst.start, worst.min_steps) == (worst_start, worst_steps)
+
+
+@pytest.mark.parametrize("n, max_steps, expected", [(723, 2169, (0, 1563)), (2000, 6000, (0, 4320))])
+def test_certified_worst_start_needs_no_lifting(monkeypatch, n, max_steps, expected):
+    _, certified = _search_engines(monkeypatch, BetaBinomialFamily(n=n))
+    worst = certified(0.01, max_steps)
+    assert (worst.start, worst.min_steps) == expected
+    message = f"target-not-reached: some starts still exceed TV 0.01 after {expected[1] - 1} steps"
+    with pytest.raises(NoSolutionError, match=message):
+        certified(0.01, expected[1] - 1)
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_worst_start_search_falls_back_to_lifting_on_a_tie(monkeypatch, n):
+    # At the dense curve's own value at the worst crossing the certificate
+    # cannot decide that crossing, so the answer must come from lifting.
+    fam = BetaBinomialFamily(n=n)
+    matrix, stationary = bb_xchain(fam)
+    plain = worst_start_search(matrix, stationary, 0.01, 4 * n)
+    curve = exact_tv_curve(matrix, stationary, plain.start, plain.min_steps)
+    target = float(curve[plain.min_steps])
+    expected = worst_start_search(matrix, stationary, target, 4 * n)
+    lifted = []
+    lifting = scan_compare._lifted_worst_start
+
+    def spy(*args):
+        lifted.append(args[2])
+        return lifting(*args)
+
+    monkeypatch.setattr(scan_compare, "_lifted_worst_start", spy)
+    worst = worst_start_search(matrix, stationary, target, 4 * n, basis=gram_basis(fam))
+    assert worst == expected
+    assert lifted == [target]
 
 
 def test_worst_start_search_n600_crossing():
@@ -316,7 +373,7 @@ def test_compare_long_horizon_answers(n, max_steps, exact):
 def test_compare_rechecks_the_searched_crossing(monkeypatch):
     from gibbsrates import scan_compare
 
-    def one_step_late(matrix, stationary, target, max_steps):
+    def one_step_late(matrix, stationary, target, max_steps, **_):
         return WorstStart(start=0, min_steps=219)
 
     monkeypatch.setattr(scan_compare, "worst_start_search", one_step_late)
