@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln, logsumexp
+# scipy.special is imported inside the functions that call it, so a command
+# that builds no chain, basis or Poisson-gamma family starts without it.
 
 from .bounds import DriftMinorization, systematic_rate
 from .errors import (
@@ -69,7 +70,9 @@ class BetaBinomialFamily:
         for name in ("a", "b"):
             value = float(getattr(self, name))
             if not math.isfinite(value) or value <= 0.0:
-                raise ParameterError(f"prior shape {name} must be positive, got {value}")
+                raise ParameterError(
+                    f"prior shape {name} must be a positive finite number, got {value}"
+                )
             object.__setattr__(self, name, value)
 
     @property
@@ -112,6 +115,7 @@ def _nbinom_tail(x_max: int, shape: float, p: float) -> float:
     I_{1-p}(x_max + 1, shape), the same tail as ``scipy.stats.nbinom.sf``
     without importing ``scipy.stats``.  (``nbdtrc`` would truncate a
     non-integer shape.)"""
+    from scipy.special import betainc
     return float(betainc(x_max + 1, shape, 1.0 - p))
 
 
@@ -133,7 +137,9 @@ class PoissonGammaFamily:
         for name in ("shape", "rate"):
             value = float(getattr(self, name))
             if not math.isfinite(value) or value <= 0.0:
-                raise ParameterError(f"gamma {name} must be positive, got {value}")
+                raise ParameterError(
+                    f"gamma {name} must be a positive finite number, got {value}"
+                )
             object.__setattr__(self, name, value)
         if not is_integer(self.x_max) or int(self.x_max) < 1:
             raise ParameterError(f"x_max must be a positive integer, got {self.x_max!r}")
@@ -285,6 +291,7 @@ def bb_xchain(fam: BetaBinomialFamily) -> tuple[StochasticMatrix, Distribution]:
     The stationary law is the beta-binomial(n, a, b) marginal — uniform for
     the flat prior.  More than ``MAX_DENSE_STATES`` states are refused.
     """
+    from scipy.special import betaln, gammaln
     check_dense_states(fam.n + 1)
     n, a, b = fam.n, fam.a, fam.b
     x = np.arange(n + 1, dtype=float)
@@ -387,6 +394,7 @@ def pg_xchain(fam: PoissonGammaFamily) -> tuple[StochasticMatrix, Distribution]:
     ``meixner_basis`` and builds this chain only for the starts that basis
     cannot decide; ``exact-tv --family pg`` and the tests use it directly.
     """
+    from scipy.special import gammaln
     check_dense_states(fam.x_max + 1)
     sigma = fam.shape + np.arange(fam.x_max + 1, dtype=float)[:, None]
     xp = np.arange(fam.x_max + 1, dtype=float)[None, :]
@@ -412,12 +420,14 @@ def pg_log_stationary(fam: PoissonGammaFamily) -> np.ndarray:
     truncation only renormalizes rows that leak under 1e-12 and carry almost
     no mass.  For shape = rate = 1 it is geometric: m(x) = (1/2)^(x+1).
     """
+    from scipy.special import logsumexp
     log_weights = _pg_log_weights(fam)
     return log_weights - logsumexp(log_weights)
 
 
 def _pg_log_weights(fam: PoissonGammaFamily) -> np.ndarray:
     """log Gamma(shape + x) - log x! - x log(1 + rate) on 0..x_max, unnormalized."""
+    from scipy.special import gammaln
     x = np.arange(fam.x_max + 1, dtype=float)
     return gammaln(fam.shape + x) - gammaln(x + 1.0) - x * math.log1p(fam.rate)
 
@@ -524,6 +534,7 @@ def meixner_basis(fam: PoissonGammaFamily) -> OrthonormalBasis:
     ``TRUNCATION_TOL``, and its stationary law differs from m by less; with
     the dense loop's dim ulps that is the step error.
     """
+    from scipy.special import gammaln
     c = 1.0 / (1.0 + fam.rate)
     k = np.arange(min(BASIS_MAX_LEVEL, fam.x_max) + 2, dtype=float)
     a = (k + (k + fam.shape) * c) / (1.0 - c)
@@ -558,6 +569,7 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     The same count bounds its uniform stationary law, and the dense loop
     adds dim ulps per step.
     """
+    from scipy.special import gammaln
     fam.require_flat_prior("the Gram basis")
     n = fam.n
     k = np.arange(min(BASIS_MAX_LEVEL, n) + 2, dtype=float)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+# scipy.special is imported inside the functions that call it (see families).
 
 from .bounds import (
     RosenthalParams,
@@ -136,6 +136,7 @@ class _StartTerms(NamedTuple):
 def _start_terms(basis: OrthonormalBasis, starts) -> _StartTerms:
     """``_StartTerms`` of ``starts``; the Christoffel coefficient is taken in
     the log domain, with the subtraction's rounding added."""
+    from scipy.special import logsumexp
     x = np.asarray(starts, dtype=np.int64)
     log_m = basis.log_mass[x]
     poly = basis.polynomials(x)
@@ -637,6 +638,7 @@ def rebuild_random_scan_upper(n: int, steps: StepCount) -> float:
     sum must reproduce the closed form ((1+x)/2)^(steps-1) to 1e-9, and the
     Azuma tail 3 e^{-(steps-1)/8} is added back on top.
     """
+    from scipy.special import gammaln, logsumexp
     bound = random_scan_upper_bound(n)  # validates n
     n = int(n)
     if not is_integer(steps) or int(steps) < 1:

@@ -410,6 +410,14 @@ def test_parameter_error_exits_2(run_cli):
     assert err.startswith("error: invalid-d")
 
 
+@pytest.mark.parametrize("option", ["shape", "rate"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_pg_demo_non_finite_gamma_parameter_exits_2(run_cli, option, value):
+    code, out, err = run_cli(["pg-demo", f"--{option}", value])
+    assert code == 2 and out == ""
+    assert err == f"error: gamma {option} must be a positive finite number, got {value}\n"
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["words", "--bogus", "3"]) == 2
     capsys.readouterr()

@@ -1,0 +1,72 @@
+"""Cold start: commands that build no chain, basis or Poisson-gamma family never load scipy.
+
+pytest itself imports scipy (through the test modules), so each check runs
+in a fresh interpreter and reads its ``sys.modules``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Imports gibbsrates, runs each argv given as a JSON list through cli.main,
+# and prints, as JSON, the scipy modules loaded after the import and after
+# each command.
+PROBE = """
+import contextlib, io, json, sys
+import gibbsrates, gibbsrates.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gibbsrates.cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"{argv} exited {code}")
+    loaded[" ".join(argv)] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+SCIPY_FREE = [
+    ["rosenthal", "--n", "100"],
+    ["spectral", "--levels", "--family", "bb", "--n", "2000"],
+    ["simulate", "--decay", "--family", "bb", "--n", "100", "--scan", "random",
+     "--start-x", "0", "--start-theta", "0", "--steps", "10",
+     "--samples", "1000", "--seed", "3"],
+]
+
+
+def probe(argvs, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_and_chain_free_commands_load_no_scipy(tmp_path):
+    loaded = probe(SCIPY_FREE, tmp_path)
+    assert list(loaded) == ["import"] + [" ".join(argv) for argv in SCIPY_FREE]
+    assert all(modules == [] for modules in loaded.values()), loaded
+
+
+def test_a_chain_build_loads_scipy_special(tmp_path):
+    # Positive control: the probe does see scipy once a chain is built.
+    argv = ["exact-tv", "--family", "bb", "--n", "10", "--start", "0", "--steps-max", "50"]
+    loaded = probe([argv], tmp_path)
+    assert loaded["import"] == []
+    assert "scipy.special" in loaded[" ".join(argv)]

@@ -53,6 +53,14 @@ def test_bb_validation():
     assert not BetaBinomialFamily(n=3, a=2.0).has_flat_prior
 
 
+@pytest.mark.parametrize("name", ["a", "b"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_bb_rejects_a_non_finite_prior_shape(name, value):
+    with pytest.raises(ParameterError) as info:
+        BetaBinomialFamily(n=3, **{name: value})
+    assert str(info.value) == f"prior shape {name} must be a positive finite number, got {value}"
+
+
 def test_bb_require_flat_prior():
     fam = BetaBinomialFamily(n=3, a=2.0)
     with pytest.raises(UnsupportedPriorError, match="unsupported-prior"):
@@ -273,6 +281,14 @@ def test_pg_validation():
     assert fam.x_max == 400
     assert fam.has_flat_shape
     assert not PoissonGammaFamily(shape=2.0).has_flat_shape
+
+
+@pytest.mark.parametrize("name", ["shape", "rate"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_pg_rejects_a_non_finite_gamma_parameter(name, value):
+    with pytest.raises(ParameterError) as info:
+        PoissonGammaFamily(**{name: value})
+    assert str(info.value) == f"gamma {name} must be a positive finite number, got {value}"
 
 
 def test_pg_check_methods():
