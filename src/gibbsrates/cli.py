@@ -475,25 +475,25 @@ def _run_spectral(cfg: dict):
             else pg_spectral_data(fam)
         )
         spectrum = alpha_scan_eigenvalues(cfg["scan_weight"], data)
-        shown = spectrum.levels[:max_levels]
-        rows = RowTable.from_rows(
+        count = min(max_levels, len(spectrum.product))
+        u_plus, u_minus = [None] * count, [None] * count
+        if spectrum.coupling is not None and count:
+            u_plus[0], u_minus[0] = spectrum.coupling.u_plus, spectrum.coupling.u_minus
+        rows = RowTable(
             ("k", "product", "lambda_plus", "lambda_minus", "u_plus", "u_minus"),
-            [
-                (
-                    level.k,
-                    level.product,
-                    level.lambda_plus,
-                    level.lambda_minus,
-                    level.u_plus,
-                    level.u_minus,
-                )
-                for level in shown
-            ],
+            (
+                np.arange(1, count + 1),
+                spectrum.product[:count],
+                spectrum.lambda_plus[:count],
+                spectrum.lambda_minus[:count],
+                u_plus,
+                u_minus,
+            ),
         )
         result = {
             "mode": "levels",
             "scan_weight": spectrum.scan_weight,
-            "level_count": len(spectrum.levels),
+            "level_count": len(spectrum.product),
             "cutoff": data.cutoff,
             "tail_eigenvalue": spectrum.tail_eigenvalue,
             "dominant_eigenvalue": spectrum.dominant_eigenvalue,
@@ -511,10 +511,7 @@ def _run_spectral(cfg: dict):
         if not isinstance(grid, int) or grid < 2:
             raise ParameterError(f"grid must be an integer >= 2, got {grid!r}")
         alphas = np.linspace(0.0, 1.0, grid)
-        rows = RowTable.from_rows(
-            ("alpha", "gap"),
-            [(alpha, spectral_gap(alpha, cfg["product"])) for alpha in alphas.tolist()],
-        )
+        rows = RowTable(("alpha", "gap"), (alphas, spectral_gap(alphas, cfg["product"])))
         result = {"mode": "gap_curve", "product": cfg["product"], "grid": grid, "rows": rows}
         return _Output(result, rows)
     maximum = argmax_gap(cfg["product"])

@@ -10,15 +10,18 @@ Two families are implemented end to end:
 
 Each family exposes its conditional samplers (array-capable, driven by a
 numpy Generator), its exact x-marginal transition matrix with stationary
-law, and spectral data: the basis-free products mu_k * eta_k, which are
-exactly the nontrivial eigenvalues of the x-chain, together with the
-factors (mu_k, eta_k) where a closed form exists.  The stationary laws and
-the products are closed forms of Diaconis, Khare & Saloff-Coste (2008):
-the prior predictives (beta-binomial and negative binomial), the Hahn
-eigenvalues prod_{i<k} (n - i)/(n + a + b + i) of the beta-binomial chain
-and the Meixner eigenvalues (1 + rate)^-k of the Poisson-gamma chain.  The
-Poisson-gamma law is kept as log weights (``pg_log_stationary``), so a
-state whose mass underflows a float still has a finite log mass.
+law, and spectral data: one array of the basis-free products
+mu_k * eta_k, which are exactly the nontrivial eigenvalues of the x-chain,
+together with level 1's factors (mu_1, eta_1) where a closed form exists.
+The stationary laws and the products are closed forms of Diaconis, Khare &
+Saloff-Coste (2008): the prior predictives (beta-binomial and negative
+binomial), the Hahn eigenvalues prod_{i<k} (n - i)/(n + 2 + i) of the
+flat-prior beta-binomial chain (``_hahn_eigenvalues``, read by both
+``bb_spectral_data`` and ``gram_basis``) and the Meixner eigenvalues
+(1 + rate)^-k of the Poisson-gamma chain
+(``PoissonGammaFamily.meixner_eigenvalue``).  The Poisson-gamma law is
+kept as log weights (``pg_log_stationary``), so a state whose mass
+underflows a float still has a finite log mass.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ from .numerics import (
     Distribution,
     LogMagnitude,
     StochasticMatrix,
+    check_all,
     is_integer,
 )
 
@@ -163,8 +167,9 @@ class PoissonGammaFamily:
     def has_flat_shape(self) -> bool:
         return self.shape == 1.0 and self.rate == 1.0
 
-    def meixner_eigenvalue(self, k: int) -> float:
-        """The k-th nontrivial x-chain eigenvalue (1 + rate)^-k, for every shape.
+    def meixner_eigenvalue(self, k):
+        """The k-th nontrivial x-chain eigenvalue (1 + rate)^-k, for every shape;
+        ``k`` may be an integer array.
 
         Level 1, 1/(1 + rate), is the chain's decay rate (1/2 for the flat
         shape = rate = 1).
@@ -194,77 +199,52 @@ class PoissonGammaFamily:
         return rng.poisson(np.asarray(theta, dtype=float))
 
 
-@dataclass(frozen=True)
-class SpectralLevel:
-    """One polynomial level: the product mu_k * eta_k, and the factors if known.
-
-    ``mu`` is the contraction factor of conditioning theta's polynomial on
-    x, ``eta`` the reverse; only their product is basis-free, so levels
-    whose factors have no closed form carry ``mu = eta = None``.
-    """
-
-    k: int
-    product: float
-    mu: float | None = None
-    eta: float | None = None
-
-    def __post_init__(self) -> None:
-        if not is_integer(self.k) or int(self.k) < 1:
-            raise ParameterError(f"level index k must be a positive integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
-        product = float(self.product)
-        if not -1e-10 <= product <= 1.0 + 1e-10:
-            raise ParameterError(f"level product must lie in [0, 1], got {product}")
-        object.__setattr__(self, "product", min(max(product, 0.0), 1.0))
-        if (self.mu is None) != (self.eta is None):
-            raise ParameterError("mu and eta must be given together or not at all")
-        if self.mu is not None:
-            mu = float(self.mu)
-            eta = float(self.eta)
-            if abs(mu * eta - self.product) > 1e-9 * max(1.0, abs(self.product)):
-                raise ParameterError(
-                    f"inconsistent level: mu*eta = {mu * eta} but product = {self.product}"
-                )
-            object.__setattr__(self, "mu", mu)
-            object.__setattr__(self, "eta", eta)
-
-    @property
-    def factors_known(self) -> bool:
-        return self.mu is not None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Contraction levels of a two-component model.
+    """Contraction levels of a two-component model, as arrays.
 
-    ``levels`` hold k = 1, 2, ... in order; ``cutoff`` is the index c from
-    which every higher polynomial level contracts to zero (finite for the
-    beta-binomial model: c = n + 1; None marks an unbounded level set).
-    ``basis_note`` records the polynomial normalization under which any
-    stated mu/eta factors hold — the products need no such note.
+    ``levels`` is given as the products mu_k * eta_k, k = 1, 2, ..., and kept
+    as a read-only record array with the one field ``product``.  ``factors``
+    is (mu_1, eta_1) where level 1's factors have a closed form, else None:
+    mu contracts theta's polynomial onto x, eta the reverse, and only their
+    product is basis-free.  ``cutoff`` is the index c from which every
+    higher level contracts to zero (c = n + 1 for the beta-binomial model;
+    None marks an unbounded level set).  ``basis_note`` records the
+    polynomial normalization under which the factors hold.
     """
 
-    levels: tuple[SpectralLevel, ...]
+    levels: np.recarray
     cutoff: int | None
+    factors: tuple[float, float] | None = None
     basis_note: str = ""
 
     def __post_init__(self) -> None:
-        levels = tuple(self.levels)
-        if not levels:
-            raise ParameterError("spectral data needs at least one level")
-        for i, level in enumerate(levels, start=1):
-            if level.k != i:
-                raise ParameterError("levels must be numbered consecutively from k=1")
-        products = [level.product for level in levels]
-        for earlier, later in zip(products, products[1:]):
-            if later > earlier + 1e-10:
-                raise ParameterError(
-                    f"level products must be non-increasing, got {earlier} -> {later}"
-                )
-        if self.cutoff is not None and (
-            not is_integer(self.cutoff) or int(self.cutoff) < 2
-        ):
+        products = np.array(self.levels, dtype=float)
+        if products.ndim != 1 or products.size == 0:
+            raise ParameterError("spectral data needs a nonempty 1-d array of level products")
+        check_all(
+            (products >= -1e-10) & (products <= 1.0 + 1e-10),
+            "level product must lie in [0, 1], got {value} at level {k}",
+            value=products,
+        )
+        np.clip(products, 0.0, 1.0, out=products)
+        check_all(
+            np.diff(products) <= 1e-10,
+            "level products must be non-increasing, got {value} -> {next} after level {k}",
+            value=products[:-1],
+            next=products[1:],
+        )
+        if self.cutoff is not None and not (is_integer(self.cutoff) and self.cutoff >= 2):
             raise ParameterError(f"cutoff must be an integer >= 2 or None, got {self.cutoff!r}")
+        if self.factors is not None:
+            mu, eta = map(float, self.factors)
+            if abs(mu * eta - products[0]) > 1e-9 * max(1.0, products[0]):
+                raise ParameterError(
+                    f"inconsistent level 1: mu*eta = {mu * eta} but product = {products[0]}"
+                )
+            object.__setattr__(self, "factors", (mu, eta))
+        levels = np.rec.fromarrays([products], names="product")
+        levels.flags.writeable = False
         object.__setattr__(self, "levels", levels)
         if self.cutoff is not None:
             object.__setattr__(self, "cutoff", int(self.cutoff))
@@ -334,25 +314,28 @@ def bb_drift_minorization(fam: BetaBinomialFamily, x0: int) -> DriftMinorization
     )
 
 
+def _hahn_eigenvalues(n: int, count: int) -> np.ndarray:
+    """The Hahn eigenvalues prod_{i<k} (n - i)/(n + 2 + i), k = 1..count, of
+    the flat-prior beta-binomial x-chain; they are 0 from k = n + 1 on."""
+    i = np.arange(count)
+    return np.cumprod((n - i) / (n + 2.0 + i))
+
+
 def bb_spectral_data(fam: BetaBinomialFamily) -> SpectralData:
     """Spectral levels of the flat-prior beta-binomial pair.
 
-    The products are the Hahn eigenvalues of the x-chain,
-    prod_{i<k} (n - i)/(n + 2 + i) for k = 1..n, so level 1 is n/(n+2).
-    Level 1 also has closed-form factors mu_1 = n and eta_1 = 1/(n+2) in
-    the basis p_1(x) = x - n/2, q_1(theta) = n(n+2)(theta - 1/2); higher
-    levels carry the products only.  Every level k >= cutoff = n + 1
-    contracts to zero.
+    The products are the Hahn eigenvalues of the x-chain (``_hahn_eigenvalues``,
+    k = 1..n), so level 1 is n/(n+2).  Level 1 also has closed-form factors
+    mu_1 = n and eta_1 = 1/(n+2) in the basis p_1(x) = x - n/2,
+    q_1(theta) = n(n+2)(theta - 1/2); higher levels carry the products
+    only.  Every level k >= cutoff = n + 1 contracts to zero.
     """
     fam.require_flat_prior("closed-form spectral data")
     n = fam.n
-    i = np.arange(n)
-    products = np.cumprod((n - i) / (n + 2.0 + i))
-    levels = [SpectralLevel(k=1, product=products[0], mu=float(n), eta=1.0 / (n + 2.0))]
-    levels += [SpectralLevel(k=k, product=p) for k, p in enumerate(products[1:], start=2)]
     return SpectralData(
-        levels=tuple(levels),
+        levels=_hahn_eigenvalues(n, n),
         cutoff=n + 1,
+        factors=(float(n), 1.0 / (n + 2.0)),
         basis_note=(
             "level 1 factors hold in the basis p1(x) = x - n/2, "
             "q1(theta) = n(n+2)(theta - 1/2), giving mu1 = n, eta1 = 1/(n+2); "
@@ -556,7 +539,8 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     polynomials, the Hahn polynomials at a = b = 1: a_k = n/2 and
     b_k = (k/2) sqrt(((n + 1)^2 - k^2)/(4k^2 - 1)), with the Hahn
     eigenvalues lambda_k = prod_{i<k} (n - i)/(n + 2 + i) of
-    ``bb_spectral_data``.  Since lambda_{n+1} = 0 a full basis leaves no
+    ``_hahn_eigenvalues``, the products of ``bb_spectral_data``, held as
+    their logs.  Since lambda_{n+1} = 0 (log -inf) a full basis leaves no
     tail, but the forward recurrence keeps all n + 1 levels only up to
     n = 17 (K = 44 at n = 100, and the cap of 60 from n = 180); the
     Christoffel tail covers the levels left out.  The step error covers
@@ -577,8 +561,7 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     b = np.zeros(k.size)
     b[1:] = 0.5 * k[1:] * np.sqrt(((n + 1.0) ** 2 - k[1:] ** 2) / (4.0 * k[1:] ** 2 - 1.0))
     with np.errstate(divide="ignore"):  # lambda_{n+1} = 0
-        log_factors = np.log((n - k[:-1]) / (n + 2.0 + k[:-1]))
-    log_eigenvalues = np.concatenate([[0.0], np.cumsum(log_factors)])
+        log_eigenvalues = np.log(np.concatenate([[1.0], _hahn_eigenvalues(n, k.size - 1)]))
     log_mass = np.full(n + 1, -math.log(n + 1.0))
     step_error = 3.0 * float(gammaln(2.0 * n + 2.0)) * EPS + (n + 1) * EPS
     return _orthonormal_basis(log_mass, a, b, log_eigenvalues, step_error)
@@ -609,10 +592,7 @@ def pg_spectral_data(fam: PoissonGammaFamily) -> SpectralData:
     than the chi-square bound's order-start prediction.
     """
     return SpectralData(
-        levels=tuple(
-            SpectralLevel(k=k, product=fam.meixner_eigenvalue(k))
-            for k in range(1, fam.x_max + 1)
-        ),
+        levels=fam.meixner_eigenvalue(np.arange(1, fam.x_max + 1)),
         cutoff=None,
         basis_note=(
             "all levels are basis-free products, the closed-form Meixner "

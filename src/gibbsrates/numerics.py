@@ -99,6 +99,19 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_all(holds, message: str, **values) -> None:
+    """Refuse at the first place where the array ``holds`` is False.
+
+    The ``ParameterError`` text is ``message`` formatted with that place's
+    level ``k`` (counted from 1) and its entry of each array in ``values``.
+    """
+    holds = np.ravel(holds)
+    if not holds.all():
+        i = int(np.argmin(holds))
+        entries = {name: np.ravel(array)[i] for name, array in values.items()}
+        raise ParameterError(message.format(k=i + 1, **entries))
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if math.isnan(value):

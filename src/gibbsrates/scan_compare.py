@@ -74,7 +74,11 @@ from .operators import (
     eigenfunction_decay,
 )
 
-# Kept for importers; the worst-start search no longer depends on it.
+# Unused by the program: the worst-start search no longer splits at a chain
+# size.  The benchmark's tracer (perfbench/tracing.py, _worst_start_counts)
+# still imports it to estimate the search's dense products, and
+# tests/test_bench_contract.py guards that import.  It goes when the tracer
+# stops reading it, in the change that brings the benchmark up to date.
 FULL_SCAN_LIMIT = 512
 # Exact matrix work in `compare` is capped at this n.
 MAX_COMPARE_N = 2000

@@ -13,14 +13,22 @@ roots need the basis-dependent factors mu, eta, not just their product.
 
 The per-level spectral gap 1 - lambda_+ = (1 - sqrt(disc)) / 2 is maximized
 in alpha at the balanced scan alpha = 1/2, where it equals (1 - sqrt(q))/2.
+
+Levels are held as arrays, not as one object each: the eigenvalue pair and
+the gap take arrays of products or scan weights, and ``ScanSpectrum`` keeps
+the products and both eigenvalues as columns, with coupling roots for level
+1 alone, the one level whose factors are known.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, ParameterError
 from .families import SpectralData
+from .numerics import check_all
 
 # Floating slack when clamping a barely negative discriminant.
 DISCRIMINANT_CLIP = -1e-15
@@ -34,25 +42,31 @@ ARGMAX_TOL = 1e-9
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _check_scan_weight(scan_weight: float, *, allow_boundary: bool) -> float:
-    weight = float(scan_weight)
-    if not math.isfinite(weight):
-        raise ParameterError(f"scan weight must be finite, got {weight}")
+def _floats(value):
+    """``value`` as a float, or as a float array if it is an array."""
+    values = np.asarray(value, dtype=float)
+    return float(values) if values.ndim == 0 else values
+
+
+def _check_scan_weight(scan_weight, *, allow_boundary: bool):
+    weight = _floats(scan_weight)
+    check_all(np.isfinite(weight), "scan weight must be finite, got {value}", value=weight)
     if allow_boundary:
-        if not 0.0 <= weight <= 1.0:
-            raise ParameterError(f"scan weight must lie in [0, 1], got {weight}")
-    elif not 0.0 < weight < 1.0:
-        raise ParameterError(
-            f"alpha-boundary: scan weight must lie strictly inside (0, 1) "
-            f"for eigenfunction coupling, got {weight}"
+        inside = (weight >= 0.0) & (weight <= 1.0)
+        check_all(inside, "scan weight must lie in [0, 1], got {value}", value=weight)
+    else:
+        check_all(
+            (weight > 0.0) & (weight < 1.0),
+            "alpha-boundary: scan weight must lie strictly inside (0, 1) "
+            "for eigenfunction coupling, got {value}",
+            value=weight,
         )
     return weight
 
 
-def _check_product(product: float) -> float:
-    q = float(product)
-    if not 0.0 <= q < 1.0:
-        raise ParameterError(f"contraction product must lie in [0, 1), got {q}")
+def _check_product(product):
+    q = _floats(product)
+    check_all((q >= 0.0) & (q < 1.0), "contraction product must lie in [0, 1), got {value}", value=q)
     return q
 
 
@@ -110,102 +124,95 @@ def coupling_u(scan_weight: float, mu: float, eta: float) -> CouplingRoots:
     return CouplingRoots(u_plus=u_plus, u_minus=u_minus, residual=residual)
 
 
-def scan_eigenvalue_pair(scan_weight: float, product: float) -> tuple[float, float]:
-    """The eigenvalue pair of the scan operator on a level with product q."""
+def scan_eigenvalue_pair(scan_weight, product):
+    """The eigenvalue pair of the scan operator on a level with product q.
+
+    Either argument may be an array; the pair is then two arrays of their
+    broadcast shape.
+    """
     alpha = _check_scan_weight(scan_weight, allow_boundary=True)
     q = _check_product(product)
     disc = (1.0 - 2.0 * alpha) ** 2 + 4.0 * alpha * (1.0 - alpha) * q
-    sqrt_disc = math.sqrt(disc)
+    sqrt_disc = np.sqrt(disc)
     return (1.0 + sqrt_disc) / 2.0, (1.0 - sqrt_disc) / 2.0
 
 
-@dataclass(frozen=True)
-class ScanLevel:
-    """Eigenvalue pair (and coupling roots when resolvable) on one level."""
-
-    k: int
-    product: float
-    lambda_plus: float
-    lambda_minus: float
-    u_plus: float | None = None
-    u_minus: float | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanSpectrum:
-    """Full per-level eigenvalue decomposition of a random scan.
+    """Per-level eigenvalue decomposition of a random scan, as arrays.
 
-    ``tail_eigenvalue`` is the common eigenvalue 1 - alpha carried by every
-    level at or above a finite cutoff (where the product is zero on the
-    theta side but the unrefreshed coordinate still lingers); it is None
-    when the level set has no finite cutoff.
+    ``product``, ``lambda_plus`` and ``lambda_minus`` hold levels
+    k = 1, 2, ... in order.  ``coupling`` holds level 1's coupling roots
+    when its factors are known and the scan weight is interior, else None;
+    no other level has known factors.  ``tail_eigenvalue`` is the common
+    eigenvalue 1 - alpha carried by every level at or above a finite cutoff
+    (where the product is zero on the theta side but the unrefreshed
+    coordinate still lingers); it is None when the level set has no finite
+    cutoff.
     """
 
     scan_weight: float
-    levels: tuple[ScanLevel, ...]
+    product: np.ndarray
+    lambda_plus: np.ndarray
+    lambda_minus: np.ndarray
     tail_eigenvalue: float | None
+    coupling: CouplingRoots | None = None
 
     def __post_init__(self) -> None:
         alpha = _check_scan_weight(self.scan_weight, allow_boundary=True)
-        levels = tuple(self.levels)
-        for level in levels:
-            pair_sum = level.lambda_plus + level.lambda_minus
-            if abs(pair_sum - 1.0) > PAIR_IDENTITY_TOL:
-                raise ParameterError(
-                    f"eigenvalue pair at level {level.k} must sum to 1, got {pair_sum}"
-                )
-            pair_product = level.lambda_plus * level.lambda_minus
-            expected = alpha * (1.0 - alpha) * (1.0 - level.product)
-            if abs(pair_product - expected) > PAIR_IDENTITY_TOL:
-                raise ParameterError(
-                    f"eigenvalue pair at level {level.k} must multiply to "
-                    f"alpha(1-alpha)(1-q) = {expected}, got {pair_product}"
-                )
-            for value in (level.lambda_plus, level.lambda_minus):
-                if not -PAIR_IDENTITY_TOL <= value <= 1.0 + PAIR_IDENTITY_TOL:
-                    raise ParameterError(
-                        f"eigenvalue {value} at level {level.k} escapes [0, 1]"
-                    )
-        object.__setattr__(self, "levels", levels)
+        plus, minus = self.lambda_plus, self.lambda_minus
+        pair_sum = plus + minus
+        check_all(
+            np.abs(pair_sum - 1.0) <= PAIR_IDENTITY_TOL,
+            "eigenvalue pair at level {k} must sum to 1, got {value}",
+            value=pair_sum,
+        )
+        pair_product = plus * minus
+        expected = alpha * (1.0 - alpha) * (1.0 - self.product)
+        check_all(
+            np.abs(pair_product - expected) <= PAIR_IDENTITY_TOL,
+            "eigenvalue pair at level {k} must multiply to "
+            "alpha(1-alpha)(1-q) = {expected}, got {value}",
+            expected=expected,
+            value=pair_product,
+        )
+        for values in (plus, minus):
+            check_all(
+                (values >= -PAIR_IDENTITY_TOL) & (values <= 1.0 + PAIR_IDENTITY_TOL),
+                "eigenvalue {value} at level {k} escapes [0, 1]",
+                value=values,
+            )
 
     @property
     def dominant_eigenvalue(self) -> float:
-        candidates = [level.lambda_plus for level in self.levels]
-        if self.tail_eigenvalue is not None:
-            candidates.append(self.tail_eigenvalue)
-        return max(candidates)
+        top = float(self.lambda_plus.max())
+        return top if self.tail_eigenvalue is None else max(top, self.tail_eigenvalue)
 
 
 def alpha_scan_eigenvalues(scan_weight: float, data: SpectralData) -> ScanSpectrum:
     """Assemble the scan spectrum of a model from its contraction levels.
 
-    Coupling roots are attached only on levels whose mu/eta factors are
-    known and only for an interior scan weight.
+    Coupling roots are attached to level 1 only, when its mu/eta factors
+    are known, mu > 0 and the scan weight is interior.
     """
     alpha = _check_scan_weight(scan_weight, allow_boundary=True)
-    levels = []
-    for level in data.levels:
-        lam_plus, lam_minus = scan_eigenvalue_pair(alpha, level.product)
-        u_plus = u_minus = None
-        if level.factors_known and 0.0 < alpha < 1.0 and level.mu > 0.0:
-            roots = coupling_u(alpha, level.mu, level.eta)
-            u_plus, u_minus = roots.u_plus, roots.u_minus
-        levels.append(
-            ScanLevel(
-                k=level.k,
-                product=level.product,
-                lambda_plus=lam_plus,
-                lambda_minus=lam_minus,
-                u_plus=u_plus,
-                u_minus=u_minus,
-            )
-        )
-    tail = (1.0 - alpha) if data.cutoff is not None else None
-    return ScanSpectrum(scan_weight=alpha, levels=tuple(levels), tail_eigenvalue=tail)
+    product = data.levels.product
+    lam_plus, lam_minus = scan_eigenvalue_pair(alpha, product)
+    coupling = None
+    if data.factors is not None and 0.0 < alpha < 1.0 and data.factors[0] > 0.0:
+        coupling = coupling_u(alpha, *data.factors)
+    return ScanSpectrum(
+        scan_weight=alpha,
+        product=product,
+        lambda_plus=lam_plus,
+        lambda_minus=lam_minus,
+        tail_eigenvalue=(1.0 - alpha) if data.cutoff is not None else None,
+        coupling=coupling,
+    )
 
 
-def spectral_gap(scan_weight: float, product: float) -> float:
-    """Per-level gap 1 - lambda_plus = (1 - sqrt(disc)) / 2."""
+def spectral_gap(scan_weight, product):
+    """Per-level gap 1 - lambda_plus = (1 - sqrt(disc)) / 2; arrays broadcast."""
     lam_plus, _ = scan_eigenvalue_pair(scan_weight, product)
     return 1.0 - lam_plus
 

@@ -1,8 +1,10 @@
-"""The names the benchmark's tracer wraps must exist in the package.
+"""The benchmark's tracer and worker must keep working against the package.
 
 ``perfbench/tracing.py`` replaces public functions and report methods of the
 ``gibbsrates`` modules by name; a name that disappears from the package makes
-every traced benchmark run fail.  This test keeps the two in step.
+every traced benchmark run fail.  ``perfbench/worker.py`` calls the package
+and reads fields of its answers; a changed field makes every query of that
+kind fail.  These tests keep the benchmark and the package in step.
 """
 
 import importlib
@@ -11,15 +13,19 @@ from pathlib import Path
 
 import pytest
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
 
 
 def test_traced_functions_resolve(tracing):
@@ -34,6 +40,34 @@ def test_traced_methods_resolve(tracing):
         cls = getattr(importlib.import_module(f"gibbsrates.{module_name}"), class_name)
         for method in methods:
             assert method in cls.__dict__, f"gibbsrates.{module_name}.{class_name}.{method}"
+
+
+# One small query of each kind the workloads send.
+WORKER_QUERIES = [
+    {"kind": "compare", "n": 20, "max_steps": 60},
+    {"kind": "bb_spectral", "n": 30},
+    {"kind": "pg_demo", "starts": [0, 8], "shape": 1.0, "rate": 1.0, "x_max": 400},
+    {"kind": "cli", "argv": ["spectral", "--levels", "--family", "bb", "--n", "10"]},
+]
+
+
+@pytest.mark.parametrize("query", WORKER_QUERIES, ids=lambda query: query["kind"])
+def test_worker_answers_each_query_kind(query, tmp_path):
+    import gibbsrates
+    import gibbsrates.cli  # noqa: F401  (the worker reaches it as gibbsrates.cli)
+
+    queries = _load("worker").Queries(gibbsrates)
+    out_path = str(tmp_path / "q.out")
+    latency, answer, error = queries.timed(query, out_path)
+    assert error is None
+    assert latency >= 0.0
+    summary, output_digest = queries.summary(query, answer, error, out_path)
+    assert "error" not in summary
+    assert len(output_digest) == 64
+    if query["kind"] == "bb_spectral":
+        assert summary["products"] == gibbsrates.bb_spectral_data(
+            gibbsrates.BetaBinomialFamily(30)
+        ).levels.product.tolist()
 
 
 def test_full_scan_limit_imports():

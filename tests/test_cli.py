@@ -1,5 +1,6 @@
 """Command-line interface: outputs, schema conformance, and exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -571,3 +572,52 @@ def test_output_is_byte_identical_to_plain_rendering(run_cli, argv):
     # a text diff of two 2000-row reports takes minutes.
     assert out.splitlines() == _plain_render(argv).splitlines()
     assert out.endswith("\n")
+
+
+# sha256 of the spectral command's stdout, recorded before its levels became
+# arrays.  The plain-rendering test above compares the code with itself, so
+# only fixed digests catch a drift in the printed spectrum.  No BLAS call
+# touches these outputs, so the digests do not depend on the thread count.
+SPECTRAL_DIGESTS = {
+    "--levels --family bb --n 5":
+        "5efb251941d5e79fb617684f3385ea7e3c8b12fdefe6887d6f8343c711ff0106",
+    "--levels --family bb --n 100":
+        "870f1e2386dd4e8706c34aaf38708a71239a26e28337dc4e21ec2ab5c65017f3",
+    "--levels --family bb --n 2000":
+        "681ecaa2579eede64d831ddb7eda3150a3d3e8a2b4e8d886fa89e20df0b35edf",
+    "--levels --family bb --n 5 --scan-weight 0":
+        "4b290ae09556d8138c4a7e14c5da4e6cee986a7160a61c37dd29f616aa51c90d",
+    "--levels --family bb --n 100 --scan-weight 0":
+        "5b74fe862f5bcc5d9800d985340978eff7d7f014eac8ab8d961b6162be3f3cdb",
+    "--levels --family bb --n 2000 --scan-weight 0":
+        "607bb0b76c36e7b14deb3bcb0caafb6fd042f3fd714b89ff1d9100dc92093179",
+    "--levels --family bb --n 5 --scan-weight 0.3":
+        "0292a641d30ac51d5433572620ca6a56108e26751dcca2ec0aebaa8d483b3ccc",
+    "--levels --family bb --n 100 --scan-weight 0.3":
+        "ac1f036f03d423b3b50560652c3085a1d51356d3cd57650b15cd3e053f108d24",
+    "--levels --family bb --n 2000 --scan-weight 0.3":
+        "d8cfd914e02e3270445cd28d4393aabd2b2c4c42a9f4d5181667ea2e15fc6831",
+    "--levels --family bb --n 2000 --max-levels 2000":
+        "726229f2fd5be304ff778daf3eb088e9c7339181cdf72180966d73b6a63ea792",
+    "--levels --family pg":
+        "bcc5bae4fa6dd9fc6b1b325a74b962c59dceefadc541aba2ad24a3ea453cf3d5",
+    "--levels --family pg --shape 2 --rate 0.5 --x-max 700":
+        "2be7c0b1819caac74324a481935d403abbee20171996e988bf41e6f9c082e18f",
+    "--levels --family pg --max-levels 400 --scan-weight 0.3":
+        "551e5cc3aaccb4449be67ee4b8411b53f4db52cd4ba43059c0b7b5aa6bd15c04",
+    "--levels --family bb --n 100 --scan-weight 0.3 --format csv":
+        "613297e173e2649f3947cc15553afec435844167abb72f4fea9d63b017fc9fed",
+    "--gap-curve --product 0.7":
+        "5bde6533680db4a4082c27ff5092de1fad07e8e7ef409c54284cafa994a1b420",
+    "--gap-curve --product 0.98 --grid 1001 --format csv":
+        "3f7f9e5cdc443c76d9d89eed00b2f423e9eb3d0d3ba8ff40961a976f7c44e5ea",
+    "--argmax --product 0.7":
+        "e17d0d2444b3801f225c2baf03f4e4c865418350021f6f4bb26fb02de011bdd6",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SPECTRAL_DIGESTS))
+def test_spectral_output_matches_its_pinned_digest(run_cli, args):
+    code, out, err = run_cli(["spectral", *args.split()])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECTRAL_DIGESTS[args]

@@ -15,7 +15,6 @@ from gibbsrates import (
     ParameterError,
     PoissonGammaFamily,
     SpectralData,
-    SpectralLevel,
     TruncationError,
     UnsupportedPriorError,
     bb_drift_minorization,
@@ -187,17 +186,17 @@ def test_bb_certificate_guards():
 def test_bb_spectral_data_small():
     data = bb_spectral_data(BetaBinomialFamily(n=5))
     assert len(data.levels) == 5
-    lvl1 = data.levels[0]
-    assert lvl1.k == 1
-    assert lvl1.mu == pytest.approx(5.0)
-    assert lvl1.eta == pytest.approx(1.0 / 7.0)
-    assert lvl1.product == pytest.approx(5.0 / 7.0, rel=1e-12)
-    assert lvl1.factors_known
-    assert not data.levels[1].factors_known
+    mu, eta = data.factors
+    assert mu == pytest.approx(5.0)
+    assert eta == pytest.approx(1.0 / 7.0)
+    assert data.levels[0].product == pytest.approx(5.0 / 7.0, rel=1e-12)
     assert data.cutoff == 6
     assert "p1(x) = x - n/2" in data.basis_note
-    products = [level.product for level in data.levels]
-    assert all(b <= a + 1e-10 for a, b in zip(products, products[1:]))
+    assert np.all(np.diff(data.levels.product) <= 0.0)
+    # The levels are a read-only record array; each item still has .product.
+    assert [level.product for level in data.levels] == data.levels.product.tolist()
+    with pytest.raises(ValueError):
+        data.levels.product[0] = 0.5
 
 
 # The closed-form products must reproduce the numeric spectrum of the built
@@ -208,7 +207,7 @@ REFERENCE_SPECTRUM_TOL = 1e-12
 @pytest.mark.parametrize("n", [1, 2, 5, 13, 100, 234, 235, 600])
 def test_bb_spectral_data_matches_numeric_spectrum(n):
     fam = BetaBinomialFamily(n=n)
-    products = [level.product for level in bb_spectral_data(fam).levels]
+    products = bb_spectral_data(fam).levels.product
     eigs = reversible_spectrum(*bb_xchain(fam))
     np.testing.assert_allclose(products, eigs[1:], rtol=0.0, atol=REFERENCE_SPECTRUM_TOL)
 
@@ -221,8 +220,42 @@ def test_bb_spectral_data_answers_beyond_the_built_chain(n):
     assert len(data.levels) == n
     assert data.cutoff == n + 1
     assert data.levels[0].product == n / (n + 2.0)
-    assert data.levels[0].mu == n
-    assert data.levels[0].eta == 1.0 / (n + 2.0)
+    assert data.factors == (n, 1.0 / (n + 2.0))
+
+
+def _hahn_reference(n: int) -> list[float]:
+    """prod_{i<k} (n - i)/(n + 2 + i), k = 1..n, multiplied out one float at a time."""
+    products, running = [], 1.0
+    for i in range(n):
+        running *= (n - i) / (n + 2.0 + i)
+        products.append(running)
+    return products
+
+
+def test_bb_spectral_data_matches_the_closed_form_at_the_top_of_the_range():
+    # n = 2000 is the largest compare accepts; the products underflow to 0
+    # well before level n, and stay non-increasing throughout.
+    n = 2000
+    products = bb_spectral_data(BetaBinomialFamily(n=n)).levels.product
+    assert products.shape == (n,)
+    assert products.tolist() == _hahn_reference(n)
+    assert np.all(np.diff(products) <= 0.0)
+    assert products[-1] == 0.0 < products[0]
+
+
+def test_pg_spectral_data_matches_the_closed_form_at_a_large_truncation():
+    # Near the smallest rate this truncation admits, so the products run
+    # through the subnormal range (to within 2 of its ulps) down to 0.
+    fam = PoissonGammaFamily(shape=1.0, rate=0.2, x_max=5000)
+    data = pg_spectral_data(fam)
+    products = data.levels.product
+    assert products.shape == (fam.x_max,)
+    assert data.cutoff is None and data.factors is None
+    reference = [1.2**-k for k in range(1, fam.x_max + 1)]
+    np.testing.assert_allclose(products, reference, rtol=2 * families.EPS, atol=1e-323)
+    assert products[-1] == 0.0
+    assert np.all(np.diff(products) <= 0.0)
+    assert products[0] == fam.meixner_eigenvalue(1)
 
 
 def test_bb_spectral_data_flat_only():
@@ -380,9 +413,9 @@ def test_pg_spectral_data(pg_default):
     assert data.cutoff is None
     assert "Meixner eigenvalues (1 + rate)^-k" in data.basis_note
     assert data.levels[0].product == pytest.approx(0.5, abs=1e-6)
-    products = [level.product for level in data.levels]
-    assert all(b <= a + 1e-12 for a, b in zip(products, products[1:]))
-    assert all(0.0 <= p <= 1.0 for p in products)
+    products = data.levels.product
+    assert np.all(np.diff(products) <= 1e-12)
+    assert np.all((products >= 0.0) & (products <= 1.0))
 
 
 @pytest.mark.parametrize(
@@ -390,7 +423,7 @@ def test_pg_spectral_data(pg_default):
 )
 def test_pg_spectral_data_matches_numeric_spectrum(shape, rate):
     fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=300)
-    products = [level.product for level in pg_spectral_data(fam).levels]
+    products = pg_spectral_data(fam).levels.product
     eigs = reversible_spectrum(*pg_xchain(fam))
     assert len(products) == fam.x_max
     np.testing.assert_allclose(products, eigs[1:], rtol=0.0, atol=REFERENCE_SPECTRUM_TOL)
@@ -449,7 +482,7 @@ def test_gram_basis_gram_residual_within_tolerance(n):
     # log lambda_0..lambda_{K+1}, the Hahn products of bb_spectral_data.
     assert basis.log_eigenvalues.shape == (levels + 2,)
     assert basis.log_eigenvalues[0] == 0.0
-    products = [level.product for level in bb_spectral_data(BetaBinomialFamily(n=n)).levels]
+    products = bb_spectral_data(BetaBinomialFamily(n=n)).levels.product
     known = min(levels + 1, n)
     np.testing.assert_allclose(
         np.exp(basis.log_eigenvalues[1 : known + 1]), products[:known], rtol=1e-13
@@ -512,35 +545,30 @@ def test_gram_step_error_covers_bb_xchain_rows(n):
 
 
 # ---------------------------------------------------------------------------
-# SpectralLevel / SpectralData containers
+# SpectralData container
 # ---------------------------------------------------------------------------
 
 
-def test_spectral_level_validation():
-    level = SpectralLevel(k=1, product=0.5, mu=2.0, eta=0.25)
-    assert level.factors_known
-    assert SpectralLevel(k=2, product=0.3).factors_known is False
-    with pytest.raises(ParameterError):
-        SpectralLevel(k=0, product=0.5)
-    with pytest.raises(ParameterError):
-        SpectralLevel(k=1, product=0.5, mu=2.0)  # eta missing
-    with pytest.raises(ParameterError):
-        SpectralLevel(k=1, product=0.5, mu=2.0, eta=0.5)  # mu*eta != product
-
-
 def test_spectral_data_validation():
-    lvl1 = SpectralLevel(k=1, product=0.5)
-    lvl2 = SpectralLevel(k=2, product=0.25)
-    data = SpectralData(levels=(lvl1, lvl2), cutoff=3)
+    data = SpectralData(levels=[0.5, 0.25], cutoff=3, factors=(2.0, 0.25))
     assert data.cutoff == 3
+    assert data.factors == (2.0, 0.25)
+    assert data.levels.product.tolist() == [0.5, 0.25]
+    # Products within 1e-10 of [0, 1] are clamped into it.
+    clamped = SpectralData(levels=[1.0 + 1e-11, -1e-11], cutoff=None)
+    assert clamped.levels.product.tolist() == [1.0, 0.0]
     with pytest.raises(ParameterError):
-        SpectralData(levels=(lvl2,), cutoff=None)  # must start at k = 1
+        SpectralData(levels=[], cutoff=None)  # at least one level
+    with pytest.raises(ParameterError, match="level 2"):
+        SpectralData(levels=[0.5, 1.5], cutoff=None)  # outside [0, 1]
     with pytest.raises(ParameterError):
-        SpectralData(levels=(lvl1, SpectralLevel(k=3, product=0.1)), cutoff=None)
+        SpectralData(levels=[0.5, float("nan")], cutoff=None)
+    with pytest.raises(ParameterError, match="non-increasing"):
+        SpectralData(levels=[0.2, 0.25], cutoff=None)
     with pytest.raises(ParameterError):
-        SpectralData(levels=(SpectralLevel(k=1, product=0.2), lvl2), cutoff=None)
-    with pytest.raises(ParameterError):
-        SpectralData(levels=(lvl1, lvl2), cutoff=1)
+        SpectralData(levels=[0.5, 0.25], cutoff=1)
+    with pytest.raises(ParameterError, match="mu\\*eta"):
+        SpectralData(levels=[0.5], cutoff=None, factors=(2.0, 0.5))  # mu*eta != product
 
 
 def test_pg_draws_respect_domains():

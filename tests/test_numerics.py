@@ -673,7 +673,6 @@ def _bool_count_calls():
         JointState,
         ScanStrategy,
         SpectralData,
-        SpectralLevel,
         bb_drift_minorization,
         collapse_census,
         compare,
@@ -688,7 +687,6 @@ def _bool_count_calls():
     fam = BetaBinomialFamily(n=4)
     start = JointState(x=0, theta=0.5)
     scan = ScanStrategy("random", 0.5)
-    level = SpectralLevel(k=1, product=0.5)
     return {
         "compare n": lambda flag: compare(n=flag, max_steps=5, target=0.6),
         "compare max_steps": lambda flag: compare(n=5, max_steps=flag, target=0.6),
@@ -697,8 +695,7 @@ def _bool_count_calls():
         "matrix_power_tv n_steps": lambda flag: matrix_power_tv(matrix, 0, stationary, flag),
         "BetaBinomialFamily n": lambda flag: BetaBinomialFamily(n=flag),
         "PoissonGammaFamily x_max": lambda flag: PoissonGammaFamily(x_max=flag),
-        "SpectralLevel k": lambda flag: SpectralLevel(k=flag, product=0.5),
-        "SpectralData cutoff": lambda flag: SpectralData(levels=(level,), cutoff=flag),
+        "SpectralData cutoff": lambda flag: SpectralData(levels=[0.5], cutoff=flag),
         "bb_drift_minorization x0": lambda flag: bb_drift_minorization(fam, x0=flag),
         "bound n": lambda flag: systematic_upper_bound(flag),
         "bound steps": lambda flag: random_scan_lower(4, flag),

@@ -12,6 +12,7 @@ from gibbsrates import (
     ConvergenceError,
     ParameterError,
     PoissonGammaFamily,
+    ScanSpectrum,
     alpha_scan_eigenvalues,
     argmax_gap,
     bb_eigenfunction_phi,
@@ -140,19 +141,18 @@ def test_scan_spectrum_bb5():
     data = bb_spectral_data(BetaBinomialFamily(n=5))
     spectrum = alpha_scan_eigenvalues(0.5, data)
     assert spectrum.scan_weight == 0.5
-    lvl1 = spectrum.levels[0]
-    assert lvl1.lambda_plus == pytest.approx(0.9225771273642582, rel=1e-12)
-    assert lvl1.u_plus is not None and lvl1.u_minus is not None
+    assert spectrum.lambda_plus[0] == pytest.approx(0.9225771273642582, rel=1e-12)
     # Only level 1 ships factor information, so only it carries roots.
-    assert all(level.u_plus is None for level in spectrum.levels[1:])
+    assert spectrum.coupling == coupling_u(0.5, *data.factors)
     assert spectrum.tail_eigenvalue == pytest.approx(0.5)
-    assert spectrum.dominant_eigenvalue == pytest.approx(lvl1.lambda_plus)
+    assert spectrum.dominant_eigenvalue == pytest.approx(spectrum.lambda_plus[0])
 
 
 def test_scan_spectrum_pg_has_no_tail():
     data = pg_spectral_data(PoissonGammaFamily())
     spectrum = alpha_scan_eigenvalues(0.5, data)
     assert spectrum.tail_eigenvalue is None
+    assert spectrum.coupling is None
     assert spectrum.dominant_eigenvalue == pytest.approx(
         (1.0 + math.sqrt(0.5)) / 2.0, abs=1e-6
     )
@@ -164,7 +164,7 @@ def test_scan_spectrum_boundary_weight():
     assert spectrum.tail_eigenvalue == pytest.approx(1.0)
     assert spectrum.dominant_eigenvalue == pytest.approx(1.0)
     # Boundary weights cannot produce coupling roots.
-    assert all(level.u_plus is None for level in spectrum.levels)
+    assert spectrum.coupling is None
 
 
 def test_scan_spectrum_validation():
@@ -173,6 +173,48 @@ def test_scan_spectrum_validation():
         alpha_scan_eigenvalues(-0.1, data)
     with pytest.raises(ParameterError):
         alpha_scan_eigenvalues(1.1, data)
+
+
+def test_scan_spectrum_refusal_names_the_first_failing_level():
+    product = np.array([0.5, 0.25, 0.1])
+    plus, minus = scan_eigenvalue_pair(0.5, product)
+    with pytest.raises(ParameterError, match="level 2 must sum to 1"):
+        ScanSpectrum(0.5, product, plus + [0.0, 1e-6, 1e-6], minus, None)
+    with pytest.raises(ParameterError, match="level 3 must multiply"):
+        ScanSpectrum(0.5, product, plus + [0, 0, 1e-6], minus - [0, 0, 1e-6], None)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        bb_spectral_data(BetaBinomialFamily(n=2000)),
+        pg_spectral_data(PoissonGammaFamily(rate=0.2, x_max=5000)),
+    ],
+    ids=["bb-2000", "pg-5000"],
+)
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+def test_scan_spectrum_pair_identities_across_the_range(data, alpha):
+    spectrum = alpha_scan_eigenvalues(alpha, data)
+    plus, minus = spectrum.lambda_plus, spectrum.lambda_minus
+    assert plus.shape == minus.shape == data.levels.shape
+    assert np.all(np.abs(plus + minus - 1.0) <= 1e-12)
+    expected = alpha * (1.0 - alpha) * (1.0 - data.levels.product)
+    assert np.all(np.abs(plus * minus - expected) <= 1e-12)
+    assert np.all((0.0 <= minus) & (minus <= plus) & (plus <= 1.0))
+    # Each level's pair is the scalar formula's.
+    for k in (0, 1, len(plus) // 2, len(plus) - 1):
+        assert (plus[k], minus[k]) == scan_eigenvalue_pair(alpha, float(data.levels.product[k]))
+
+
+def test_pair_takes_arrays_of_either_argument():
+    alphas = np.linspace(0.0, 1.0, 11)
+    plus, minus = scan_eigenvalue_pair(alphas, 0.7)
+    assert [*zip(plus, minus)] == [scan_eigenvalue_pair(a, 0.7) for a in alphas.tolist()]
+    np.testing.assert_array_equal(spectral_gap(alphas, 0.7), 1.0 - plus)
+    with pytest.raises(ParameterError, match="got 1.5"):
+        scan_eigenvalue_pair(np.array([0.5, 1.5, 2.0]), 0.5)
+    with pytest.raises(ParameterError, match="got 1.0"):
+        scan_eigenvalue_pair(0.5, np.array([0.5, 1.0]))
 
 
 # ---------------------------------------------------------------------------
