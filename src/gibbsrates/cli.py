@@ -47,6 +47,7 @@ from .families import (
     bb_eigenfunction_phi,
     bb_spectral_data,
     bb_xchain,
+    gram_basis,
     pg_spectral_data,
     pg_xchain,
 )
@@ -551,7 +552,8 @@ def _run_exact_tv(cfg: dict):
     matrix, stationary = (
         bb_xchain(fam) if isinstance(fam, BetaBinomialFamily) else pg_xchain(fam)
     )
-    curve = exact_tv_curve(matrix, stationary, cfg["start"], cfg["steps_max"])
+    basis = gram_basis(fam) if isinstance(fam, BetaBinomialFamily) else None
+    curve = exact_tv_curve(matrix, stationary, cfg["start"], cfg["steps_max"], basis=basis)
     rows = RowTable(("steps", "tv"), (np.arange(curve.size), curve))
     result = {
         "family": cfg["family"],

@@ -51,10 +51,16 @@ TRUNCATION_TOL = 1e-12
 # Most states a dense x-chain may have: its float64 matrix is then 800 MB,
 # and the builders hold about two of them at once.
 MAX_DENSE_STATES = 10_001
-# Highest level an orthonormal basis tries, and how far the Gram matrix of
-# the levels it keeps may stray from the identity on the state space.
+# Highest level the forward recurrence of an orthonormal basis tries (the
+# Gram basis takes the levels above the recurrence's from the Jacobi
+# matrix), which is also the most levels the certified worst-start search
+# sums; and how far the Gram matrix of the levels a basis keeps may stray
+# from the identity on the state space.
 BASIS_MAX_LEVEL = 60
 BASIS_GRAM_TOL = 1e-12
+# The Gram check of a full basis multiplies at most this many entries per
+# block of rows.
+GRAM_BLOCK = 1 << 20
 # One unit in the last place of 1.0.
 EPS = float(np.finfo(float).eps)
 
@@ -265,7 +271,8 @@ def bb_xchain(fam: BetaBinomialFamily) -> tuple[StochasticMatrix, Distribution]:
     One full sweep from x integrates the binomial likelihood against the
     conditional Beta(a + x, b + n - x), giving
     K(x, x') = C(n, x') * B(x + x' + a, 2n - x - x' + b) / B(x + a, n - x + b),
-    evaluated via log-gamma so n in the thousands stays accurate.  Rows are
+    evaluated via log-gamma so n in the thousands stays accurate; the beta
+    function is evaluated once per sum x + x', 2n + 1 values.  Rows are
     normalized by their own sums, not by B(x + a, n - x + b), whose rounding
     left row sums 7e-12 off 1 and a mass drift that iterating accumulates.
     The stationary law is the beta-binomial(n, a, b) marginal — uniform for
@@ -275,10 +282,12 @@ def bb_xchain(fam: BetaBinomialFamily) -> tuple[StochasticMatrix, Distribution]:
     check_dense_states(fam.n + 1)
     n, a, b = fam.n, fam.a, fam.b
     x = np.arange(n + 1, dtype=float)
-    xp = x[None, :]
-    xc = x[:, None]
-    log_choose = gammaln(n + 1) - gammaln(xp + 1) - gammaln(n - xp + 1)
-    rows = log_choose + betaln(xc + xp + a, 2 * n - xc - xp + b)
+    log_choose = gammaln(n + 1) - gammaln(x + 1) - gammaln(n - x + 1)
+    # The log beta term depends on x + x' alone: one value per sum s = 0..2n,
+    # laid out as the Hankel matrix hankel[x + x'].
+    s = np.arange(2 * n + 1, dtype=float)
+    hankel = betaln(s + a, 2 * n - s + b)
+    rows = np.lib.stride_tricks.sliding_window_view(hankel, n + 1) + log_choose
     rows -= rows.max(axis=1, keepdims=True)
     np.exp(rows, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
@@ -425,7 +434,8 @@ class OrthonormalBasis:
     Saloff-Coste 2008).  ``levels`` is the chosen K and ``gram_residual``
     the largest entry of |Phi Phi^T - I| over levels 0..K.  ``recurrence``
     holds the coefficients (a_k, b_k) of
-    x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1}, and ``log_eigenvalues``
+    x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1}, or is None for a basis
+    whose polynomials are read from its columns.  ``log_eigenvalues`` holds
     log lambda_0..lambda_{K+1}: level K + 1 is the rate of the tail the
     basis leaves out.  ``step_error`` bounds, per step, how far in TV the
     family's dense x-chain and its stationary law stray from the chain this
@@ -435,7 +445,7 @@ class OrthonormalBasis:
     log_mass: np.ndarray
     phi: np.ndarray
     gram_residual: float
-    recurrence: tuple[np.ndarray, np.ndarray]
+    recurrence: tuple[np.ndarray, np.ndarray] | None
     log_eigenvalues: np.ndarray
     step_error: float
 
@@ -450,10 +460,14 @@ class OrthonormalBasis:
     def polynomials(self, x) -> np.ndarray:
         """p_0..p_K at the points ``x``, one row per level.
 
-        Far from the bulk of m the values grow like x^k; one that overflows
-        is inf (or nan), with no warning, and the caller must treat it as
-        unknown.
+        Without a recurrence, ``x`` must be states, and p_k(x) is
+        phi_k(x) / sqrt(m(x)).  From the recurrence, far from the bulk of m
+        the values grow like x^k; one that overflows is inf (or nan), with
+        no warning, and the caller must treat it as unknown.
         """
+        if self.recurrence is None:
+            x = np.asarray(x, dtype=np.int64)
+            return self.phi[:, x] * np.exp(-0.5 * self.log_mass[x])
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             return _three_term(np.ones_like(x), x, *self.recurrence, self.levels)
@@ -531,8 +545,55 @@ def meixner_basis(fam: PoissonGammaFamily) -> OrthonormalBasis:
     )
 
 
+def _jacobi_eigenvectors(b: np.ndarray) -> np.ndarray:
+    """The normalized eigenvectors of the Jacobi matrix with diagonal n/2 and
+    off-diagonal ``b[1:]`` (n = ``b.size - 1``), one column per state, for
+    the eigenvalues 0..n, with row 0 positive: phi_k(y) in column y.
+
+    J - (n/2) I couples even levels to odd ones only, through the
+    (n//2 + 1) x ((n + 1)//2) lower bidiagonal block B with B[i, i] = b_{2i+1}
+    and B[i, i-1] = b_{2i}.  For each singular triple (sigma, u, v) of B
+    (Golub & Kahan 1965), (u, v)/sqrt(2) and (u, -v)/sqrt(2) are the
+    eigenvectors for n/2 + sigma and n/2 - sigma; for even n the left null
+    vector of B, with zero odd part, is the one for n/2.  The singular
+    values n/2, n/2 - 1, ... come out in that order, so the eigenvalues need
+    not be read from them.
+    """
+    n = b.size - 1
+    even, odd = n // 2 + 1, (n + 1) // 2
+    block = np.zeros((even, odd))
+    i = np.arange(odd)
+    block[i, i] = b[2 * i + 1]
+    j = np.arange(1, even)
+    block[j, j - 1] = b[2 * j]
+    u, _, vt = np.linalg.svd(block)
+    phi = np.empty((n + 1, n + 1))
+    high, low = n - i, i
+    phi[0::2, high] = phi[0::2, low] = u[:, :odd] * math.sqrt(0.5)
+    phi[1::2, high] = vt.T * math.sqrt(0.5)
+    phi[1::2, low] = -phi[1::2, high]
+    if even > odd:
+        phi[0::2, n // 2] = u[:, odd]
+        phi[1::2, n // 2] = 0.0
+    phi *= np.sign(phi[0])
+    return phi
+
+
+def _gram_residual(phi: np.ndarray) -> float:
+    """The largest entry of |Phi Phi^T - I|, one block of rows at a time over
+    the upper triangle, so no full product is held."""
+    worst = 0.0
+    rows = max(1, GRAM_BLOCK // phi.shape[1])
+    for first in range(0, phi.shape[0], rows):
+        gap = phi[first : first + rows] @ phi[first:].T
+        diagonal = np.arange(gap.shape[0])
+        gap[diagonal, diagonal] -= 1.0
+        worst = max(worst, float(np.abs(gap).max()))
+    return worst
+
+
 def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
-    """Gram basis of the flat-prior beta-binomial x-chain on 0..n.
+    """Gram basis of the flat-prior beta-binomial x-chain on 0..n: all n + 1 levels.
 
     Under the flat prior the stationary law is uniform, m = 1/(n + 1), and
     its orthonormal polynomials are the Gram (discrete Chebyshev)
@@ -540,31 +601,45 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     b_k = (k/2) sqrt(((n + 1)^2 - k^2)/(4k^2 - 1)), with the Hahn
     eigenvalues lambda_k = prod_{i<k} (n - i)/(n + 2 + i) of
     ``_hahn_eigenvalues``, the products of ``bb_spectral_data``, held as
-    their logs.  Since lambda_{n+1} = 0 (log -inf) a full basis leaves no
-    tail, but the forward recurrence keeps all n + 1 levels only up to
-    n = 17 (K = 44 at n = 100, and the cap of 60 from n = 180); the
-    Christoffel tail covers the levels left out.  The step error covers
-    ``bb_xchain``: each of its log entries sums log-gamma values whose
-    magnitudes add up to at most 3 gammaln(2n + 2) (three in the log
-    binomial coefficient, three in the log beta function, with arguments at
-    most 2n + 2), so rounding each to half an ulp of its size moves an
-    entry by at most 1.5 gammaln(2n + 2) ulps relatively, and a normalized
-    row by at most 3 gammaln(2n + 2) ulps in L1, twice what its TV needs.
-    The same count bounds its uniform stationary law, and the dense loop
-    adds dim ulps per step.
+    their logs; lambda_{n+1} = 0 (log -inf), so the basis leaves no tail.
+    The forward recurrence keeps levels 0..K, with K chosen under
+    ``BASIS_GRAM_TOL`` (all levels up to n = 17, K = 44 at n = 100, the cap
+    ``BASIS_MAX_LEVEL`` from n = 180); it loses the levels near n (Gautschi
+    2004).  The levels above K are the rows of the Jacobi matrix's
+    normalized eigenvectors (Golub & Welsch 1969, ``_jacobi_eigenvectors``),
+    whose eigenvalues are the states 0..n, so the polynomials at a state
+    are read from the basis columns.  ``gram_residual`` covers all levels.
+    The step error covers ``bb_xchain``: each of its log entries sums
+    log-gamma values whose magnitudes add up to at most 3 gammaln(2n + 2)
+    (three in the log binomial coefficient, three in the log beta function,
+    with arguments at most 2n + 2), so rounding each to half an ulp of its
+    size moves an entry by at most 1.5 gammaln(2n + 2) ulps relatively, and
+    a normalized row by at most 3 gammaln(2n + 2) ulps in L1, twice what its
+    TV needs.  The same count bounds its uniform stationary law, and the
+    dense loop adds dim ulps per step.
     """
     from scipy.special import gammaln
     fam.require_flat_prior("the Gram basis")
     n = fam.n
-    k = np.arange(min(BASIS_MAX_LEVEL, n) + 2, dtype=float)
-    a = np.full(k.size, n / 2.0)
-    b = np.zeros(k.size)
+    k = np.arange(n + 1, dtype=float)
+    a = np.full(n + 1, n / 2.0)
+    b = np.zeros(n + 1)
     b[1:] = 0.5 * k[1:] * np.sqrt(((n + 1.0) ** 2 - k[1:] ** 2) / (4.0 * k[1:] ** 2 - 1.0))
     with np.errstate(divide="ignore"):  # lambda_{n+1} = 0
-        log_eigenvalues = np.log(np.concatenate([[1.0], _hahn_eigenvalues(n, k.size - 1)]))
+        log_eigenvalues = np.log(np.concatenate([[1.0], _hahn_eigenvalues(n, n + 1)]))
     log_mass = np.full(n + 1, -math.log(n + 1.0))
     step_error = 3.0 * float(gammaln(2.0 * n + 2.0)) * EPS + (n + 1) * EPS
-    return _orthonormal_basis(log_mass, a, b, log_eigenvalues, step_error)
+    head = _orthonormal_basis(log_mass, a, b, log_eigenvalues, step_error)
+    phi = _jacobi_eigenvectors(b)
+    phi[: head.levels + 1] = head.phi
+    return OrthonormalBasis(
+        log_mass=log_mass,
+        phi=phi,
+        gram_residual=_gram_residual(phi),
+        recurrence=None,
+        log_eigenvalues=log_eigenvalues,
+        step_error=step_error,
+    )
 
 
 def pg_geometric_reference(fam: PoissonGammaFamily) -> Distribution:

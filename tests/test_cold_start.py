@@ -1,4 +1,5 @@
-"""Cold start: commands that build no chain, basis or Poisson-gamma family never load scipy.
+"""Cold start: commands that build no chain, basis or Poisson-gamma family never load
+scipy, and the ones that do load no scipy.linalg.
 
 pytest itself imports scipy (through the test modules), so each check runs
 in a fresh interpreter and reads its ``sys.modules``.
@@ -70,3 +71,18 @@ def test_a_chain_build_loads_scipy_special(tmp_path):
     loaded = probe([argv], tmp_path)
     assert loaded["import"] == []
     assert "scipy.special" in loaded[" ".join(argv)]
+
+
+def test_the_gram_basis_loads_no_scipy_linalg(tmp_path):
+    # The full Gram basis comes from numpy's SVD: importing scipy.linalg
+    # would add to every cold command that builds a chain.
+    argvs = [
+        ["scan-compare", "--n", "100"],
+        ["exact-tv", "--family", "bb", "--n", "100", "--start", "0",
+         "--steps-max", "400", "--target", "0.01"],
+    ]
+    loaded = probe(argvs, tmp_path)
+    for argv in argvs:
+        modules = loaded[" ".join(argv)]
+        assert "scipy.special" in modules
+        assert not [m for m in modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")]

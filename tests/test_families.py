@@ -120,6 +120,21 @@ def test_bb_xchain_n2_closed_form():
     np.testing.assert_allclose(stationary.weights, [1 / 3] * 3, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n, a, b", [(1, 1.0, 1.0), (300, 0.5, 2.5), (300, 3.0, 0.7), (2000, 1.0, 1.0)])
+def test_bb_xchain_entries_match_the_entrywise_formula_bit_for_bit(n, a, b):
+    # The Hankel build evaluates betaln once per sum x + x'; entry by entry
+    # it is the same floating-point formula.
+    from scipy.special import betaln, gammaln
+
+    x = np.arange(n + 1, dtype=float)
+    xc, xp = x[:, None], x[None, :]
+    rows = gammaln(n + 1) - gammaln(xp + 1) - gammaln(n - xp + 1)
+    rows = rows + betaln(xc + xp + a, 2 * n - xc - xp + b)
+    rows = np.exp(rows - rows.max(axis=1, keepdims=True))
+    rows /= rows.sum(axis=1, keepdims=True)
+    np.testing.assert_array_equal(bb_xchain(BetaBinomialFamily(n=n, a=a, b=b))[0].entries, rows)
+
+
 @pytest.mark.parametrize("n", [235, 511, 724, 2000])
 def test_bb_xchain_matches_betabinomial_rows(n):
     # Row x is the beta-binomial(n, 1 + x, 1 + n - x) law of the next state.
@@ -490,21 +505,35 @@ def test_gram_basis_gram_residual_within_tolerance(n):
 
 
 def test_gram_basis_levels():
-    # Up to n = 17 every level passes the Gram check, so the basis is full
-    # and the tail rate lambda_{n+1} is 0.  Beyond that the forward
-    # recurrence loses the levels near n, and K stops where the Gram
-    # residual leaves BASIS_GRAM_TOL, at most BASIS_MAX_LEVEL.
-    for n in range(1, 18):
+    # Every n keeps all n + 1 levels: the forward recurrence's levels up to
+    # its K, and the Jacobi eigenvectors above, so the tail rate
+    # lambda_{n+1} is 0 and the polynomials are read from the columns.
+    for n in [*range(1, 301), 723, 2000]:
         basis = gram_basis(BetaBinomialFamily(n=n))
         assert basis.levels == n
+        assert basis.gram_residual <= families.BASIS_GRAM_TOL
+        assert basis.log_eigenvalues.shape == (n + 2,)
         assert basis.log_eigenvalues[-1] == -math.inf
-    for n in (37, 60, 100, 200, 723, 2000):
-        basis = gram_basis(BetaBinomialFamily(n=n))
-        assert 20 <= basis.levels <= min(n - 1, families.BASIS_MAX_LEVEL)
-        assert math.isfinite(basis.log_eigenvalues[-1])
-    assert gram_basis(BetaBinomialFamily(n=200)).levels == families.BASIS_MAX_LEVEL
+        assert basis.recurrence is None
     with pytest.raises(UnsupportedPriorError):
         gram_basis(BetaBinomialFamily(n=10, a=2.0))
+
+
+@pytest.mark.parametrize("n", [16, 17, 100, 723])
+def test_gram_basis_levels_agree_with_the_recurrence(n):
+    # The Jacobi eigenvectors alone, against the forward recurrence on the
+    # levels where its Gram block holds, and the symmetry
+    # phi_k(n - y) = (-1)^k phi_k(y) of the Gram polynomials.
+    basis = gram_basis(BetaBinomialFamily(n=n))
+    k = np.arange(1, n + 1, dtype=float)
+    b = np.r_[0.0, 0.5 * k * np.sqrt(((n + 1.0) ** 2 - k**2) / (4.0 * k**2 - 1.0))]
+    np.testing.assert_allclose(
+        families._jacobi_eigenvectors(b), basis.phi, rtol=0, atol=1e-11
+    )
+    signs = (-1.0) ** np.arange(n + 1)
+    np.testing.assert_allclose(
+        basis.phi[:, ::-1], signs[:, None] * basis.phi, rtol=0, atol=1e-11
+    )
 
 
 @pytest.mark.parametrize("n", [50, 723, 2000])
@@ -513,7 +542,7 @@ def test_gram_polynomials_are_eigenfunctions_of_bb_xchain(n):
     basis = gram_basis(fam)
     poly = basis.polynomials(np.arange(n + 1))
     entries = bb_xchain(fam)[0].entries
-    for k in range(4):
+    for k in (0, 1, 2, 3, n // 2, n - 1, n):
         residual = entries @ poly[k] - math.exp(basis.log_eigenvalues[k]) * poly[k]
         assert np.abs(residual).max() <= 1e-12 * np.abs(poly[k]).max()
 

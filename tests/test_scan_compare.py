@@ -83,6 +83,62 @@ def test_point_starts_must_be_integers():
     assert pg_mixing_demo([np.int64(8)]).rows == pg_mixing_demo([8]).rows
 
 
+@pytest.mark.parametrize("n, max_steps", [(1, 40), (2, 40), (3, 40), (50, 150), (600, 1800), (2000, 600)])
+def test_spectral_curve_matches_the_dense_loop(n, max_steps):
+    # From start n/2 (n even) p_1 = 0, so the level cut must not key on level 1.
+    fam = BetaBinomialFamily(n=n)
+    matrix, stationary = bb_xchain(fam)
+    basis = gram_basis(fam)
+    starts = [0, n // 2, n]
+    dense = np.concatenate(list(numerics.iterate_tv(matrix, stationary, starts, max_steps)))
+    for i, start in enumerate(starts):
+        curve = exact_tv_curve(matrix, stationary, start, max_steps, basis=basis)
+        assert curve.shape == (max_steps + 1,)
+        assert curve[0] == pytest.approx(n / (n + 1.0), rel=1e-15)
+        np.testing.assert_allclose(curve, dense[:, i], rtol=0, atol=1e-12)
+
+
+def test_spectral_curve_is_no_further_from_the_exact_kernel_than_the_dense_loop():
+    # Reference: the exact kernel (n + 1) C(n, x) C(n, y) (x + y)! (2n - x - y)! / (2n + 1)!
+    # in 128-bit fixed point (38 digits), iterated in integer arithmetic.
+    n, max_steps, bits = 100, 300, 128
+    fact = [math.factorial(i) for i in range(2 * n + 2)]
+    kernel = np.empty((n + 1, n + 1), dtype=object)
+    for x in range(n + 1):
+        for y in range(n + 1):
+            num = (n + 1) * math.comb(n, x) * math.comb(n, y) * fact[x + y] * fact[2 * n - x - y]
+            kernel[x, y] = (num << bits) // fact[2 * n + 1]
+    one = 1 << bits
+    law = np.array([one] + [0] * n, dtype=object)
+    truth = []
+    for t in range(max_steps + 1):
+        if t:
+            law = np.array([v >> bits for v in law @ kernel], dtype=object)
+        truth.append(sum(abs(v * (n + 1) - one) for v in law) / (2 * (n + 1) * one))
+    fam = BetaBinomialFamily(n=n)
+    matrix, stationary = bb_xchain(fam)
+    spectral = exact_tv_curve(matrix, stationary, 0, max_steps, basis=gram_basis(fam))
+    dense = exact_tv_curve(matrix, stationary, 0, max_steps)
+    spectral_error = np.abs(spectral - truth).max()
+    assert spectral_error <= np.abs(dense - truth).max()
+    assert spectral_error <= 2e-15
+
+
+def test_spectral_curve_validation():
+    fam = BetaBinomialFamily(n=4)
+    matrix, stationary = bb_xchain(fam)
+    basis = gram_basis(fam)
+    for start in (5, -1, 2.0):
+        with pytest.raises(ParameterError):
+            exact_tv_curve(matrix, stationary, start, 3, basis=basis)
+    with pytest.raises(ParameterError):
+        exact_tv_curve(matrix, stationary, 0, MAX_COMPARE_STEPS + 1, basis=basis)
+    np.testing.assert_array_equal(
+        exact_tv_curve(matrix, stationary, np.int64(2), 3, basis=basis),
+        exact_tv_curve(matrix, stationary, 2, 3, basis=basis),
+    )
+
+
 def test_first_crossing():
     curve = np.array([0.5, 0.2, 0.09, 0.01, 0.001])
     assert first_crossing(curve, 0.25) == 1
@@ -188,6 +244,39 @@ def test_worst_start_search_falls_back_to_lifting_on_a_tie(monkeypatch, n):
     worst = worst_start_search(matrix, stationary, target, 4 * n, basis=gram_basis(fam))
     assert worst == expected
     assert lifted == [target]
+
+
+@pytest.mark.parametrize("t", [150, 217, 218])
+def test_compare_rechecks_a_lifted_crossing_on_the_dense_curve(monkeypatch, t):
+    # At the dense loop's own TV from start 0 the certificate cannot decide,
+    # and lifting answers on the dense chain: start 100, one step later.
+    # The spectral curve may sit an ulp across that target, so the crossing
+    # is re-checked, and printed, on the dense chain's curve.
+    matrix, stationary = bb_xchain(BetaBinomialFamily(n=100))
+    target = float(exact_tv_curve(matrix, stationary, 0, 400)[t])
+    lifted = []
+    lifting = scan_compare._lifted_worst_start
+
+    def spy(*args):
+        lifted.append(args[2])
+        return lifting(*args)
+
+    monkeypatch.setattr(scan_compare, "_lifted_worst_start", spy)
+    report = compare(n=100, max_steps=400, target=target)
+    assert (report.worst_start, report.min_steps["exact"]) == (100, t + 1)
+    assert lifted == [target]
+    dense = exact_tv_curve(matrix, stationary, 100, 400)
+    np.testing.assert_array_equal(report.curves.columns[1], dense[1:])
+
+
+def test_compare_takes_a_certified_curve_from_the_basis(monkeypatch):
+    def no_dense_loop(*args):
+        raise AssertionError("the dense loop ran")
+
+    monkeypatch.setattr(scan_compare, "iterate_tv", no_dense_loop)
+    monkeypatch.setattr(scan_compare, "_lifted_worst_start", _refuse_lifting)
+    report = compare(n=100, max_steps=400)
+    assert (report.worst_start, report.min_steps["exact"]) == (0, 218)
 
 
 def test_worst_start_search_n600_crossing():
