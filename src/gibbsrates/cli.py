@@ -46,7 +46,6 @@ from .families import (
     bb_drift_minorization,
     bb_eigenfunction_phi,
     bb_spectral_data,
-    bb_xchain,
     gram_basis,
     pg_spectral_data,
     pg_xchain,
@@ -549,10 +548,8 @@ def _run_scan_compare(cfg: dict):
 def _run_exact_tv(cfg: dict):
     target = None if cfg["target"] is None else check_target(cfg["target"])
     fam = _family_from_config(cfg)
-    matrix, stationary = (
-        bb_xchain(fam) if isinstance(fam, BetaBinomialFamily) else pg_xchain(fam)
-    )
     basis = gram_basis(fam) if isinstance(fam, BetaBinomialFamily) else None
+    matrix, stationary = pg_xchain(fam) if basis is None else (None, None)
     curve = exact_tv_curve(matrix, stationary, cfg["start"], cfg["steps_max"], basis=basis)
     rows = RowTable(("steps", "tv"), (np.arange(curve.size), curve))
     result = {

@@ -616,10 +616,12 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     size moves an entry by at most 1.5 gammaln(2n + 2) ulps relatively, and
     a normalized row by at most 3 gammaln(2n + 2) ulps in L1, twice what its
     TV needs.  The same count bounds its uniform stationary law, and the
-    dense loop adds dim ulps per step.
+    dense loop adds dim ulps per step.  The basis is a dense (n + 1)^2
+    array, so more than ``MAX_DENSE_STATES`` states are refused.
     """
     from scipy.special import gammaln
     fam.require_flat_prior("the Gram basis")
+    check_dense_states(fam.n + 1)
     n = fam.n
     k = np.arange(n + 1, dtype=float)
     a = np.full(n + 1, n / 2.0)

@@ -47,7 +47,6 @@ from .families import (
     PoissonGammaFamily,
     bb_drift_minorization,
     bb_eigenfunction_phi,
-    bb_xchain,
     check_dense_states,
     gram_basis,
     meixner_basis,
@@ -76,11 +75,10 @@ from .operators import (
     eigenfunction_decay,
 )
 
-# Unused by the program: the worst-start search no longer splits at a chain
-# size.  The benchmark's tracer (perfbench/tracing.py, _worst_start_counts)
-# still imports it to estimate the search's dense products, and
-# tests/test_bench_contract.py guards that import.  It goes when the tracer
-# stops reading it, in the change that brings the benchmark up to date.
+# Unused by the program: only the benchmark's tracer (perfbench/tracing.py,
+# _worst_start_counts) reads it, to estimate dense products the search no
+# longer runs; tests/test_bench_contract.py guards that import.  It goes
+# when the tracer stops reading it.
 FULL_SCAN_LIMIT = 512
 # Exact matrix work in `compare` is capped at this n.
 MAX_COMPARE_N = 2000
@@ -103,8 +101,8 @@ CERTIFY_PROBES = 16
 CURVE_BLOCK = 1 << 20
 
 def exact_tv_curve(
-    matrix: StochasticMatrix,
-    stationary: Distribution,
+    matrix: StochasticMatrix | None,
+    stationary: Distribution | None,
     start: int,
     max_steps: StepCount,
     *,
@@ -112,10 +110,10 @@ def exact_tv_curve(
 ) -> np.ndarray:
     """TV to stationarity at steps 0..max_steps (at most 10^5) from a point start.
 
-    Without ``basis`` the curve is the dense loop's, ``iterate_tv`` on
-    ``matrix``.  Given the full eigenbasis of the chain (``gram_basis``) it
-    is the chain's eigen-expansion (``_basis_tv``), and ``matrix`` and
-    ``stationary`` are not read.
+    Given the full eigenbasis of the chain (``gram_basis``), the curve is
+    the chain's eigen-expansion (``_basis_tv``); pass None for ``matrix``
+    and ``stationary``, which are not read.  Without ``basis`` it is the
+    dense loop's, ``iterate_tv`` on ``matrix`` (``exact-tv --family pg``).
     """
     if not is_integer(max_steps) or int(max_steps) < 0:
         raise ParameterError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
@@ -291,15 +289,10 @@ def _certified_crossings(
 
 @dataclass(frozen=True)
 class WorstStart:
-    """Outcome of the worst-start search: which start, and how slow.
-
-    ``lifted`` marks an answer read from the dense chain by binary lifting,
-    not certified from an eigenbasis.
-    """
+    """Outcome of the worst-start search: which start, and how slow."""
 
     start: int
     min_steps: StepCount
-    lifted: bool = False
 
 
 def _not_reached(target: float, max_steps: int) -> NoSolutionError:
@@ -309,124 +302,61 @@ def _not_reached(target: float, max_steps: int) -> NoSolutionError:
     )
 
 
-def _certified_worst_start(
-    basis: OrthonormalBasis, target: float, max_steps: int
-) -> WorstStart | None:
-    """The worst start as the expansion certifies it, or None where it cannot.
+def worst_start_search(
+    basis: OrthonormalBasis, target: float, *, max_steps: StepCount
+) -> WorstStart:
+    """Find the start needing the most steps to bring TV down to the target.
 
-    Only levels 0..``BASIS_MAX_LEVEL`` of ``basis`` are evaluated, and the
-    Christoffel tail covers the rest.  The candidate is the first start
-    maximizing |p_1(x)|, the start the slowest eigenfunction weighs most.
-    Its certified crossing t* is the worst one, and the candidate the first
-    start to need it, if every later start is certified at or below the
-    target at t* and every earlier one at t* - 1.  Each start that fails
-    this gets its own certified crossing, and the worst is the first
-    maximum over all.
+    ``basis`` is the full eigenbasis of the chain (``gram_basis`` for the
+    flat beta-binomial), and every start is searched with no chain power.
+    Each start's crossing is certified from levels 0..``BASIS_MAX_LEVEL``
+    (``_certified_crossings``), the Christoffel tail covering the rest; the
+    certificate covers the dense chain's rounding, so a certified crossing
+    is also the crossing of the start's printed curve.  The candidate is the
+    first start maximizing |p_1(x)|, the start the slowest eigenfunction
+    weighs most.  Its crossing t* is the worst one, and the candidate the
+    first start to need it, if every later start is certified at or below
+    the target at t* and every earlier one at t* - 1.  Each start that fails
+    this gets its own crossing, and the worst is the first maximum over
+    all.  A start the certificate leaves undecided, as on a target tied to
+    a curve value, gets the first crossing of its own curve from the full
+    expansion (``_basis_tv``).
     """
-    basis = dataclasses.replace(
+    target = check_target(target)
+    max_steps = int(max_steps)
+    head = dataclasses.replace(
         basis,
         phi=basis.phi[: BASIS_MAX_LEVEL + 1],
         log_eigenvalues=basis.log_eigenvalues[: BASIS_MAX_LEVEL + 2],
     )
     states = np.arange(basis.dim)
-    terms = _start_terms(basis, states)
+    terms = _start_terms(head, states)
+
+    def crossings(starts: np.ndarray) -> np.ndarray:
+        found = _certified_crossings(head, terms.take(starts), target, max_steps)
+        for i in np.flatnonzero(found < 0):
+            hit = first_crossing(_basis_tv(basis, int(starts[i]), max_steps), target)
+            found[i] = max_steps + 1 if hit is None else hit
+        return found
+
     candidate = int(np.argmax(np.abs(terms.poly[:, 1])))
-    worst = int(_certified_crossings(basis, terms.take([candidate]), target, max_steps)[0])
-    if worst < 0:
-        return None
+    worst = int(crossings(np.array([candidate]))[0])
     if worst > max_steps:
         raise _not_reached(target, max_steps)
     # crossing[x]: x's crossing, or a bound that keeps it from being the answer.
     crossing = np.where(states < candidate, worst - 1, worst)
     others = np.flatnonzero((states != candidate) & (crossing >= 0))
-    tv, error = _certified_tv(basis, terms.take(others), crossing[others])
+    tv, error = _certified_tv(head, terms.take(others), crossing[others])
     passed = np.zeros(basis.dim, dtype=bool)
     passed[candidate] = True
     passed[others] = (tv + error <= target)[:, 0]
     failed = np.flatnonzero(~passed)
     if failed.size:
-        found = _certified_crossings(basis, terms.take(failed), target, max_steps)
-        if np.any(found < 0):
-            return None
-        crossing[failed] = found
+        crossing[failed] = crossings(failed)
     start = int(np.argmax(crossing))  # argmax returns the first (smallest) tie
     if crossing[start] > max_steps:
         raise _not_reached(target, max_steps)
     return WorstStart(start=start, min_steps=int(crossing[start]))
-
-
-def worst_start_search(
-    matrix: StochasticMatrix,
-    stationary: Distribution,
-    target: float,
-    max_steps: StepCount,
-    *,
-    basis: OrthonormalBasis | None = None,
-) -> WorstStart:
-    """Find the start needing the most steps to bring TV down to the target.
-
-    Every start is searched.  Given ``basis``, the orthonormal eigenbasis of
-    ``matrix`` (``gram_basis`` for the flat beta-binomial chain), the answer
-    is certified from its expansion (``_certified_worst_start``): a handful
-    of (dim x K)(K x dim) products, with no chain power.  Where that
-    certificate cannot decide a start, and always without ``basis``, the
-    search runs by binary lifting over the powers K^(2^j).  TV from a fixed
-    start never increases with the step count (Levin, Peres & Wilmer,
-    ch. 4), so each start's last step above the target is the sum of the
-    powers, largest first, that keep it above; one more product confirms
-    every crossing.  The cost is about 2 log2(max_steps) dense products
-    instead of one per step.  Both give the dense chain's crossings, and
-    ties break toward the smaller start; a lifted answer is marked
-    ``lifted``.
-    """
-    target = check_target(target)
-    max_steps = int(max_steps)
-    if basis is not None:
-        found = _certified_worst_start(basis, target, max_steps)
-        if found is not None:
-            return found
-    return _lifted_worst_start(matrix, stationary, target, max_steps)
-
-
-def _lifted_worst_start(
-    matrix: StochasticMatrix, stationary: Distribution, target: float, max_steps: int
-) -> WorstStart:
-    """``worst_start_search`` by binary lifting over the dense powers K^(2^j)."""
-    pi = stationary.weights
-
-    def tv_rows(laws: np.ndarray) -> np.ndarray:
-        return 0.5 * np.abs(laws - pi).sum(axis=1)
-
-    powers = [matrix.entries]  # powers[j] = K^(2^j)
-    while np.any(tv_rows(powers[-1]) > target) and 2 ** len(powers) <= max_steps:
-        powers.append(powers[-1] @ powers[-1])
-    # The starts above the target at step 0 (a point mass at i is at TV
-    # 1 - pi_i), their last step known to be above it, and their laws at
-    # that step.  A start still at step 0 is a point mass, so its law after
-    # a power is that power's row, read off rather than multiplied.
-    active = np.flatnonzero(1.0 - pi > target)
-    last = np.zeros(active.size, dtype=np.int64)
-    laws = np.empty((active.size, matrix.dim))
-
-    def advance(rows: np.ndarray, power: np.ndarray) -> np.ndarray:
-        moved = power[active[rows]]
-        walked = last[rows] > 0
-        moved[walked] = laws[rows[walked]] @ power
-        return moved
-
-    for j in reversed(range(len(powers))):
-        trying = np.flatnonzero(last + 2**j <= max_steps)
-        moved = advance(trying, powers[j])
-        above = tv_rows(moved) > target
-        laws[trying[above]] = moved[above]
-        last[trying[above]] += 2**j
-    everyone = np.arange(active.size)
-    if np.any(last >= max_steps) or np.any(tv_rows(advance(everyone, matrix.entries)) > target):
-        raise _not_reached(target, max_steps)
-    crossing = np.zeros(matrix.dim, dtype=np.int64)
-    crossing[active] = last + 1
-    worst = int(np.argmax(crossing))  # argmax returns the first (smallest) tie
-    return WorstStart(start=worst, min_steps=int(crossing[worst]), lifted=True)
 
 
 @dataclass(frozen=True)
@@ -563,13 +493,11 @@ def compare(
 ) -> ComparisonReport:
     """Run the full exact-versus-bounds comparison for a flat-prior model.
 
-    The worst start and its crossing come from ``worst_start_search`` with
-    the full Gram basis of the chain (``gram_basis``), so lifting over
-    dense powers runs only for a start the certificate cannot decide.  The
-    exact curve from that start is the basis's eigen-expansion, and the
-    crossing is re-checked against it; a lifted crossing is the dense
-    chain's own, and is re-checked against, and printed from, that chain's
-    curve.  ``d``, ``r`` and ``v_x0`` parameterize the
+    The full Gram basis of the chain (``gram_basis``) answers the exact
+    part, and no dense chain is built: the worst start and its crossing
+    come from ``worst_start_search``, the exact curve from that start is
+    the basis's eigen-expansion, and the crossing is re-checked against
+    that printed curve.  ``d``, ``r`` and ``v_x0`` parameterize the
     drift/minorization summary entry; ``decay_samples > 0`` additionally
     runs the Monte Carlo eigenfunction cross-check with that many replicas.
     """
@@ -587,14 +515,9 @@ def compare(
     target = check_target(target)
 
     fam = BetaBinomialFamily(n=n)
-    matrix, stationary = bb_xchain(fam)
     basis = gram_basis(fam)
-    worst = worst_start_search(matrix, stationary, target, max_steps, basis=basis)
-    # A lifted crossing is the dense chain's own, so it is re-checked, and
-    # printed, on that chain's curve: a spectral cell may sit an ulp across.
-    curve = exact_tv_curve(
-        matrix, stationary, worst.start, max_steps, basis=None if worst.lifted else basis
-    )
+    worst = worst_start_search(basis, target, max_steps=max_steps)
+    curve = exact_tv_curve(None, None, worst.start, max_steps, basis=basis)
     t = worst.min_steps
     if curve[t] > target or (t > 0 and curve[t - 1] <= target):
         raise ConvergenceError(
@@ -667,7 +590,7 @@ def compare(
             )
 
     notes = {
-        "worst_start": f"exhaustive scan over all {matrix.dim} starts",
+        "worst_start": f"exhaustive scan over all {basis.dim} starts",
         "exact_chain": (
             "x-marginal of the theta-then-x sweep; one step equals one full sweep"
         ),

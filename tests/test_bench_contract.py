@@ -77,22 +77,30 @@ def test_full_scan_limit_imports():
 
 
 def test_tracer_runs_clean_around_the_traced_calls(tracing, tmp_path):
-    # The annotators read call signatures and results (``max_steps`` as the
-    # fourth argument of the worst-start search, ``result.min_steps``); a
-    # drift there makes the traced call raise, which name checks miss.
+    # The annotators read call signatures and results (``args[0].dim`` and
+    # ``max_steps``, passed by keyword, of the worst-start search; ``max_steps``
+    # as the fourth argument of the exact curve; ``result.min_steps``); a
+    # drift there makes the traced call raise, which name checks miss.  The
+    # tie target (the curve's own value at the worst crossing) sends the
+    # search down its undecided-start path.
     import gibbsrates
     from gibbsrates import cli
 
+    basis = gibbsrates.gram_basis(gibbsrates.BetaBinomialFamily(n=10))
+    tie = float(gibbsrates.exact_tv_curve(None, None, 0, 24, basis=basis)[24])
     tracer = tracing.Tracer()
     tracer.install()
     try:
         gibbsrates.compare(10, 100)
+        gibbsrates.compare(10, 100, target=tie)
         gibbsrates.pg_mixing_demo([0, 8])
-        code = cli.main(["exact-tv", "--family", "bb", "--n", "10", "--start", "0",
-                         "--steps-max", "50", "--out", str(tmp_path / "tv.json")])
+        codes = [
+            cli.main([*family, "--start", "0", "--steps-max", "50", "--out", str(tmp_path / "tv.json")])
+            for family in (["exact-tv", "--family", "bb", "--n", "10"], ["exact-tv", "--family", "pg"])
+        ]
     finally:
         tracer.uninstall()
-    assert code == 0
+    assert codes == [0, 0]
     failed = {name: total[2] for name, total in tracer.totals.items() if total[2]}
     assert not failed
     for counter in ("scan_compare.worst_start_products", "scan_compare.worst_start_gflop",

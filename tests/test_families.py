@@ -618,14 +618,18 @@ def test_dense_chains_refuse_more_states_than_the_cap(monkeypatch):
     assert too_many >= 10_001
     for build, fam in (
         (bb_xchain, BetaBinomialFamily(n=too_many)),
+        (gram_basis, BetaBinomialFamily(n=too_many)),
         (pg_xchain, PoissonGammaFamily(x_max=too_many)),
     ):
         with pytest.raises(ParameterError, match=f"above the cap of {too_many}"):
             build(fam)
     monkeypatch.setattr(families, "MAX_DENSE_STATES", 11)
     assert bb_xchain(BetaBinomialFamily(n=10))[0].dim == 11
+    assert gram_basis(BetaBinomialFamily(n=10)).dim == 11
     assert pg_xchain(PoissonGammaFamily(x_max=10, rate=50.0))[0].dim == 11
     with pytest.raises(ParameterError, match="12 states, above the cap of 11"):
         bb_xchain(BetaBinomialFamily(n=11))
+    with pytest.raises(ParameterError, match="12 states, above the cap of 11"):
+        gram_basis(BetaBinomialFamily(n=11))
     with pytest.raises(ParameterError, match="12 states, above the cap of 11"):
         pg_xchain(PoissonGammaFamily(x_max=11, rate=50.0))

@@ -34,7 +34,7 @@ from gibbsrates import (
     systematic_validity_threshold,
     worst_start_search,
 )
-from gibbsrates import cli, numerics, scan_compare
+from gibbsrates import cli, families, numerics, scan_compare
 from gibbsrates.bounds import random_scan_upper_bound
 from gibbsrates.errors import TruncationError
 from gibbsrates.families import pg_xchain
@@ -153,13 +153,14 @@ def test_first_crossing():
 
 
 def test_worst_start_search_matches_manual_scan():
-    matrix, stationary = bb_xchain(BetaBinomialFamily(n=10))
+    fam = BetaBinomialFamily(n=10)
+    matrix, stationary = bb_xchain(fam)
     target = 0.05
     crossings = []
     for start in range(11):
         curve = exact_tv_curve(matrix, stationary, start, 100)
         crossings.append(first_crossing(curve, target))
-    worst = worst_start_search(matrix, stationary, target, 100)
+    worst = worst_start_search(gram_basis(fam), target, max_steps=100)
     assert worst.min_steps == max(crossings)
     assert crossings[worst.start] == worst.min_steps
     assert worst.start == crossings.index(max(crossings))
@@ -168,27 +169,48 @@ def test_worst_start_search_matches_manual_scan():
 # Targets from one met at step 0 (n = 1, where every start has TV 1/2) down
 # to 0.001; for each, max_steps runs T - 1, T, T + 1 and 2T + 3 around the
 # worst crossing T found by iterating every start step by step.
-LIFTING_TARGETS = (0.6, 0.25, 0.1, 0.03, 0.01, 0.001)
+SEARCH_TARGETS = (0.6, 0.25, 0.1, 0.03, 0.01, 0.001)
 
 
-def _refuse_lifting(*args):
-    raise AssertionError("dense lifting ran")
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} ran")
+
+    return refuse
 
 
-def _search_engines(monkeypatch, fam):
-    """worst_start_search by dense lifting, and by the Gram certificate alone."""
-    matrix, stationary = bb_xchain(fam)
+def _certified_search(monkeypatch, fam):
+    """worst_start_search on the Gram basis, with the per-start curve that
+    answers an undecided start refused: the certificate must decide alone."""
     basis = gram_basis(fam)
 
-    def lifted(target, max_steps):
-        return worst_start_search(matrix, stationary, target, max_steps)
-
-    def certified(target, max_steps):
+    def search(target, max_steps):
         with monkeypatch.context() as patch:
-            patch.setattr(scan_compare, "_lifted_worst_start", _refuse_lifting)
-            return worst_start_search(matrix, stationary, target, max_steps, basis=basis)
+            patch.setattr(scan_compare, "_basis_tv", _refuse("the undecided-start curve"))
+            return worst_start_search(basis, target, max_steps=max_steps)
 
-    return lifted, certified
+    return search
+
+
+def _spy_curves(monkeypatch):
+    """The starts whose full basis curve ``_basis_tv`` evaluates, in call order."""
+    starts = []
+    spectral = scan_compare._basis_tv
+
+    def spy(basis, start, steps):
+        starts.append(start)
+        return spectral(basis, start, steps)
+
+    monkeypatch.setattr(scan_compare, "_basis_tv", spy)
+    return starts
+
+
+def _refuse_dense_products(monkeypatch):
+    """Make building a dense chain or iterating one raise."""
+    monkeypatch.setattr(families, "bb_xchain", _refuse("bb_xchain"))
+    monkeypatch.setattr(numerics.StochasticMatrix, "__post_init__", _refuse("a dense chain build"))
+    for module in (numerics, scan_compare):
+        monkeypatch.setattr(module, "iterate_tv", _refuse("the dense loop"))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 37, 100, 233])
@@ -196,95 +218,94 @@ def test_worst_start_search_matches_iteration(n, monkeypatch):
     fam = BetaBinomialFamily(n=n)
     matrix, stationary = bb_xchain(fam)
     curves = [exact_tv_curve(matrix, stationary, x, 4 * n + 40) for x in range(n + 1)]
-    engines = _search_engines(monkeypatch, fam)
-    for target in LIFTING_TARGETS:
+    search = _certified_search(monkeypatch, fam)
+    for target in SEARCH_TARGETS:
         crossings = [first_crossing(curve, target) for curve in curves]
         worst_steps = max(crossings)
         worst_start = crossings.index(worst_steps)
         for max_steps in (worst_steps - 1, worst_steps, worst_steps + 1, 2 * worst_steps + 3):
             if max_steps < 0:
                 continue
-            for search in engines:
-                if max_steps < worst_steps:
-                    with pytest.raises(NoSolutionError, match="target-not-reached"):
-                        search(target, max_steps)
-                    continue
-                worst = search(target, max_steps)
-                assert (worst.start, worst.min_steps) == (worst_start, worst_steps)
+            if max_steps < worst_steps:
+                with pytest.raises(NoSolutionError, match="target-not-reached"):
+                    search(target, max_steps)
+                continue
+            worst = search(target, max_steps)
+            assert (worst.start, worst.min_steps) == (worst_start, worst_steps)
 
 
 @pytest.mark.parametrize("n, max_steps, expected", [(723, 2169, (0, 1563)), (2000, 6000, (0, 4320))])
 def test_certified_worst_start_needs_no_lifting(monkeypatch, n, max_steps, expected):
-    _, certified = _search_engines(monkeypatch, BetaBinomialFamily(n=n))
-    worst = certified(0.01, max_steps)
+    # The certificate decides every start, with no per-start curve and no chain.
+    _refuse_dense_products(monkeypatch)
+    search = _certified_search(monkeypatch, BetaBinomialFamily(n=n))
+    worst = search(0.01, max_steps)
     assert (worst.start, worst.min_steps) == expected
     message = f"target-not-reached: some starts still exceed TV 0.01 after {expected[1] - 1} steps"
     with pytest.raises(NoSolutionError, match=message):
-        certified(0.01, expected[1] - 1)
+        search(0.01, expected[1] - 1)
 
 
-@pytest.mark.parametrize("n", [10, 100])
-def test_worst_start_search_falls_back_to_lifting_on_a_tie(monkeypatch, n):
-    # At the dense curve's own value at the worst crossing the certificate
-    # cannot decide that crossing, so the answer must come from lifting.
-    fam = BetaBinomialFamily(n=n)
-    matrix, stationary = bb_xchain(fam)
-    plain = worst_start_search(matrix, stationary, 0.01, 4 * n)
-    curve = exact_tv_curve(matrix, stationary, plain.start, plain.min_steps)
+def _assert_compare_answers_the_tie(monkeypatch, n, max_steps, target, starts):
+    """At a target the certificate cannot decide, ``compare`` answers with the
+    first maximum of the basis-curve crossings over ``starts``, prints that
+    curve bit for bit, and builds and iterates no dense chain."""
+    basis = gram_basis(BetaBinomialFamily(n=n))
+    curves = {x: exact_tv_curve(None, None, x, max_steps, basis=basis) for x in starts}
+    crossings = {x: first_crossing(curve, target) for x, curve in curves.items()}
+    expected = max(crossings.values())
+    expected_start = min(x for x, t in crossings.items() if t == expected)
+    curve = curves[expected_start]
+    assert curve[expected] <= target < curve[expected - 1]  # the crossing re-check
+    _refuse_dense_products(monkeypatch)
+    undecided = _spy_curves(monkeypatch)
+    worst = worst_start_search(basis, target, max_steps=max_steps)
+    assert (worst.start, worst.min_steps) == (expected_start, expected)
+    assert undecided, "the certificate decided every start; the target is no tie"
+    report = compare(n=n, max_steps=max_steps, target=target)
+    assert (report.worst_start, report.min_steps["exact"]) == (expected_start, expected)
+    np.testing.assert_array_equal(report.curves.columns[1], curve[1:])
+
+
+@pytest.mark.parametrize("n", [10, 100, 723, 2000])
+def test_compare_answers_a_tie_on_its_own_curve(monkeypatch, n):
+    # The target is the printed curve's own value at the worst crossing.
+    # At n = 100 that is 218 steps from start 0; the dense chain, which used
+    # to answer ties, put the crossing at 219.
+    max_steps = 3 * n
+    basis = gram_basis(BetaBinomialFamily(n=n))
+    plain = worst_start_search(basis, 0.01, max_steps=max_steps)
+    curve = exact_tv_curve(None, None, plain.start, max_steps, basis=basis)
     target = float(curve[plain.min_steps])
-    expected = worst_start_search(matrix, stationary, target, 4 * n)
-    lifted = []
-    lifting = scan_compare._lifted_worst_start
-
-    def spy(*args):
-        lifted.append(args[2])
-        return lifting(*args)
-
-    monkeypatch.setattr(scan_compare, "_lifted_worst_start", spy)
-    worst = worst_start_search(matrix, stationary, target, 4 * n, basis=gram_basis(fam))
-    assert worst == expected
-    assert lifted == [target]
+    starts = range(n + 1) if n <= 100 else (0, n)
+    _assert_compare_answers_the_tie(monkeypatch, n, max_steps, target, starts)
 
 
 @pytest.mark.parametrize("t", [150, 217, 218])
-def test_compare_rechecks_a_lifted_crossing_on_the_dense_curve(monkeypatch, t):
-    # At the dense loop's own TV from start 0 the certificate cannot decide,
-    # and lifting answers on the dense chain: start 100, one step later.
-    # The spectral curve may sit an ulp across that target, so the crossing
-    # is re-checked, and printed, on the dense chain's curve.
+def test_compare_answers_a_dense_loop_tie_from_the_basis(monkeypatch, t):
+    # At the dense loop's own TV from start 0 the certificate cannot decide;
+    # the basis curves answer, and the printed curve passes the re-check.
     matrix, stationary = bb_xchain(BetaBinomialFamily(n=100))
     target = float(exact_tv_curve(matrix, stationary, 0, 400)[t])
-    lifted = []
-    lifting = scan_compare._lifted_worst_start
-
-    def spy(*args):
-        lifted.append(args[2])
-        return lifting(*args)
-
-    monkeypatch.setattr(scan_compare, "_lifted_worst_start", spy)
-    report = compare(n=100, max_steps=400, target=target)
-    assert (report.worst_start, report.min_steps["exact"]) == (100, t + 1)
-    assert lifted == [target]
-    dense = exact_tv_curve(matrix, stationary, 100, 400)
-    np.testing.assert_array_equal(report.curves.columns[1], dense[1:])
+    _assert_compare_answers_the_tie(monkeypatch, 100, 400, target, range(101))
 
 
 def test_compare_takes_a_certified_curve_from_the_basis(monkeypatch):
-    def no_dense_loop(*args):
-        raise AssertionError("the dense loop ran")
-
-    monkeypatch.setattr(scan_compare, "iterate_tv", no_dense_loop)
-    monkeypatch.setattr(scan_compare, "_lifted_worst_start", _refuse_lifting)
+    # The certificate decides every start, so the one curve is the printed one.
+    _refuse_dense_products(monkeypatch)
+    curves = _spy_curves(monkeypatch)
     report = compare(n=100, max_steps=400)
     assert (report.worst_start, report.min_steps["exact"]) == (0, 218)
+    assert curves == [0]
 
 
 def test_worst_start_search_n600_crossing():
-    # Beyond 512 states every start is searched too; the reported crossing
-    # must be the worst start's own, and both extreme starts must be mixed.
-    matrix, stationary = bb_xchain(BetaBinomialFamily(n=600))
+    # The reported crossing must be the worst start's own on the dense chain,
+    # and both extreme starts must be mixed.
+    fam = BetaBinomialFamily(n=600)
+    matrix, stationary = bb_xchain(fam)
     target = 0.05
-    worst = worst_start_search(matrix, stationary, target, 1800)
+    worst = worst_start_search(gram_basis(fam), target, max_steps=1800)
     t = worst.min_steps
     curve = exact_tv_curve(matrix, stationary, worst.start, t)
     assert curve[t - 1] > target >= curve[t]
@@ -294,15 +315,13 @@ def test_worst_start_search_n600_crossing():
 
 @pytest.mark.parametrize("target", [math.nan, 0.0, 1.0, 2.0, -0.5])
 def test_worst_start_search_rejects_targets_outside_unit_interval(target):
-    matrix, stationary = bb_xchain(BetaBinomialFamily(n=10))
     with pytest.raises(ParameterError, match="target must lie in"):
-        worst_start_search(matrix, stationary, target, 100)
+        worst_start_search(gram_basis(BetaBinomialFamily(n=10)), target, max_steps=100)
 
 
 def test_worst_start_search_unreached_target():
-    matrix, stationary = bb_xchain(BetaBinomialFamily(n=10))
     with pytest.raises(NoSolutionError, match="target-not-reached"):
-        worst_start_search(matrix, stationary, 1e-12, 2)
+        worst_start_search(gram_basis(BetaBinomialFamily(n=10)), 1e-12, max_steps=2)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +481,7 @@ def test_compare_long_horizon_answers(n, max_steps, exact):
 def test_compare_rechecks_the_searched_crossing(monkeypatch):
     from gibbsrates import scan_compare
 
-    def one_step_late(matrix, stationary, target, max_steps, **_):
+    def one_step_late(basis, target, *, max_steps):
         return WorstStart(start=0, min_steps=219)
 
     monkeypatch.setattr(scan_compare, "worst_start_search", one_step_late)
