@@ -29,8 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.special is imported inside the functions that call it, so a command
-# that builds no chain, basis or Poisson-gamma family starts without it.
+# scipy.special is imported inside the functions that call it: the dense
+# chain builders and the Poisson-gamma family, law and basis.  The Gram basis
+# needs none, so a command that builds none of those starts without it.
 
 from .bounds import DriftMinorization, systematic_rate
 from .errors import (
@@ -44,6 +45,7 @@ from .numerics import (
     StochasticMatrix,
     check_all,
     is_integer,
+    logsumexp,
 )
 
 # Tail mass allowed beyond the Poisson-gamma truncation point.
@@ -412,7 +414,6 @@ def pg_log_stationary(fam: PoissonGammaFamily) -> np.ndarray:
     truncation only renormalizes rows that leak under 1e-12 and carry almost
     no mass.  For shape = rate = 1 it is geometric: m(x) = (1/2)^(x+1).
     """
-    from scipy.special import logsumexp
     log_weights = _pg_log_weights(fam)
     return log_weights - logsumexp(log_weights)
 
@@ -610,16 +611,17 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     whose eigenvalues are the states 0..n, so the polynomials at a state
     are read from the basis columns.  ``gram_residual`` covers all levels.
     The step error covers ``bb_xchain``: each of its log entries sums
-    log-gamma values whose magnitudes add up to at most 3 gammaln(2n + 2)
+    log-gamma values whose magnitudes add up to at most 3 lgamma(2n + 2)
     (three in the log binomial coefficient, three in the log beta function,
     with arguments at most 2n + 2), so rounding each to half an ulp of its
-    size moves an entry by at most 1.5 gammaln(2n + 2) ulps relatively, and
-    a normalized row by at most 3 gammaln(2n + 2) ulps in L1, twice what its
+    size moves an entry by at most 1.5 lgamma(2n + 2) ulps relatively, and
+    a normalized row by at most 3 lgamma(2n + 2) ulps in L1, twice what its
     TV needs.  The same count bounds its uniform stationary law, and the
-    dense loop adds dim ulps per step.  The basis is a dense (n + 1)^2
+    dense loop adds dim ulps per step.  ``math.lgamma`` gives the one
+    log-gamma value, which may differ from ``gammaln`` in the last bit; the
+    margin does not need that bit.  The basis is a dense (n + 1)^2
     array, so more than ``MAX_DENSE_STATES`` states are refused.
     """
-    from scipy.special import gammaln
     fam.require_flat_prior("the Gram basis")
     check_dense_states(fam.n + 1)
     n = fam.n
@@ -630,7 +632,7 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     with np.errstate(divide="ignore"):  # lambda_{n+1} = 0
         log_eigenvalues = np.log(np.concatenate([[1.0], _hahn_eigenvalues(n, n + 1)]))
     log_mass = np.full(n + 1, -math.log(n + 1.0))
-    step_error = 3.0 * float(gammaln(2.0 * n + 2.0)) * EPS + (n + 1) * EPS
+    step_error = 3.0 * math.lgamma(2.0 * n + 2.0) * EPS + (n + 1) * EPS
     head = _orthonormal_basis(log_mass, a, b, log_eigenvalues, step_error)
     phi = _jacobi_eigenvectors(b)
     phi[: head.levels + 1] = head.phi

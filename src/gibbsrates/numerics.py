@@ -384,6 +384,33 @@ def log1mexp(log_x: float) -> float:
     return math.log1p(-math.exp(log_x))
 
 
+def logsumexp(a, axis=None):
+    """ln(sum(e^a)) over ``axis`` (every axis for None) of a float64 array.
+
+    The float operations are those of ``scipy.special.logsumexp`` (1.17)
+    without weights, so the bits agree: the maximum and the count m of its
+    ties come out of the sum, the rest is shifted by the maximum, and the
+    result is log1p(rest / m) + log(m) + max.  Where that is not finite (a
+    slice that is all -inf, or holds +inf or NaN) the direct
+    log(sum(e^a)) stands.  Reduced axes must not be empty.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
+        top = np.max(a, axis=axes, keepdims=True)
+        ties = a == top
+        ties_count = np.sum(ties, axis=axes, keepdims=True, dtype=float)
+        # Keep a's memory order, as scipy's copy does: the sums follow it.
+        others = a.copy(order="K")
+        others[ties] = -np.inf
+        rest = np.sum(np.exp(others - top), axis=axes, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / ties_count)
+        out = np.log1p(rest) + np.log(ties_count) + top
+    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axes)
+    return out[()] if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class LogMagnitude:
     """A nonnegative magnitude stored as its natural logarithm.

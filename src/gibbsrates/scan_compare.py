@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-# scipy.special is imported inside the functions that call it (see families).
+# scipy.special is imported inside the one function that calls it,
+# ``rebuild_random_scan_upper``; the beta-binomial comparison loads no scipy.
 
 from .bounds import (
     RosenthalParams,
@@ -65,6 +66,7 @@ from .numerics import (
     iterate_tv,
     json_text,
     jsonable,
+    logsumexp,
 )
 from .operators import (
     MAX_WORD_LENGTH,
@@ -183,7 +185,6 @@ class _StartTerms(NamedTuple):
 def _start_terms(basis: OrthonormalBasis, starts) -> _StartTerms:
     """``_StartTerms`` of ``starts``; the Christoffel coefficient is taken in
     the log domain, with the subtraction's rounding added."""
-    from scipy.special import logsumexp
     x = np.asarray(starts, dtype=np.int64)
     log_m = basis.log_mass[x]
     poly = basis.polynomials(x)
@@ -630,7 +631,7 @@ def rebuild_random_scan_upper(n: int, steps: StepCount) -> float:
     sum must reproduce the closed form ((1+x)/2)^(steps-1) to 1e-9, and the
     Azuma tail 3 e^{-(steps-1)/8} is added back on top.
     """
-    from scipy.special import gammaln, logsumexp
+    from scipy.special import gammaln
     bound = random_scan_upper_bound(n)  # validates n
     n = int(n)
     if not is_integer(steps) or int(steps) < 1:

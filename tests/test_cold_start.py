@@ -1,5 +1,7 @@
-"""Cold start: commands that build no chain, basis or Poisson-gamma family never load
-scipy, and the ones that do load no scipy.linalg.
+"""Cold start: commands that build no dense chain and no Poisson-gamma family never
+load scipy.  That covers the flat beta-binomial comparison and exact curve,
+which answer from the Gram basis (numpy's SVD, ``math.lgamma`` and
+``numerics.logsumexp``).
 
 pytest itself imports scipy (through the test modules), so each check runs
 in a fresh interpreter and reads its ``sys.modules``.
@@ -34,6 +36,11 @@ print(json.dumps(loaded))
 """
 
 SCIPY_FREE = [
+    ["scan-compare", "--n", "100"],
+    ["scan-compare", "--n", "50", "--decay-samples", "1000", "--seed", "1"],
+    ["exact-tv", "--family", "bb", "--n", "10", "--start", "0", "--steps-max", "50"],
+    ["exact-tv", "--family", "bb", "--n", "100", "--start", "0",
+     "--steps-max", "400", "--target", "0.01"],
     ["rosenthal", "--n", "100"],
     ["spectral", "--levels", "--family", "bb", "--n", "2000"],
     ["simulate", "--decay", "--family", "bb", "--n", "100", "--scan", "random",
@@ -65,24 +72,10 @@ def test_import_and_chain_free_commands_load_no_scipy(tmp_path):
     assert all(modules == [] for modules in loaded.values()), loaded
 
 
-def test_a_chain_build_loads_scipy_special(tmp_path):
-    # Positive control: the probe does see scipy once a chain is built.
-    argv = ["exact-tv", "--family", "bb", "--n", "10", "--start", "0", "--steps-max", "50"]
+def test_a_poisson_gamma_family_loads_scipy_special(tmp_path):
+    # Positive control: the probe does see scipy once a Poisson-gamma family
+    # is built (its constructor checks the truncation with betainc).
+    argv = ["pg-demo"]
     loaded = probe([argv], tmp_path)
     assert loaded["import"] == []
     assert "scipy.special" in loaded[" ".join(argv)]
-
-
-def test_the_gram_basis_loads_no_scipy_linalg(tmp_path):
-    # The full Gram basis comes from numpy's SVD: importing scipy.linalg
-    # would add to every cold command that builds a chain.
-    argvs = [
-        ["scan-compare", "--n", "100"],
-        ["exact-tv", "--family", "bb", "--n", "100", "--start", "0",
-         "--steps-max", "400", "--target", "0.01"],
-    ]
-    loaded = probe(argvs, tmp_path)
-    for argv in argvs:
-        modules = loaded[" ".join(argv)]
-        assert "scipy.special" in modules
-        assert not [m for m in modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")]

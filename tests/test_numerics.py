@@ -43,6 +43,7 @@ from gibbsrates.numerics import (
     json_cell,
     json_text,
     jsonable,
+    logsumexp,
     rounded_decompose,
 )
 
@@ -241,6 +242,57 @@ def test_log1mexp_edges():
 def test_log1mexp_matches_direct_formula(log_x):
     direct = math.log(1.0 - math.exp(log_x))
     assert log1mexp(log_x) == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# logsumexp
+# ---------------------------------------------------------------------------
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(20)
+    spread = rng.normal(scale=30.0, size=(23, 7))
+    # Many terms of one size, so the order of the sum shows in the last bit.
+    flat = rng.uniform(-1.0, 0.0, size=(200, 6))
+    ties = rng.uniform(-3.0, 3.0, size=(40, 16))
+    ties[:3] = ties.max(axis=0)  # every column's maximum three times over
+    neg_row = rng.normal(size=(9, 4))
+    neg_row[4] = -np.inf
+    neg_column = rng.normal(size=(9, 4))
+    neg_column[:, 2] = -np.inf
+    huge = rng.uniform(-700.0, 700.0, size=(31, 3))
+    huge[0] = [700.0, -700.0, 709.0]
+    return {
+        "spread": spread,
+        "flat": flat,
+        "flat-fortran": np.asfortranarray(flat),
+        "ties": ties,
+        "neg-inf-row": neg_row,
+        "neg-inf-column": neg_column,
+        "near-700": huge,
+        "near-700-transposed": huge.T,
+        "single": np.array([0.37]),
+        "single-2d": np.array([[-712.5]]),
+    }
+
+
+@pytest.mark.parametrize("axis", [0, None])
+@pytest.mark.parametrize("name, values", list(_logsumexp_cases().items()))
+def test_logsumexp_matches_scipy_bit_for_bit(name, values, axis):
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    expected = np.asarray(scipy_logsumexp(values, axis=axis))
+    got = np.asarray(logsumexp(values, axis=axis))
+    assert got.shape == expected.shape
+    assert got.dtype == expected.dtype == np.float64
+    assert got.tobytes() == expected.tobytes(), (got, expected)
+
+
+def test_logsumexp_non_finite_slices_take_the_direct_sum():
+    assert logsumexp(np.array([-np.inf, -np.inf])) == LOG_ZERO
+    assert logsumexp(np.array([np.inf, 1.0])) == math.inf
+    assert math.isnan(logsumexp(np.array([np.nan, 1.0])))
+    assert isinstance(logsumexp(np.zeros(3)), np.float64)
 
 
 # ---------------------------------------------------------------------------
