@@ -36,11 +36,8 @@ print(json.dumps(loaded))
 """
 
 SCIPY_FREE = [
-    ["scan-compare", "--n", "100"],
     ["scan-compare", "--n", "50", "--decay-samples", "1000", "--seed", "1"],
     ["exact-tv", "--family", "bb", "--n", "10", "--start", "0", "--steps-max", "50"],
-    ["exact-tv", "--family", "bb", "--n", "100", "--start", "0",
-     "--steps-max", "400", "--target", "0.01"],
     ["rosenthal", "--n", "100"],
     ["spectral", "--levels", "--family", "bb", "--n", "2000"],
     ["simulate", "--decay", "--family", "bb", "--n", "100", "--scan", "random",
@@ -79,3 +76,18 @@ def test_a_poisson_gamma_family_loads_scipy_special(tmp_path):
     loaded = probe([argv], tmp_path)
     assert loaded["import"] == []
     assert "scipy.special" in loaded[" ".join(argv)]
+
+
+def test_the_gram_basis_loads_no_scipy_linalg(tmp_path):
+    # The full Gram basis comes from numpy's SVD: importing scipy.linalg (or
+    # any other scipy module) would add to every cold comparison and curve.
+    argvs = [
+        ["scan-compare", "--n", "100"],
+        ["exact-tv", "--family", "bb", "--n", "100", "--start", "0",
+         "--steps-max", "400", "--target", "0.01"],
+    ]
+    loaded = probe(argvs, tmp_path)
+    for argv in argvs:
+        modules = loaded[" ".join(argv)]
+        assert not [m for m in modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")]
+        assert modules == [], modules
