@@ -25,13 +25,14 @@ underflows a float still has a finite log mass.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.special is imported inside the functions that call it: the dense
-# chain builders and the Poisson-gamma family, law and basis.  The Gram basis
-# needs none, so a command that builds none of those starts without it.
+# Every log-gamma value is ``numerics.gammaln``, the bits of scipy's; no
+# command path imports scipy.  Only ``bb_xchain``, which the tests use as a
+# reference, imports ``scipy.special.betaln`` (the ``[test]`` extra).
 
 from .bounds import DriftMinorization, systematic_rate
 from .errors import (
@@ -44,6 +45,7 @@ from .numerics import (
     LogMagnitude,
     StochasticMatrix,
     check_all,
+    gammaln,
     is_integer,
     logsumexp,
 )
@@ -122,13 +124,68 @@ class BetaBinomialFamily:
         return rng.binomial(self.n, np.asarray(theta, dtype=float))
 
 
+# Terms the forward tail series may take beyond the head's x_max + 1.
+_SERIES_SPAN = 1 << 16
+
+
 def _nbinom_tail(x_max: int, shape: float, p: float) -> float:
-    """P(X > x_max) for X ~ NB(shape, p): the regularized incomplete beta
-    I_{1-p}(x_max + 1, shape), the same tail as ``scipy.stats.nbinom.sf``
-    without importing ``scipy.stats``.  (``nbdtrc`` would truncate a
-    non-integer shape.)"""
-    from scipy.special import betainc
-    return float(betainc(x_max + 1, shape, 1.0 - p))
+    """P(X > x_max) for X ~ NB(shape, p), the tail ``scipy.stats.nbinom.sf``
+    gives (the regularized incomplete beta I_q(x_max + 1, shape), q = 1 - p).
+
+    The masses P(X = k) = Gamma(k + shape) / (Gamma(shape) k!) p^shape q^k
+    are summed in the log domain from ``gammaln``.  From k = x_max + 1 on,
+    each ratio P(X = k + 1) / P(X = k) = (k + shape) q / (k + 1) is at most
+    rho = max(k + shape, k + 1) q / (k + 1) for every later k.  If
+    rho^(x_max + 1 + ``_SERIES_SPAN``) <= EPS there, the masses fall fast
+    enough to sum the tail forward within about as many terms as the head
+    has.  Otherwise x_max lies below the mode or within a slow decay, the
+    tail holds much of the mass, and it is 1 minus the head, summed
+    downward from x_max, where (for shape >= 1) the ratios
+    k / ((k - 1 + shape) q) only fall.
+    """
+    if p >= 1.0:
+        return 0.0
+    q = 1.0 - p
+    log_q = math.log1p(-p)
+    constant = shape * math.log(p) - float(gammaln(shape))
+
+    def log_mass(k: np.ndarray) -> np.ndarray:
+        return gammaln(k + shape) - gammaln(k + 1.0) + k * log_q + constant
+
+    def forward_ratio(k: float) -> float:
+        return max(k + shape, k + 1.0) * q / (k + 1.0)
+
+    if (x_max + 1.0 + _SERIES_SPAN) * math.log(forward_ratio(x_max + 1.0)) <= math.log(EPS):
+        return math.exp(_log_series(log_mass, x_max + 1.0, 1.0, forward_ratio))
+    return -math.expm1(_log_series(
+        log_mass, float(x_max), -1.0, lambda k: k / ((k - 1.0 + shape) * q)
+    ))
+
+
+def _log_series(log_terms, first: float, step: float, ratio_bound) -> float:
+    """ln of the sum of exp(``log_terms(k)``) over k = first, first + step,
+    ... down to 0 at the least, in blocks that double in length.
+
+    ``ratio_bound(k)``, where it lies in (0, 1), bounds the ratio of every
+    later term to the one before it, so the rest after the term t_k is at
+    most t_k rho / (1 - rho); the sum stops once that is below EPS of it.
+    """
+    total = -math.inf
+    size = 256
+    while True:
+        ks = first + step * np.arange(size, dtype=float)
+        ks = ks[ks >= 0.0]
+        logs = log_terms(ks)
+        top = float(logs.max())
+        total = float(np.logaddexp(total, top + math.log(float(np.exp(logs - top).sum()))))
+        last = float(ks[-1])
+        if last + step < 0.0:
+            return total
+        rho = ratio_bound(last)
+        if 0.0 < rho < 1.0 and logs[-1] + math.log(rho / (1.0 - rho)) <= total + math.log(EPS):
+            return total
+        first = last + step
+        size = min(2 * size, 1 << 16)
 
 
 @dataclass(frozen=True)
@@ -174,6 +231,16 @@ class PoissonGammaFamily:
     @property
     def has_flat_shape(self) -> bool:
         return self.shape == 1.0 and self.rate == 1.0
+
+    @functools.cached_property
+    def log_weights(self) -> np.ndarray:
+        """log Gamma(shape + x) - log x! - x log(1 + rate) on 0..x_max,
+        unnormalized: the stationary law and the Meixner basis share it,
+        computed once per family and read-only."""
+        x = np.arange(self.x_max + 1, dtype=float)
+        weights = gammaln(self.shape + x) - gammaln(x + 1.0) - x * math.log1p(self.rate)
+        weights.flags.writeable = False
+        return weights
 
     def meixner_eigenvalue(self, k):
         """The k-th nontrivial x-chain eigenvalue (1 + rate)^-k, for every shape;
@@ -279,8 +346,10 @@ def bb_xchain(fam: BetaBinomialFamily) -> tuple[StochasticMatrix, Distribution]:
     left row sums 7e-12 off 1 and a mass drift that iterating accumulates.
     The stationary law is the beta-binomial(n, a, b) marginal — uniform for
     the flat prior.  More than ``MAX_DENSE_STATES`` states are refused.
+    No command builds this chain; it is a test reference, and its log beta
+    function needs scipy, from the ``[test]`` extra.
     """
-    from scipy.special import betaln, gammaln
+    from scipy.special import betaln
     check_dense_states(fam.n + 1)
     n, a, b = fam.n, fam.a, fam.b
     x = np.arange(n + 1, dtype=float)
@@ -387,15 +456,25 @@ def pg_xchain(fam: PoissonGammaFamily) -> tuple[StochasticMatrix, Distribution]:
     are refused.  ``pg_mixing_demo`` reads its crossings from
     ``meixner_basis`` and builds this chain only for the starts that basis
     cannot decide; ``exact-tv --family pg`` and the tests use it directly.
+
+    The log-gamma of the sums (shape + x) + x' is evaluated once per
+    distinct sum formed.  Nearly every sum equals shape + (x + x'), one
+    value per x + x', laid out as the Hankel matrix hankel[x + x']; the few
+    that round otherwise (684 at shape 0.001 and x_max = 400) are evaluated
+    on their own.
     """
-    from scipy.special import gammaln
     check_dense_states(fam.x_max + 1)
     sigma = fam.shape + np.arange(fam.x_max + 1, dtype=float)[:, None]
     xp = np.arange(fam.x_max + 1, dtype=float)[None, :]
     log_p = -math.log(fam.rate + 2.0)
     log_1mp = math.log(fam.rate + 1.0) - math.log(fam.rate + 2.0)
     rows = sigma + xp
-    gammaln(rows, out=rows)
+    hankel = fam.shape + np.arange(2 * fam.x_max + 1, dtype=float)
+    window = np.lib.stride_tricks.sliding_window_view
+    odd = rows != window(hankel, fam.x_max + 1)
+    odd_values = gammaln(rows[odd])
+    rows[...] = window(gammaln(hankel), fam.x_max + 1)
+    rows[odd] = odd_values
     rows -= gammaln(sigma)
     rows -= gammaln(xp + 1)
     rows += sigma * log_1mp
@@ -414,15 +493,7 @@ def pg_log_stationary(fam: PoissonGammaFamily) -> np.ndarray:
     truncation only renormalizes rows that leak under 1e-12 and carry almost
     no mass.  For shape = rate = 1 it is geometric: m(x) = (1/2)^(x+1).
     """
-    log_weights = _pg_log_weights(fam)
-    return log_weights - logsumexp(log_weights)
-
-
-def _pg_log_weights(fam: PoissonGammaFamily) -> np.ndarray:
-    """log Gamma(shape + x) - log x! - x log(1 + rate) on 0..x_max, unnormalized."""
-    from scipy.special import gammaln
-    x = np.arange(fam.x_max + 1, dtype=float)
-    return gammaln(fam.shape + x) - gammaln(x + 1.0) - x * math.log1p(fam.rate)
+    return fam.log_weights - logsumexp(fam.log_weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,12 +603,11 @@ def meixner_basis(fam: PoissonGammaFamily) -> OrthonormalBasis:
     ``TRUNCATION_TOL``, and its stationary law differs from m by less; with
     the dense loop's dim ulps that is the step error.
     """
-    from scipy.special import gammaln
     c = 1.0 / (1.0 + fam.rate)
     k = np.arange(min(BASIS_MAX_LEVEL, fam.x_max) + 2, dtype=float)
     a = (k + (k + fam.shape) * c) / (1.0 - c)
     b = np.sqrt(k * (k + fam.shape - 1.0) * c) / (1.0 - c)
-    log_mass = _pg_log_weights(fam) - gammaln(fam.shape) + fam.shape * (
+    log_mass = fam.log_weights - gammaln(fam.shape) + fam.shape * (
         math.log(fam.rate) - math.log1p(fam.rate)
     )
     log_eigenvalues = k * math.log(fam.meixner_eigenvalue(1))
@@ -617,9 +687,7 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     size moves an entry by at most 1.5 lgamma(2n + 2) ulps relatively, and
     a normalized row by at most 3 lgamma(2n + 2) ulps in L1, twice what its
     TV needs.  The same count bounds its uniform stationary law, and the
-    dense loop adds dim ulps per step.  ``math.lgamma`` gives the one
-    log-gamma value, which may differ from ``gammaln`` in the last bit; the
-    margin does not need that bit.  The basis is a dense (n + 1)^2
+    dense loop adds dim ulps per step.  The basis is a dense (n + 1)^2
     array, so more than ``MAX_DENSE_STATES`` states are refused.
     """
     fam.require_flat_prior("the Gram basis")
@@ -632,7 +700,7 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     with np.errstate(divide="ignore"):  # lambda_{n+1} = 0
         log_eigenvalues = np.log(np.concatenate([[1.0], _hahn_eigenvalues(n, n + 1)]))
     log_mass = np.full(n + 1, -math.log(n + 1.0))
-    step_error = 3.0 * math.lgamma(2.0 * n + 2.0) * EPS + (n + 1) * EPS
+    step_error = 3.0 * float(gammaln(2.0 * n + 2.0)) * EPS + (n + 1) * EPS
     head = _orthonormal_basis(log_mass, a, b, log_eigenvalues, step_error)
     phi = _jacobi_eigenvectors(b)
     phi[: head.levels + 1] = head.phi

@@ -10,14 +10,16 @@ its log for printing (``decompose``, ``log10``); it does no arithmetic.
 is the one term type of every analytic bound: ``at`` evaluates it in
 linear space, over numpy step arrays too, and ``log_at`` in the log domain,
 where ``log_sum_terms`` sums terms with ``np.logaddexp`` and
-``min_steps_geometric`` solves for the first crossing of a target.  The
-dense-matrix half (total variation, matrix powers, and the power-iteration
-stationary laws and reversible spectra that only tests use as independent
-references) is conventional numpy; its one evolve-and-measure loop,
-``iterate_tv``, runs step by step for the first ``TV_BLOCK - 1`` steps and
-then, on long horizons, advances the last ``TV_BLOCK`` laws of every start
-by one product with K^TV_BLOCK.  The serialization policy
-lives next to ``round_sig``, the only way numbers leave the package:
+``min_steps_geometric`` solves for the first crossing of a target.
+``logsumexp`` and ``gammaln`` give the bits of scipy's, so no command needs
+scipy.  The dense-matrix half (total variation, matrix powers, and the
+power-iteration stationary laws and reversible spectra that only tests use
+as independent references) is conventional numpy; its one
+evolve-and-measure loop, ``iterate_tv``, runs step by step for the first
+``TV_BLOCK - 1`` steps and then, on long horizons, advances the last
+``TV_BLOCK`` laws of every start by one product with K^TV_BLOCK.  The
+serialization policy lives next to ``round_sig``, the only way numbers
+leave the package:
 ``float_cell`` prints each float once as ``repr(round_sig(value))`` for both
 CSV (``csv_cell``) and JSON (``json_cell``).  Report tables are columnar: a
 ``RowTable`` holds one column per field (numpy arrays for long curves, a
@@ -409,6 +411,147 @@ def logsumexp(a, axis=None):
         out = np.log1p(rest) + np.log(ties_count) + top
     out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axes)
     return out[()] if out.ndim == 0 else out
+
+
+def gammaln(x):
+    """ln|Gamma(x)| of a float or a float64 array, elementwise.
+
+    This is Cephes ``lgam`` (Moshier 1989), which ``scipy.special.gammaln``
+    (1.17) runs, with its constants and its order of float operations, so
+    the bits agree.  Its logarithms are libm's, taken per element with
+    ``math.log`` (``np.log`` differs from libm in the last bit on a few
+    values).  Integer arguments are read from a table of log-factorials
+    filled by the same code (``_log_gamma_integers``) when all of them are
+    table integers; otherwise all are evaluated directly (``_lgam``).
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    if np.all((flat >= 0.0) & (flat < LOG_GAMMA_TABLE_SIZE) & (flat == np.floor(flat))):
+        index = flat.astype(np.intp)
+        out = _log_gamma_integers(int(index.max(initial=0)))[index]
+    else:
+        out = _lgam(flat)
+    out = out.reshape(x.shape)
+    return out[()] if out.ndim == 0 else out
+
+
+# Cephes lgam: the coefficients of its Stirling correction (A) and of its
+# rational approximation on [2, 3) (B over the monic C), log sqrt(2 pi),
+# log pi, and the largest argument with a finite result.
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4,
+           -3.31612992738871184744e5, -1.16237097492762307383e6,
+           -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4,
+           -2.20528590553854454839e5, -1.13933444367982507207e6,
+           -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178
+_LOGPI = 1.14472988584940017414
+_MAXLGM = 2.556348e305
+
+# The log-factorial table covers the integers below this: twice the largest
+# dense x-chain (families.MAX_DENSE_STATES = 10 001 states, whose builders
+# take log-gamma at sums of two states) plus any shape below about 12 000.
+# The table is a process-wide cache: each entry depends on its index alone.
+LOG_GAMMA_TABLE_SIZE = 1 << 15
+_log_gamma_table = np.empty(0)
+
+
+def _log_gamma_integers(top: int) -> np.ndarray:
+    """The table lgam(k), k = 0, 1, ..., at least up to ``top``.
+
+    It is built once per process and grown on demand, at least doubling, up
+    to ``LOG_GAMMA_TABLE_SIZE`` entries; every entry comes from ``_lgam``.
+    """
+    global _log_gamma_table
+    have = _log_gamma_table.size
+    if top >= have:
+        size = min(max(top + 1, 2 * have, 1024), LOG_GAMMA_TABLE_SIZE)
+        more = _lgam(np.arange(have, size, dtype=float))
+        _log_gamma_table = np.concatenate([_log_gamma_table, more])
+        _log_gamma_table.flags.writeable = False
+    return _log_gamma_table
+
+
+def _polevl(x, coef):
+    """Cephes polevl: coef[0] x^N + ... + coef[N] by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _lgam(x: np.ndarray) -> np.ndarray:
+    """Cephes lgam on a 1-D float64 array, without the table.
+
+    Arguments in [13, MAXLGM] take Stirling's series in numpy arithmetic on
+    libm logarithms; the rest (few in practice) run the scalar code of
+    ``_lgam_small``.
+    """
+    large = (x >= 13.0) & (x <= _MAXLGM)
+    if not large.all():
+        out = np.empty_like(x)
+        if large.any():
+            out[large] = _lgam(x[large])
+        out[~large] = [_lgam_small(value) for value in x[~large].tolist()]
+        return out
+    logs = np.fromiter(map(math.log, x.tolist()), float, x.size)
+    q = (x - 0.5) * logs - x + _LS2PI
+    with np.errstate(over="ignore"):  # beyond 1e154; such x take q alone
+        p = 1.0 / (x * x)
+    series = np.where(
+        x >= 1000.0,
+        (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+        + 0.0833333333333333333333,
+        _polevl(p, _LGAM_A),
+    )
+    return np.where(x > 1.0e8, q, q + series / x)
+
+
+def _lgam_small(x: float) -> float:
+    """Cephes lgam off [13, MAXLGM], on one float: the reflection formula
+    below -34, the recurrence to [2, 3) and its rational approximation
+    below 13, and poles (the integers <= 0) at +inf."""
+    if math.isnan(x) or x == -math.inf:
+        return x
+    if x > _MAXLGM:
+        return math.inf
+    if x < -34.0:
+        q = -x
+        w = float(_lgam(np.array([q]))[0])
+        p = math.floor(q)
+        if p == q:
+            return math.inf
+        z = q - p
+        if z > 0.5:
+            p += 1.0
+            z = p - q
+        z = q * math.sin(math.pi * z)
+        if z == 0.0:
+            return math.inf
+        return _LOGPI - math.log(z) - w
+    z = 1.0
+    p = 0.0
+    u = x
+    while u >= 3.0:
+        p -= 1.0
+        u = x + p
+        z *= u
+    while u < 2.0:
+        if u == 0.0:
+            return math.inf
+        z /= u
+        p += 1.0
+        u = x + p
+    z = abs(z)
+    if u == 2.0:
+        return math.log(z)
+    p -= 2.0
+    x = x + p
+    p = x * _polevl(x, _LGAM_B) / _polevl(x, (1.0,) + _LGAM_C)
+    return math.log(z) + p
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-# scipy.special is imported inside the one function that calls it,
-# ``rebuild_random_scan_upper``; the beta-binomial comparison loads no scipy.
+# Log-gamma values come from ``numerics.gammaln`` (scipy's bits); nothing
+# here imports scipy.
 
 from .bounds import (
     RosenthalParams,
@@ -62,6 +62,7 @@ from .numerics import (
     StepCount,
     StochasticMatrix,
     check_start,
+    gammaln,
     is_integer,
     iterate_tv,
     json_text,
@@ -631,7 +632,6 @@ def rebuild_random_scan_upper(n: int, steps: StepCount) -> float:
     sum must reproduce the closed form ((1+x)/2)^(steps-1) to 1e-9, and the
     Azuma tail 3 e^{-(steps-1)/8} is added back on top.
     """
-    from scipy.special import gammaln
     bound = random_scan_upper_bound(n)  # validates n
     n = int(n)
     if not is_integer(steps) or int(steps) < 1:

@@ -1,7 +1,7 @@
-"""Cold start: commands that build no dense chain and no Poisson-gamma family never
-load scipy.  That covers the flat beta-binomial comparison and exact curve,
-which answer from the Gram basis (numpy's SVD, ``math.lgamma`` and
-``numerics.logsumexp``).
+"""Cold start: no command loads scipy.  The flat beta-binomial comparison and
+exact curve answer from the Gram basis (numpy's SVD, ``numerics.gammaln`` and
+``numerics.logsumexp``), and the Poisson-gamma family checks its truncation,
+builds its law, its Meixner basis and its dense chain with the same two.
 
 pytest itself imports scipy (through the test modules), so each check runs
 in a fresh interpreter and reads its ``sys.modules``.
@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Imports gibbsrates, runs each argv given as a JSON list through cli.main,
 # and prints, as JSON, the scipy modules loaded after the import and after
-# each command.
+# each command; then, given a second argument, runs it as Python code and
+# adds the modules loaded after it as "control".
 PROBE = """
 import contextlib, io, json, sys
 import gibbsrates, gibbsrates.cli
@@ -32,6 +33,9 @@ for argv in json.loads(sys.argv[1]):
     if code != 0:
         raise SystemExit(f"{argv} exited {code}")
     loaded[" ".join(argv)] = scipy_modules()
+if len(sys.argv) > 2:
+    exec(sys.argv[2])
+    loaded["control"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
@@ -45,14 +49,23 @@ SCIPY_FREE = [
      "--samples", "1000", "--seed", "3"],
 ]
 
+POISSON_GAMMA = [
+    ["pg-demo"],
+    ["pg-demo", "--shape", "0.3", "--x-max", "1600"],
+    ["exact-tv", "--family", "pg", "--start", "64", "--steps-max", "400"],
+    ["spectral", "--levels", "--family", "pg"],
+    ["simulate", "--family", "pg", "--scan", "random", "--start-x", "5",
+     "--start-theta", "1", "--steps", "20"],
+]
 
-def probe(argvs, cwd):
+
+def probe(argvs, cwd, control=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", PROBE, json.dumps(argvs)] + ([control] if control else []),
         capture_output=True,
         text=True,
         env=env,
@@ -69,13 +82,19 @@ def test_import_and_chain_free_commands_load_no_scipy(tmp_path):
     assert all(modules == [] for modules in loaded.values()), loaded
 
 
-def test_a_poisson_gamma_family_loads_scipy_special(tmp_path):
-    # Positive control: the probe does see scipy once a Poisson-gamma family
-    # is built (its constructor checks the truncation with betainc).
-    argv = ["pg-demo"]
-    loaded = probe([argv], tmp_path)
-    assert loaded["import"] == []
-    assert "scipy.special" in loaded[" ".join(argv)]
+def test_poisson_gamma_commands_load_no_scipy(tmp_path):
+    # The family's truncation check, its law, its Meixner basis and its
+    # dense chain take every log-gamma value from numerics.gammaln.  As a
+    # positive control the probe then builds bb_xchain, the one function
+    # (a test reference) that still imports scipy.special.
+    loaded = probe(
+        POISSON_GAMMA, tmp_path,
+        control="gibbsrates.bb_xchain(gibbsrates.BetaBinomialFamily(n=2))",
+    )
+    assert list(loaded) == ["import"] + [" ".join(argv) for argv in POISSON_GAMMA] + ["control"]
+    control = loaded.pop("control")
+    assert all(modules == [] for modules in loaded.values()), loaded
+    assert "scipy.special" in control
 
 
 def test_the_gram_basis_loads_no_scipy_linalg(tmp_path):

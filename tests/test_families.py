@@ -361,6 +361,88 @@ def test_pg_xchain_row_zero_closed_form(pg_default):
     np.testing.assert_allclose(matrix.entries[0, :31], expected, rtol=1e-9)
 
 
+@pytest.mark.parametrize("shape", [0.001, 0.3, 1.0, 2.0, 3.7])
+def test_pg_xchain_entries_match_the_entrywise_formula_bit_for_bit(shape):
+    # One log-gamma per distinct sum (shape + x) + x' gives the bits of
+    # scipy's gammaln over the whole matrix; at shape 0.001, 684 of those
+    # sums differ from shape + (x + x').
+    from scipy.special import gammaln
+
+    fam = PoissonGammaFamily(shape=shape, x_max=400)
+    sigma = shape + np.arange(401.0)[:, None]
+    xp = np.arange(401.0)[None, :]
+    rows = gammaln(sigma + xp) - gammaln(sigma) - gammaln(xp + 1)
+    rows += sigma * (math.log(2.0) - math.log(3.0))
+    rows += xp * -math.log(3.0)
+    rows = np.exp(rows)
+    rows /= rows.sum(axis=1, keepdims=True)
+    odd = np.count_nonzero(sigma + xp != shape + (np.arange(401.0)[:, None] + xp))
+    assert odd == (684 if shape == 0.001 else 0)
+    np.testing.assert_array_equal(pg_xchain(fam)[0].entries, rows)
+
+
+def _truncation_grid():
+    """(x_max, shape, p) of both tails the constructor checks, on a grid of
+    priors and truncations, with the smallest truncation each prior's law
+    admits (by betainc) and its two neighbours."""
+    from scipy.special import betainc
+
+    cases = []
+    for shape in (0.001, 0.3, 1.0, 2.0, 3.7, 10.0, 50.0):
+        for rate in (0.05, 0.2, 1.0, 3.0):
+            lo, hi = 1, 1 << 20
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if betainc(mid + 1, shape, 1.0 / (rate + 1.0)) < families.TRUNCATION_TOL:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            for x_max in sorted({1, 5, 20, 100, 400, 1600, 5000, max(lo - 1, 1), lo, lo + 1}):
+                cases.append((x_max, shape, rate / (rate + 1.0)))
+                cases.append((x_max, x_max + shape, (rate + 1.0) / (rate + 2.0)))
+    return cases
+
+
+def test_truncation_tails_decide_as_betainc_does():
+    from scipy.special import betainc
+
+    decided, refused = 0, 0
+    for x_max, shape, p in _truncation_grid():
+        tail = families._nbinom_tail(x_max, shape, p)
+        reference = float(betainc(x_max + 1, shape, 1.0 - p))
+        assert (tail < families.TRUNCATION_TOL) == (reference < families.TRUNCATION_TOL)
+        assert tail == pytest.approx(reference, rel=1e-10, abs=1e-300)
+        decided += 1
+        refused += reference >= families.TRUNCATION_TOL
+    assert decided > 500 and 100 < refused < decided - 100
+
+
+@pytest.mark.parametrize(
+    "x_max, shape, p",
+    [(400, 0.3, 1e-8), (10**5, 0.5, 1e-5), (400, 2.0, 5e-324), (400, 1.0, 1.0), (400, 1e6, 0.5),
+     (10**6, 10**6 + 1.0, 0.5)],
+)
+def test_truncation_tails_at_extreme_priors(x_max, shape, p):
+    # Slow decays and tails that hold the mode are summed as 1 minus the
+    # head, so these take at most x_max + 1 terms.
+    from scipy.special import betainc
+
+    tail = families._nbinom_tail(x_max, shape, p)
+    assert tail == pytest.approx(float(betainc(x_max + 1, shape, 1.0 - p)), rel=1e-8)
+
+
+def test_pg_log_weights_are_computed_once_per_family():
+    fam = PoissonGammaFamily(shape=0.3, x_max=600)
+    weights = fam.log_weights
+    meixner_basis(fam), pg_log_stationary(fam)
+    assert fam.log_weights is weights and not weights.flags.writeable
+    from scipy.special import gammaln
+
+    x = np.arange(601.0)
+    reference = gammaln(0.3 + x) - gammaln(x + 1.0) - x * math.log1p(1.0)
+    assert weights.tobytes() == reference.tobytes()
+
+
 def test_pg_stationary_matches_geometric_reference(pg_default):
     fam, _, stationary = pg_default
     reference = pg_geometric_reference(fam)
@@ -575,13 +657,13 @@ def test_gram_step_error_covers_bb_xchain_rows(n):
 
 @pytest.mark.parametrize("n", [1, 100, 2000])
 def test_gram_step_error_keeps_the_gammaln_margin(n):
-    # math.lgamma(2n + 2) may differ from scipy's gammaln in the last bit
-    # (it does for 5418 of the n in 0..10001); the margin moves by no more.
+    # numerics.gammaln(2n + 2) has the bits of scipy's gammaln, so the
+    # margin is the one scipy's value gives, exactly.
     from scipy.special import gammaln
 
     reference = 3.0 * float(gammaln(2.0 * n + 2.0)) * families.EPS + (n + 1) * families.EPS
     step_error = gram_basis(BetaBinomialFamily(n=n)).step_error
-    assert abs(step_error - reference) <= 2 * np.spacing(reference)
+    assert type(step_error) is float and step_error == reference
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from gibbsrates.numerics import (
     json_cell,
     json_text,
     jsonable,
+    gammaln,
     logsumexp,
     rounded_decompose,
 )
@@ -293,6 +294,60 @@ def test_logsumexp_non_finite_slices_take_the_direct_sum():
     assert logsumexp(np.array([np.inf, 1.0])) == math.inf
     assert math.isnan(logsumexp(np.array([np.nan, 1.0])))
     assert isinstance(logsumexp(np.zeros(3)), np.float64)
+
+
+# ---------------------------------------------------------------------------
+# gammaln
+# ---------------------------------------------------------------------------
+
+
+def _gammaln_cases():
+    rng = np.random.default_rng(20081)
+    cases = {
+        "integers-1..20003": np.arange(1.0, 20004.0),
+        "log-uniform-1e-3..1e5": np.exp(rng.uniform(math.log(1e-3), math.log(1e5), 200_000)),
+        # Below 13 the recurrence to [2, 3) runs; 1 and 2 are its zeros.
+        "dense-0..13": np.linspace(0.0, 13.0, 26_001)[1:],
+        "near-1": 1.0 + np.linspace(-1e-6, 1e-6, 2001),
+        "near-2": 2.0 + np.linspace(-1e-6, 1e-6, 2001),
+        "negative": -np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 20_000)),
+        "edges": np.array([0.0, -0.0, -1.0, -35.0, -34.5, 12.999999999, 13.0, 999.999, 1000.0,
+                           1e8, 1e8 + 2.0, 1e154, 1e300, 3e305, np.inf, -np.inf, np.nan]),
+    }
+    for shape in (0.001, 0.3, 0.5, 1.0, 2.0, 3.7, 10.0):
+        cases[f"shape-{shape}+0..3200"] = shape + np.arange(3201.0)
+    return cases
+
+
+@pytest.mark.parametrize("name, values", list(_gammaln_cases().items()))
+def test_gammaln_matches_scipy_bit_for_bit(name, values):
+    from scipy.special import gammaln as scipy_gammaln
+
+    expected = np.asarray(scipy_gammaln(values))
+    got = gammaln(values)
+    assert got.shape == expected.shape and got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes(), values[got.view(np.int64) != expected.view(np.int64)]
+
+
+def test_gammaln_table_reads_match_direct_evaluation():
+    # Integer arguments come from the log-factorial table; filled by the
+    # same port, it gives the bits of direct evaluation.
+    integers = np.arange(numerics.LOG_GAMMA_TABLE_SIZE, dtype=float)
+    direct = numerics._lgam(integers)
+    assert gammaln(integers).tobytes() == direct.tobytes()
+    assert numerics._log_gamma_integers(0).tobytes() == direct.tobytes()
+    # Past the table, and mixed with non-integers, the direct path answers.
+    beyond = numerics.LOG_GAMMA_TABLE_SIZE + np.arange(3.0)
+    assert gammaln(beyond).tobytes() == numerics._lgam(beyond).tobytes()
+    mixed = np.array([5.0, 5.5, 20000.0])
+    assert gammaln(mixed).tolist() == [gammaln(5.0), gammaln(5.5), gammaln(20000.0)]
+
+
+def test_gammaln_keeps_the_shape_of_its_argument():
+    assert isinstance(gammaln(3.5), np.float64)
+    assert gammaln(4.0) == math.log(6.0)
+    assert gammaln(np.zeros((2, 3)) + 0.5).shape == (2, 3)
+    assert gammaln(np.empty(0)).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -482,8 +482,8 @@ def test_compare_long_horizon_answers(n, max_steps, exact):
     "n, worst_start, exact", [(16, 0, 37), (100, 0, 218), (233, 0, 505), (600, 0, 1297)]
 )
 def test_compare_worst_start_and_crossing_are_pinned(n, worst_start, exact):
-    # The scipy-free Gram basis (math.lgamma in its step error) answers as
-    # the gammaln margin did.
+    # The scipy-free Gram basis (numerics.gammaln in its step error)
+    # answers as scipy's gammaln margin did.
     report = compare(n=n, max_steps=3 * n)
     assert (report.worst_start, report.min_steps["exact"]) == (worst_start, exact)
 
