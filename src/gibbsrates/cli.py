@@ -60,7 +60,13 @@ from .operators import (
     eigenfunction_decay,
     run_trajectory,
 )
-from .scan_compare import compare, exact_tv_curve, first_crossing, pg_mixing_demo
+from .scan_compare import (
+    check_tv_query,
+    compare,
+    exact_tv_curve,
+    first_crossing,
+    pg_mixing_demo,
+)
 from .spectral import alpha_scan_eigenvalues, argmax_gap, spectral_gap
 
 COMMANDS = (
@@ -548,9 +554,12 @@ def _run_scan_compare(cfg: dict):
 def _run_exact_tv(cfg: dict):
     target = None if cfg["target"] is None else check_target(cfg["target"])
     fam = _family_from_config(cfg)
-    basis = gram_basis(fam) if isinstance(fam, BetaBinomialFamily) else None
-    matrix, stationary = pg_xchain(fam) if basis is None else (None, None)
-    curve = exact_tv_curve(matrix, stationary, cfg["start"], cfg["steps_max"], basis=basis)
+    flat = isinstance(fam, BetaBinomialFamily)
+    states = fam.n + 1 if flat else fam.x_max + 1
+    start, steps = check_tv_query(cfg["start"], cfg["steps_max"], states)
+    basis = gram_basis(fam) if flat else None
+    matrix, stationary = (None, None) if flat else pg_xchain(fam)
+    curve = exact_tv_curve(matrix, stationary, start, steps, basis=basis)
     rows = RowTable(("steps", "tv"), (np.arange(curve.size), curve))
     result = {
         "family": cfg["family"],
@@ -583,13 +592,10 @@ def _run_words(cfg: dict):
 
 def _run_simulate(cfg: dict):
     fam = _family_from_config(cfg)
-    if cfg["scan"] == "random":
-        weight = 0.5 if cfg["scan_weight"] is None else cfg["scan_weight"]
-        strategy = ScanStrategy.random_scan(weight)
-    else:
-        if cfg["scan_weight"] is not None:
-            raise ParameterError("scan_weight applies only to the random scan")
-        strategy = ScanStrategy(kind=cfg["scan"])
+    weight = cfg["scan_weight"]
+    if weight is None and cfg["scan"] == "random":
+        weight = 0.5
+    strategy = ScanStrategy(kind=cfg["scan"], scan_weight=weight)
     start = JointState(x=cfg["start_x"], theta=cfg["start_theta"])
     if cfg["decay"]:
         estimate, std_error = eigenfunction_decay(

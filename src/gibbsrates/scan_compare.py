@@ -118,17 +118,25 @@ def exact_tv_curve(
     and ``stationary``, which are not read.  Without ``basis`` it is the
     dense loop's, ``iterate_tv`` on ``matrix`` (``exact-tv --family pg``).
     """
+    start, max_steps = check_tv_query(start, max_steps, (matrix if basis is None else basis).dim)
+    if basis is not None:
+        return _basis_tv(basis, start, max_steps)
+    return np.concatenate(list(iterate_tv(matrix, stationary, [start], max_steps)))[:, 0]
+
+
+def check_tv_query(start, max_steps, dim: int) -> tuple[int, int]:
+    """The start and step count of ``exact_tv_curve`` on ``dim`` states as
+    ints, or a ``ParameterError``; cheap, so a caller can run it before it
+    builds the chain or basis."""
     if not is_integer(max_steps) or int(max_steps) < 0:
         raise ParameterError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
-    max_steps = int(max_steps)
-    if max_steps > MAX_COMPARE_STEPS:
+    steps = int(max_steps)
+    if steps > MAX_COMPARE_STEPS:
         raise ParameterError(
-            f"max_steps {max_steps} exceeds the exact-iteration cap {MAX_COMPARE_STEPS}"
+            f"max_steps {steps} exceeds the exact-iteration cap {MAX_COMPARE_STEPS}"
         )
-    if basis is not None:
-        check_start(start, basis.dim)
-        return _basis_tv(basis, int(start), max_steps)
-    return np.concatenate(list(iterate_tv(matrix, stationary, [start], max_steps)))[:, 0]
+    check_start(start, dim)
+    return int(start), steps
 
 
 def _basis_tv(basis: OrthonormalBasis, start: int, max_steps: int) -> np.ndarray:
@@ -312,9 +320,11 @@ def worst_start_search(
     ``basis`` is the full eigenbasis of the chain (``gram_basis`` for the
     flat beta-binomial), and every start is searched with no chain power.
     Each start's crossing is certified from levels 0..``BASIS_MAX_LEVEL``
-    (``_certified_crossings``), the Christoffel tail covering the rest; the
-    certificate covers the dense chain's rounding, so a certified crossing
-    is also the crossing of the start's printed curve.  The candidate is the
+    (``_certified_crossings``), the Christoffel tail covering the rest.  The
+    certificate's rounding margin models ``bb_xchain``'s, not that of the
+    printed curve (``_basis_tv``); ``compare`` re-checks the worst start's
+    crossing against the curve it prints and raises ``internal-invariant``
+    if the two disagree.  The candidate is the
     first start maximizing |p_1(x)|, the start the slowest eigenfunction
     weighs most.  Its crossing t* is the worst one, and the candidate the
     first start to need it, if every later start is certified at or below

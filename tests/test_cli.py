@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
-from gibbsrates import round_sig
+from gibbsrates import cli, round_sig
 from gibbsrates.cli import _HANDLERS, build_parser, main, resolve_config
 from gibbsrates.numerics import jsonable
 from gibbsrates.scan_compare import CSV_COLUMNS, PG_DEMO_COLUMNS, ComparisonReport, PgMixingDemo
@@ -265,6 +265,31 @@ def test_exact_tv_rejects_target_outside_unit_interval(run_cli, target):
     assert "target must lie in (0, 1)" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "bb", "--n", "3000", "--start", "5000", "--steps-max", "10"],
+         "start state 5000 outside 0..3000"),
+        (["--family", "bb", "--n", "3000", "--start", "0", "--steps-max", "200000"],
+         "max_steps 200000 exceeds the exact-iteration cap 100000"),
+        (["--family", "bb", "--n", "3000", "--start", "-1", "--steps-max", "200000"],
+         "max_steps 200000 exceeds the exact-iteration cap 100000"),
+        (["--family", "pg", "--x-max", "8000", "--start", "9000", "--steps-max", "10"],
+         "start state 9000 outside 0..8000"),
+        (["--family", "pg", "--start", "5", "--steps-max", "-1"],
+         "max_steps must be a nonnegative integer, got -1"),
+    ],
+)
+def test_exact_tv_refuses_a_bad_query_before_it_builds(run_cli, monkeypatch, argv, message):
+    def build(fam):
+        raise AssertionError("built a chain or basis for a query it refuses")
+
+    monkeypatch.setattr(cli, "gram_basis", build)
+    monkeypatch.setattr(cli, "pg_xchain", build)
+    code, out, err = run_cli(["exact-tv", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # words / simulate / pg-demo
 # ---------------------------------------------------------------------------
@@ -336,7 +361,15 @@ def test_simulate_weight_with_systematic_scan_fails(run_cli):
          "--steps", "5", "--start-x", "2", "--start-theta", "0.5"]
     )
     assert code == 2
-    assert err.startswith("error:")
+    assert err == "error: scan_weight applies only to the random scan\n"
+
+
+def test_simulate_random_scan_weight_defaults_to_one_half(run_cli):
+    argv = ["simulate", "--family", "bb", "--n", "5", "--scan", "random", "--steps", "20",
+            "--start-x", "2", "--start-theta", "0.5", "--seed", "4"]
+    rows = [json.loads(run_cli(args)[1])["result"]["rows"]
+            for args in (argv, [*argv, "--scan-weight", "0.5"])]
+    assert rows[0] == rows[1]
 
 
 def test_pg_demo(run_cli, schema):

@@ -1,5 +1,6 @@
 """Conjugate-family chain builders, certificates, and spectral data."""
 
+import itertools
 import math
 
 import numpy as np
@@ -423,12 +424,73 @@ def test_truncation_tails_decide_as_betainc_does():
      (10**6, 10**6 + 1.0, 0.5)],
 )
 def test_truncation_tails_at_extreme_priors(x_max, shape, p):
-    # Slow decays and tails that hold the mode are summed as 1 minus the
-    # head, so these take at most x_max + 1 terms.
+    # Slow decays, tails that hold the mode (taken as 1 - I_p(shape, x_max + 1))
+    # and p at both ends of (0, 1].
     from scipy.special import betainc
 
     tail = families._nbinom_tail(x_max, shape, p)
     assert tail == pytest.approx(float(betainc(x_max + 1, shape, 1.0 - p)), rel=1e-8)
+
+
+@pytest.mark.parametrize("x_max, rate", [(10**7, 1e-6), (10**8, 1e-7), (10**9, 1e-8)])
+@pytest.mark.parametrize("shape", [0.5, 1.0])
+def test_huge_truncations_are_refused_from_a_short_fraction(x_max, rate, shape):
+    # A sum over the masses would take about x_max terms here.  The
+    # fraction takes at most a few thousand steps; its prefactor's log-gammas
+    # near x_max log x_max limit the agreement with betainc.
+    from scipy.special import betainc
+
+    with pytest.raises(TruncationError, match="truncation-too-small"):
+        PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
+    for b, p in [(shape, rate / (rate + 1.0)), (x_max + shape, (rate + 1.0) / (rate + 2.0))]:
+        reference = float(betainc(x_max + 1, b, 1.0 - p))
+        assert families._nbinom_tail(x_max, b, p) == pytest.approx(reference, rel=1e-5)
+
+
+@pytest.mark.parametrize("x_max", [1, 40, 5000])
+@pytest.mark.parametrize("shape", [0.3, 2.0, None])
+def test_truncation_tails_converge_across_the_symmetry_switch(x_max, shape):
+    # At q = (a + 1) / (a + b + 2) the tail switches to 1 - I_p(b, a); it
+    # must converge on both sides and stay continuous across the switch.
+    # None stands for a row tail's shape, x_max + 1.5.
+    from scipy.special import betainc
+
+    a = x_max + 1.0
+    b = a + 0.5 if shape is None else shape
+    switch = (a + 1.0) / (a + b + 2.0)
+    for q in (switch * (1.0 - 1e-9), math.nextafter(switch, 0.0), switch,
+              math.nextafter(switch, 1.0), switch * (1.0 + 1e-9)):
+        tail = families._nbinom_tail(x_max, b, 1.0 - q)
+        assert tail == pytest.approx(float(betainc(a, b, q)), rel=1e-10)
+
+
+def test_tiny_shapes_decide_as_betainc_does():
+    # For a shape far below 1, the stationary tail past the symmetry switch
+    # is a small 1 - I_p(b, a) and loses its relative accuracy.  The switch
+    # needs rate < (shape + 1) / (x_max + 2), where the row tail holds about
+    # half the mass, so the family's decision does not depend on it.
+    from scipy.special import betainc
+
+    for x_max, shape, rate in itertools.product(
+        (3, 1000, 10**5), (1e-13, 1e-9, 1e-3), np.geomspace(1e-8, 10.0, 19)
+    ):
+        tails = [
+            betainc(x_max + 1, shape, 1.0 / (rate + 1.0)),
+            betainc(x_max + 1, x_max + shape, 1.0 / (rate + 2.0)),
+        ]
+        if max(tails) < families.TRUNCATION_TOL:
+            PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
+        else:
+            with pytest.raises(TruncationError):
+                PoissonGammaFamily(shape=shape, rate=rate, x_max=x_max)
+
+
+def test_truncation_tail_past_its_step_cap_raises(monkeypatch):
+    # With the sqrt(max(a, b)) part of the cap gone, 99 steps remain, and
+    # this tail needs about 500.
+    monkeypatch.setattr(families.math, "sqrt", lambda value: 0.0)
+    with pytest.raises(ConvergenceError, match="did not converge in 99 steps"):
+        families._nbinom_tail(10**6, 10**6 + 1.0, 0.5)
 
 
 def test_pg_log_weights_are_computed_once_per_family():
