@@ -12,7 +12,8 @@ Output contract, shared by all subcommands:
   so repeated runs are byte-identical; only the requested format is built,
   and row lists are columnar ``numerics.RowTable``s, each column formatted
   once and each JSON row written by one template, in the same bytes as
-  ``json.dumps(..., indent=2)``;
+  ``json.dumps(..., indent=2)``, and written to stdout or ``--out`` one
+  block of rows at a time;
 * log-scale magnitudes appear as ``{"mantissa": m, "exp10": e}`` pairs
   (value = m * 10^e), the loss-free way to print a 10^-10000-scale bound;
 * exit code 0 on success, 2 for parameter/usage errors, 3 for numerical
@@ -50,7 +51,7 @@ from .families import (
     pg_spectral_data,
     pg_xchain,
 )
-from .numerics import LogMagnitude, RowTable, json_text, jsonable, rounded_decompose
+from .numerics import LogMagnitude, RowTable, json_pieces, jsonable, rounded_decompose
 from .operators import (
     SCAN_KINDS,
     JointState,
@@ -344,9 +345,6 @@ class _Output:
 
     def payload(self) -> dict:
         return self.result
-
-    def to_csv(self) -> str:
-        return self.table.to_csv()
 
 
 def _family_from_config(cfg: dict):
@@ -657,15 +655,20 @@ _HANDLERS = {
 }
 
 
-def render(command: str, cfg: dict, output) -> str:
-    """The command's text in the configured format; ``output`` is a report or
-    ``_Output`` and serializes only that format."""
+def render(command: str, cfg: dict, output, sink) -> None:
+    """Write the command's text in the configured format to ``sink``, one
+    table block at a time; ``output`` is a report or ``_Output``, gives its
+    JSON result by ``payload()`` and its CSV table as ``table``, and
+    serializes only that format."""
     if cfg["format"] == "json":
-        return json_text({"command": command, "config": cfg, "result": output.payload()})
+        payload = {"command": command, "config": cfg, "result": output.payload()}
+        sink.writelines(json_pieces(payload))
+        return
     config_comment = "# config: " + json.dumps(
         jsonable({**cfg, "command": command}), sort_keys=True
     )
-    return config_comment + "\n" + output.to_csv()
+    sink.write(config_comment + "\n")
+    sink.writelines(output.table.csv_pieces())
 
 
 def main(argv=None) -> int:
@@ -680,20 +683,21 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args.command, args)
         output = _HANDLERS[args.command](cfg)
-        text = render(args.command, cfg, output)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    # Everything is computed and checked above, so a refused query leaves no
+    # --out file; the text itself goes to the sink as it is rendered.
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                render(args.command, cfg, output, handle)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        render(args.command, cfg, output, sys.stdout)
     return 0

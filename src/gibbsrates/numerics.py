@@ -26,9 +26,11 @@ CSV (``csv_cell``) and JSON (``json_cell``).  Report tables are columnar: a
 ``GatedColumn`` for a bound with no value below its validity gate), formats
 each column once by a path chosen from its type, ``TABLE_BLOCK_ROWS`` rows
 at a time, and joins the texts into CSV lines or per-row JSON templates
-without a Python call per cell.  ``json_text`` writes the tables of a
-payload that way, in the bytes ``json.dumps(jsonable(...), indent=2)`` would
-give.
+without a Python call per cell.  A table's text comes in pieces, one per
+block (``csv_pieces``, ``json_pieces``), and ``json_pieces`` yields a whole
+payload's text the same way, in the bytes ``json.dumps(jsonable(...),
+indent=2)`` would give, so a writer holds one block's text at a time;
+``to_csv`` and ``json_text`` join the same pieces.
 """
 from __future__ import annotations
 
@@ -73,18 +75,18 @@ LN10 = math.log(10.0)
 
 # Serialization: the smallest normal float (below it ``float_cell`` leaves its
 # fast path), JSON's names for the non-finite floats, and the placeholder
-# string ``json_text`` stands in for a row table (json.dumps writes its NUL
+# string ``json_pieces`` stands in for a row table (json.dumps writes its NUL
 # as \u0000, which no validated option value contains).
 _MIN_NORMAL = sys.float_info.min
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _TABLE_SLOT_MARK = "\0row-table-"
 _TABLE_SLOT = re.compile(r'^( *)(.*)"\\u0000row-table-(\d+)"', re.MULTILINE)
 
-# Rows a ``RowTable`` formats per block, so that only one block's cell texts
-# are alive at a time.  Measured on 2 shared cores: whole 10^5-row columns at
-# once put long-report peak RSS at 161-165 MB against 145-151 MB for 4096-row
-# blocks (the traced peak of one 10^5-row JSON render: 66 against 46 MiB);
-# 1024-row blocks render 2% and 256-row blocks 8% slower than 4096.
+# Rows a ``RowTable`` formats and yields per block, so that a writer holds
+# one block's cell texts and text at a time: rendering ``compare(50, 10^5)``
+# (21.9 MiB of JSON) into a file peaks at 3.9 MiB of traced allocations.
+# 1024-row blocks render 2% and 256-row blocks 8% slower than 4096 (2 shared
+# cores).
 TABLE_BLOCK_ROWS = 4096
 
 # Step counts are plain Python integers: exact ordering and arithmetic at any
@@ -213,22 +215,27 @@ def _column_values(column) -> list:
     return list(column)
 
 
-def _float_texts(values: np.ndarray, as_json: bool) -> Iterable[str]:
-    texts = map(float_cell, values.tolist())
-    if as_json and not np.isfinite(values).all():
-        texts = list(texts)
-        return map(_JSON_NONFINITE.get, texts, texts)
-    return texts
+def _float_texts(values: np.ndarray, as_json: bool) -> list[str]:
+    """The printed cells of a block of floats, each distinct value formatted
+    once: the values are told apart by their bits, so -0.0, 0.0 and NaN
+    payloads keep their own texts."""
+    bits, where = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    texts = list(map(float_cell, bits.view(np.float64).tolist()))
+    if as_json:
+        texts = list(map(_JSON_NONFINITE.get, texts, texts))
+    return np.array(texts, dtype=object)[where].tolist()
 
 
 def _column_texts(column, start: int, stop: int, as_json: bool) -> Iterable[str]:
     """The printed cells of rows ``start`` to ``stop - 1`` of one column.
 
     The path follows the column's type: numpy integers through ``str``,
-    numpy floats through ``float_cell`` (JSON renames the non-finite texts
-    only when ``np.isfinite`` finds one), a ``GatedColumn`` as its None text
-    ahead of its floats, and any other sequence cell by cell through
-    ``json_cell`` or ``csv_cell``.
+    numpy floats through ``float_cell`` once per distinct value (JSON
+    renames the non-finite texts), a ``GatedColumn`` as its None text ahead
+    of its floats, and any other sequence cell by cell through ``json_cell``
+    or ``csv_cell``.
     """
     if isinstance(column, GatedColumn):
         nulls = max(0, min(stop, column.below) - start)
@@ -255,8 +262,9 @@ class RowTable:
     ``TABLE_BLOCK_ROWS`` rows, and rows are assembled without a Python call
     per cell: a CSV line is ``",".join`` of a row of texts, a JSON row one
     ``%`` template.  Inside a payload given to ``jsonable`` the table becomes
-    a list of dicts; ``json_text`` writes it through ``json_lines`` instead,
-    so a 10^5-row report never exists as Python dicts or row objects.
+    a list of dicts; the module's ``json_pieces`` writes it block by block
+    through ``RowTable.json_pieces`` instead, so a 10^5-row report never
+    exists as Python dicts, row objects or one whole text.
     """
 
     header: tuple[str, ...]
@@ -291,25 +299,36 @@ class RowTable:
             stop = min(start + TABLE_BLOCK_ROWS, length)
             yield zip(*(_column_texts(column, start, stop, as_json) for column in self.columns))
 
+    def csv_pieces(self) -> Iterator[str]:
+        """The CSV text in pieces: the header line, then the lines of
+        ``csv_cell`` cells of each block of rows."""
+        yield ",".join(self.header) + "\n"
+        for rows in self._text_blocks(False):
+            yield "\n".join(map(",".join, rows)) + "\n"
+
     def to_csv(self) -> str:
         """A header line and one line of ``csv_cell`` cells per row."""
-        blocks = ("\n".join(map(",".join, rows)) for rows in self._text_blocks(False))
-        return "\n".join([",".join(self.header), *blocks]) + "\n"
+        return "".join(self.csv_pieces())
 
-    def json_lines(self, indent: int) -> str:
-        """The table as ``json.dumps(jsonable(self), indent=2)`` writes it
-        at ``indent`` spaces, without the leading indent of its first line."""
+    def json_pieces(self, indent: int) -> Iterator[str]:
+        """The table in pieces, as ``json.dumps(jsonable(self), indent=2)``
+        writes it at ``indent`` spaces, without the leading indent of its
+        first line: an opening piece, the objects of each block of rows and
+        a closing piece."""
         if not len(self.columns[0]):
-            return "[]"
+            yield "[]"
+            return
         pad = " " * (indent + 2)
         fields = ",\n".join(
             f"{pad}  " + json.dumps(name).replace("%", "%%") + ": %s" for name in self.header
         )
         template = f"{pad}{{\n{fields}\n{pad}}}"
-        body = ",\n".join(
-            ",\n".join(map(template.__mod__, rows)) for rows in self._text_blocks(True)
-        )
-        return f"[\n{body}\n{' ' * indent}]"
+        separator = "[\n"
+        for rows in self._text_blocks(True):
+            yield separator
+            yield ",\n".join(map(template.__mod__, rows))
+            separator = ",\n"
+        yield f"\n{' ' * indent}]"
 
 
 def jsonable(obj):
@@ -342,12 +361,14 @@ def jsonable(obj):
     return obj
 
 
-def json_text(obj) -> str:
-    """``json.dumps(jsonable(obj), indent=2)`` plus a newline, byte for byte.
+def json_pieces(obj) -> Iterator[str]:
+    """The text of ``json.dumps(jsonable(obj), indent=2)`` plus a newline, in
+    pieces.
 
     Only the part outside any ``RowTable`` goes through ``jsonable`` and
-    ``json.dumps``; each table stands there as a placeholder string that is
-    then replaced by its ``json_lines`` at the placeholder's indentation.
+    ``json.dumps``; each table stands there as a placeholder string, and the
+    pieces are the text between placeholders and each table's
+    ``RowTable.json_pieces`` at its placeholder's indentation.
     """
     tables: list[RowTable] = []
 
@@ -362,11 +383,18 @@ def json_text(obj) -> str:
         return jsonable(value)
 
     text = json.dumps(hold(obj), indent=2)
-    if tables:
-        text = _TABLE_SLOT.sub(
-            lambda m: m[1] + m[2] + tables[int(m[3])].json_lines(len(m[1])), text
-        )
-    return text + "\n"
+    end = 0
+    for slot in _TABLE_SLOT.finditer(text):
+        yield text[end : slot.end(2)]
+        yield from tables[int(slot[3])].json_pieces(len(slot[1]))
+        end = slot.end()
+    yield text[end:]
+    yield "\n"
+
+
+def json_text(obj) -> str:
+    """``json.dumps(jsonable(obj), indent=2)`` plus a newline, byte for byte."""
+    return "".join(json_pieces(obj))
 
 
 def log1mexp(log_x: float) -> float:

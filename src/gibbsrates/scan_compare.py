@@ -433,8 +433,13 @@ class ComparisonReport:
         """One ``ComparisonRow`` per step, None where a bound is below its gate."""
         return tuple(itertools.starmap(ComparisonRow, self.curves.iter_rows()))
 
+    @property
+    def table(self) -> RowTable:
+        """The CSV table: ``curves``, which is also the JSON ``rows``."""
+        return self.curves
+
     def payload(self) -> dict:
-        """The JSON result before rounding; ``curves`` is also the CSV table."""
+        """The JSON result before rounding."""
         return {
             "n": self.n,
             "target": self.target,

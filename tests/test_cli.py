@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -513,13 +514,63 @@ def test_config_precedence(run_cli, tmp_path):
 
 
 def test_out_file_matches_stdout(run_cli, tmp_path):
+    out_file = tmp_path / "report"
+    for argv in (
+        ["words", "--len", "4"],
+        # Longer than two formatting blocks (8193 rows or more), so the text
+        # reaches stdout and --out in several pieces.
+        ["scan-compare", "--n", "50", "--steps-max", "10000"],
+        ["scan-compare", "--n", "50", "--steps-max", "10000", "--format", "csv"],
+        ["exact-tv", "--family", "bb", "--n", "50", "--start", "0", "--steps-max", "10000"],
+    ):
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        code2, out2, _ = run_cli(argv + ["--out", str(out_file)])
+        assert code2 == 0
+        assert out2 == ""  # --out suppresses stdout
+        assert out_file.read_bytes() == out.encode("utf-8"), argv
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["scan-compare", "--n", "200"], 3),  # target-not-reached at 400 steps
+        (["scan-compare", "--n", "0"], 2),
+    ],
+)
+def test_a_refused_query_writes_no_out_file(run_cli, tmp_path, argv, exit_code):
     out_file = tmp_path / "report.json"
-    code, out, _ = run_cli(["words", "--len", "4"])
-    assert code == 0
-    code2, out2, _ = run_cli(["words", "--len", "4", "--out", str(out_file)])
-    assert code2 == 0
-    assert out2 == ""  # --out suppresses stdout
-    assert out_file.read_text() == out
+    code, out, err = run_cli(argv + ["--out", str(out_file)])
+    assert code == exit_code and out == "" and err.startswith("error: ")
+    assert not out_file.exists()
+
+
+def test_an_unwritable_out_file_exits_2(run_cli, tmp_path):
+    code, out, err = run_cli(["words", "--len", "4", "--out", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert f"cannot write {tmp_path}" in err
+
+
+def test_a_long_report_renders_in_a_fraction_of_its_size(tmp_path):
+    # The report streams to its sink one block of rows at a time, so the
+    # render's peak allocation stays a small part of the text it writes
+    # (about 4 MiB against 22 MiB here; the text held whole would be more
+    # than the output itself).
+    argv = ["scan-compare", "--n", "50", "--steps-max", "100000"]
+    args = build_parser().parse_args(argv)
+    cfg = resolve_config(args.command, args)
+    report = _HANDLERS[args.command](cfg)
+    out_file = tmp_path / "report.json"
+    with open(out_file, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            assert cli.render(args.command, cfg, report, sink) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = out_file.stat().st_size
+    assert size > 100_000 * 150
+    assert peak < size / 4
 
 
 def test_module_entry_point():

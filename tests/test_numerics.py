@@ -41,6 +41,7 @@ from gibbsrates.numerics import (
     float_cell,
     iterate_tv,
     json_cell,
+    json_pieces,
     json_text,
     jsonable,
     gammaln,
@@ -137,6 +138,38 @@ def test_json_text_matches_json_dumps():
         "steps": 2, "tv": 0.333333333333, "bound": 1e-320, "ok": False, "label": 'quote " and %s'
     }
     assert table.to_csv() == 'steps,tv,bound,ok,label\n1,0.5,,true,a\n2,0.333333333333,1e-320,false,quote " and %s\n'
+
+
+_PIECE_ROWS = 2 * TABLE_BLOCK_ROWS + 1
+_PIECE_TABLE = RowTable(
+    ("steps", "tv"), (np.arange(_PIECE_ROWS), np.linspace(1.0, 0.0, _PIECE_ROWS))
+)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"command": "x", "config": {"n": 3}, "result": {"value": 0.1 + 0.2}},
+        {"result": {"rows": _PIECE_TABLE, "notes": {}}},
+        {"rows": RowTable.from_rows(("a",), [(1.0,)]), "more": [{"inner": _PIECE_TABLE}]},
+        {"rows": RowTable.from_rows(("a", "b"), []), "tail": (None, math.inf)},
+        [],
+    ],
+    ids=["no-table", "one-table", "two-tables", "empty-table", "empty-list"],
+)
+def test_json_pieces_join_to_json_dumps(payload):
+    assert "".join(json_pieces(payload)) == json.dumps(jsonable(payload), indent=2) + "\n"
+
+
+def test_tables_come_in_pieces_of_one_block():
+    # Each piece of a table holds at most one block of rows, so a writer
+    # never holds more of its text than that.
+    csv = list(_PIECE_TABLE.csv_pieces())
+    assert [piece.count("\n") for piece in csv] == [1, TABLE_BLOCK_ROWS, TABLE_BLOCK_ROWS, 1]
+    assert "".join(csv) == _PIECE_TABLE.to_csv()
+    pieces = list(json_pieces({"rows": _PIECE_TABLE}))
+    objects = [piece.count('"steps"') for piece in pieces]
+    assert max(objects) == TABLE_BLOCK_ROWS and sum(objects) == _PIECE_ROWS
 
 
 def test_json_cell_refuses_a_nested_value():
