@@ -126,9 +126,11 @@ def _require_finite(name: str, value: float) -> float:
 def round_sig(value: float) -> float:
     """Round to 12 significant digits.
 
-    Serialization helper: every float that leaves the package in JSON or CSV
-    passes through this once (via ``jsonable`` or ``csv_cell``), so repeated
-    runs emit byte-identical output.
+    Serialization helper: a float leaves the package in JSON or CSV as the
+    ``repr`` of this rounding (``float_cell``), so repeated runs emit
+    byte-identical output.  Most floats get that text straight from
+    ``"%.12g"`` (``float_cell``'s fast path, ``_float_texts``'s template)
+    without a call here.
     """
     if not math.isfinite(value):
         return value
@@ -216,15 +218,29 @@ def _column_values(column) -> list:
 
 
 def _float_texts(values: np.ndarray, as_json: bool) -> list[str]:
-    """The printed cells of a block of floats, each distinct value formatted
-    once: the values are told apart by their bits, so -0.0, 0.0 and NaN
-    payloads keep their own texts."""
+    """The printed cells of a block of floats, as ``float_cell`` (or
+    ``json_cell``) writes each.
+
+    Each distinct value is formatted once: the values are told apart by
+    their bits, so -0.0, 0.0 and NaN payloads keep their own texts.  One
+    ``"%.12g"`` template formats them all, which is ``float_cell``'s text for
+    a normal float below 1e12 that is not within 1e-11 relative of an
+    integer (such a value may print without a point, or round up to
+    1e+12); ``float_cell`` writes only the cells outside that set.
+    """
     bits, where = np.unique(
         np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True
     )
-    texts = list(map(float_cell, bits.view(np.float64).tolist()))
-    if as_json:
-        texts = list(map(_JSON_NONFINITE.get, texts, texts))
+    distinct = bits.view(np.float64)
+    texts = ("\n".join(["%.12g"] * distinct.size) % tuple(distinct.tolist())).split("\n")
+    magnitude = np.abs(distinct)
+    with np.errstate(invalid="ignore"):
+        odd = ~((magnitude >= _MIN_NORMAL) & (magnitude < 1e12)) | (
+            np.abs(distinct - np.rint(distinct)) <= 1e-11 * magnitude
+        )
+    cell = json_cell if as_json else float_cell
+    for i in np.flatnonzero(odd).tolist():
+        texts[i] = cell(float(distinct[i]))
     return np.array(texts, dtype=object)[where].tolist()
 
 

@@ -150,6 +150,15 @@ def _basis_tv(basis: OrthonormalBasis, start: int, max_steps: int) -> np.ndarray
     EPS / dim of the largest: with t, the ratio of a higher level's term to
     a lower one's only falls, so the terms dropped in the whole chunk add up
     to at most EPS times the largest, below the rounding of the sum kept.
+
+    Once a chunk keeps one level k and every level below it has a zero
+    coefficient (level 1 from most starts; level 2 from the centre of an
+    even n, where the recurrence makes p_1 exactly 0), the levels above k
+    stay below the cut and those below stay 0, so the rest of the curve is
+    that level's closed form (Diaconis, Khare & Saloff-Coste 2008),
+    1/2 |lambda_k^t p_k(x)| sum_y |phi_k(y)| phi_0(y), filled in one vector
+    expression.  Once a chunk keeps none, the rest is 0.0, as the
+    expansion gives.
     """
     curve = np.empty(max_steps + 1)
     curve[0] = -math.expm1(basis.log_mass[start])
@@ -158,10 +167,17 @@ def _basis_tv(basis: OrthonormalBasis, start: int, max_steps: int) -> np.ndarray
     cap = max(1, CURVE_BLOCK // basis.dim)
     first, size = 1, 1
     while first <= max_steps:
-        steps = np.arange(first, min(first + size, max_steps + 1))
         lead = np.exp(first * log_levels) * np.abs(poly)
         kept = np.flatnonzero(lead > EPS / basis.dim * lead.max())
         top = int(kept[-1]) + 1 if kept.size else 0
+        if top == 0:
+            curve[first:] = 0.0
+            break
+        if not lead[: top - 1].any():
+            tail = np.exp(np.arange(first, max_steps + 1) * log_levels[top - 1]) * poly[top - 1]
+            curve[first:] = 0.5 * np.abs(tail) * (np.abs(basis.phi[top]) @ basis.phi[0])
+            break
+        steps = np.arange(first, min(first + size, max_steps + 1))
         coeff = np.exp(steps[:, None] * log_levels[:top]) * poly[:top]
         curve[steps] = 0.5 * (np.abs(coeff @ basis.phi[1 : top + 1]) @ basis.phi[0])
         first += steps.size

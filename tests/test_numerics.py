@@ -220,6 +220,43 @@ def test_float_columns_print_each_cell_as_the_cell_formatters(values, below):
     assert js == json.dumps(jsonable(table), indent=2) + "\n"
 
 
+# Floats at the edges of the block formatter's "%.12g" template: signed
+# zeros, the subnormal ends, values that print without a point or round up
+# to 1e+12, exponent switches, infinities and NaNs with payloads and signs.
+TEMPLATE_EDGES = [
+    0.0, -0.0, 5e-324, 2.225073858507201e-308, 999999999999.5, 1e16, 0.99999999999995,
+    1e-4, 1e-5, 1.0, 3.0000000000001, 123456789012.4, 99999999999.99, math.inf, -math.inf,
+    *np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001],
+              dtype=np.uint64).view(np.float64).tolist(),
+]
+_INTEGERS = np.unique(np.geomspace(1.0, 1e11, 400).round())
+_NEAR_INTEGERS = np.concatenate(
+    [_INTEGERS, np.nextafter(_INTEGERS, 0.0), _INTEGERS * (1 + 2e-12), _INTEGERS + 0.5]
+)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(), st.sampled_from(TEMPLATE_EDGES),
+            st.integers(min_value=1, max_value=10**11).map(float),
+        ),
+        max_size=40,
+    ),
+    st.integers(min_value=0, max_value=40),
+)
+@example(TEMPLATE_EDGES, len(TEMPLATE_EDGES))
+@example(_NEAR_INTEGERS.tolist(), 100)
+@example([], 0)
+def test_float_texts_print_each_cell_as_float_cell(values, repeats):
+    # The block formatter's cells are float_cell's (json_cell's in JSON),
+    # cell for cell; the block repeats its first ``repeats`` values.
+    block = np.array(values + values[:repeats], dtype=np.float64)
+    cells = block.tolist()
+    assert numerics._float_texts(block, False) == [float_cell(value) for value in cells]
+    assert numerics._float_texts(block, True) == [json_cell(value) for value in cells]
+
+
 @pytest.mark.parametrize(
     "count", [0, 1, TABLE_BLOCK_ROWS - 1, TABLE_BLOCK_ROWS, TABLE_BLOCK_ROWS + 1]
 )

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -83,7 +84,11 @@ def test_point_starts_must_be_integers():
     assert pg_mixing_demo([np.int64(8)]).rows == pg_mixing_demo([8]).rows
 
 
-@pytest.mark.parametrize("n, max_steps", [(1, 40), (2, 40), (3, 40), (50, 150), (600, 1800), (2000, 600)])
+@pytest.mark.parametrize(
+    "n, max_steps",
+    # (50, 3000) runs past the step where one level is left and the curve is its closed form.
+    [(1, 40), (2, 40), (3, 40), (50, 150), (50, 3000), (600, 1800), (2000, 600)],
+)
 def test_spectral_curve_matches_the_dense_loop(n, max_steps):
     # From start n/2 (n even) p_1 = 0, so the level cut must not key on level 1.
     fam = BetaBinomialFamily(n=n)
@@ -122,6 +127,60 @@ def test_spectral_curve_is_no_further_from_the_exact_kernel_than_the_dense_loop(
     spectral_error = np.abs(spectral - truth).max()
     assert spectral_error <= np.abs(dense - truth).max()
     assert spectral_error <= 2e-15
+
+
+def _single_level_tv(n: int, start: int, level: int, steps) -> list:
+    """1/2 lambda_k^t |p_k(x)| sum_y m(y) |p_k(y)| at each step, in 40 digits,
+    for level k = 1 or 2 of the flat beta-binomial on 0..n: m is uniform, p_k
+    the Gram polynomials, lambda_1 = n/(n + 2), lambda_2 = lambda_1 (n - 1)/(n + 3)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        centred = [mpmath.mpf(y) - mpmath.mpf(n) / 2 for y in range(n + 1)]
+        if level == 1:
+            poly = [c / mpmath.sqrt((mpmath.mpf(n + 1) ** 2 - 1) / 12) for c in centred]
+            rate = mpmath.mpf(n) / (n + 2)
+        else:
+            spread = mpmath.fsum(c**2 for c in centred) / (n + 1)
+            square = [c**2 - spread for c in centred]
+            norm = mpmath.sqrt(mpmath.fsum(q**2 for q in square) / (n + 1))
+            poly = [q / norm for q in square]
+            rate = mpmath.mpf(n * (n - 1)) / ((n + 2) * (n + 3))
+        weight = abs(poly[start]) * mpmath.fsum(abs(p) for p in poly) / (2 * (n + 1))
+        return [weight * rate ** int(t) for t in steps]
+
+
+@pytest.mark.parametrize(
+    "n, start, level, max_steps",
+    [(50, 0, 1, 20_000), (200, 0, 1, 40_000), (2000, 0, 1, 40_000),
+     # From the centre of an even n, p_1 = 0 and level 2 is the one left.
+     (50, 25, 2, 6_000), (200, 100, 2, 20_000)],
+)
+def test_late_curve_is_the_single_level_closed_form(n, start, level, max_steps):
+    # From 10 n steps on, the levels above ``level`` add under 1e-17
+    # relative; the curve's own error is that of exp(t log lambda).
+    curve = exact_tv_curve(None, None, start, max_steps, basis=gram_basis(BetaBinomialFamily(n)))
+    late = np.unique(np.geomspace(10 * n, max_steps, 40).astype(np.int64))
+    exact = _single_level_tv(n, start, level, late)
+    normal = np.array([value >= sys.float_info.min for value in exact])
+    np.testing.assert_allclose(curve[late][normal], np.array(exact, dtype=float)[normal], rtol=1e-11)
+    # Where the closed form is far below float64's range (from about 19 300
+    # steps at n = 50), the curve is exact zeros.
+    gone = np.array([value * 10**330 < 1 for value in exact])
+    assert not curve[late][gone].any()
+    assert gone.any() == ((n, level) == (50, 1))
+
+
+@pytest.mark.parametrize("n, start", [(50, 0), (50, 25), (200, 7), (2000, 0)])
+def test_single_level_tail_matches_the_full_expansion(n, start):
+    # The expansion over all n levels, at steps from n up to the cap.
+    basis = gram_basis(BetaBinomialFamily(n))
+    curve = exact_tv_curve(None, None, start, MAX_COMPARE_STEPS, basis=basis)
+    steps = np.unique(np.geomspace(n, MAX_COMPARE_STEPS, 60).astype(np.int64))
+    coeff = np.exp(steps[:, None] * basis.log_eigenvalues[1:-1]) * basis.polynomials([start])[1:, 0]
+    expansion = 0.5 * (np.abs(coeff @ basis.phi[1:]) @ basis.phi[0])
+    normal = expansion >= sys.float_info.min
+    assert normal.sum() >= 10
+    np.testing.assert_allclose(curve[steps][normal], expansion[normal], rtol=1e-14)
 
 
 def test_spectral_curve_validation():
