@@ -63,9 +63,6 @@ MAX_DENSE_STATES = 10_001
 # from the identity on the state space.
 BASIS_MAX_LEVEL = 60
 BASIS_GRAM_TOL = 1e-12
-# The Gram check of a full basis multiplies at most this many entries per
-# block of rows.
-GRAM_BLOCK = 1 << 20
 # One unit in the last place of 1.0.
 EPS = float(np.finfo(float).eps)
 
@@ -491,7 +488,8 @@ class OrthonormalBasis:
     as ``log_mass`` and p_0, p_1, ... are its orthonormal polynomials, the
     x-chain's eigenfunctions with eigenvalues lambda_k (Diaconis, Khare &
     Saloff-Coste 2008).  ``levels`` is the chosen K and ``gram_residual``
-    the largest entry of |Phi Phi^T - I| over levels 0..K.  ``recurrence``
+    the largest entry of |Phi Phi^T - I| over levels 0..min(K,
+    ``BASIS_MAX_LEVEL``), the levels a certificate sums.  ``recurrence``
     holds the coefficients (a_k, b_k) of
     x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1}, or is None for a basis
     whose polynomials are read from its columns.  ``log_eigenvalues`` holds
@@ -637,19 +635,6 @@ def _jacobi_eigenvectors(b: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _gram_residual(phi: np.ndarray) -> float:
-    """The largest entry of |Phi Phi^T - I|, one block of rows at a time over
-    the upper triangle, so no full product is held."""
-    worst = 0.0
-    rows = max(1, GRAM_BLOCK // phi.shape[1])
-    for first in range(0, phi.shape[0], rows):
-        gap = phi[first : first + rows] @ phi[first:].T
-        diagonal = np.arange(gap.shape[0])
-        gap[diagonal, diagonal] -= 1.0
-        worst = max(worst, float(np.abs(gap).max()))
-    return worst
-
-
 def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     """Gram basis of the flat-prior beta-binomial x-chain on 0..n: all n + 1 levels.
 
@@ -666,7 +651,8 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     2004).  The levels above K are the rows of the Jacobi matrix's
     normalized eigenvectors (Golub & Welsch 1969, ``_jacobi_eigenvectors``),
     whose eigenvalues are the states 0..n, so the polynomials at a state
-    are read from the basis columns.  ``gram_residual`` covers all levels.
+    are read from the basis columns.  ``gram_residual`` covers levels
+    0..``BASIS_MAX_LEVEL``, the ones the certified worst-start search sums.
     The step error covers ``bb_xchain``: each of its log entries sums
     log-gamma values whose magnitudes add up to at most 3 lgamma(2n + 2)
     (three in the log binomial coefficient, three in the log beta function,
@@ -691,10 +677,11 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     head = _orthonormal_basis(log_mass, a, b, log_eigenvalues, step_error)
     phi = _jacobi_eigenvectors(b)
     phi[: head.levels + 1] = head.phi
+    summed = phi[: BASIS_MAX_LEVEL + 1]
     return OrthonormalBasis(
         log_mass=log_mass,
         phi=phi,
-        gram_residual=_gram_residual(phi),
+        gram_residual=float(np.abs(summed @ summed.T - np.eye(summed.shape[0])).max()),
         recurrence=None,
         log_eigenvalues=log_eigenvalues,
         step_error=step_error,

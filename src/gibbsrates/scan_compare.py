@@ -287,7 +287,8 @@ def _certified_crossings(
     the last probe that was not.  A probe that decides neither way only
     moves the search: early steps, where the Christoffel tail can exceed
     1, settle nothing, and only the step just before the crossing must be
-    certified above.
+    certified above.  Only ``pg_mixing_demo`` searches this way; the
+    beta-binomial search reads its crossings from the printed curves.
     """
     size = terms.log_mass.size
     low = np.full(size, -1)  # the last step probed and not certified below
@@ -315,10 +316,13 @@ def _certified_crossings(
 
 @dataclass(frozen=True)
 class WorstStart:
-    """Outcome of the worst-start search: which start, and how slow."""
+    """Outcome of the worst-start search: which start, how slow, and its TV
+    curve at steps 0..max_steps (``_basis_tv``), whose first crossing of the
+    target is ``min_steps``."""
 
     start: int
     min_steps: StepCount
+    curve: np.ndarray = field(compare=False, repr=False)
 
 
 def _not_reached(target: float, max_steps: int) -> NoSolutionError:
@@ -335,20 +339,16 @@ def worst_start_search(
 
     ``basis`` is the full eigenbasis of the chain (``gram_basis`` for the
     flat beta-binomial), and every start is searched with no chain power.
-    Each start's crossing is certified from levels 0..``BASIS_MAX_LEVEL``
-    (``_certified_crossings``), the Christoffel tail covering the rest.  The
-    certificate's rounding margin models ``bb_xchain``'s, not that of the
-    printed curve (``_basis_tv``); ``compare`` re-checks the worst start's
-    crossing against the curve it prints and raises ``internal-invariant``
-    if the two disagree.  The candidate is the
-    first start maximizing |p_1(x)|, the start the slowest eigenfunction
-    weighs most.  Its crossing t* is the worst one, and the candidate the
-    first start to need it, if every later start is certified at or below
-    the target at t* and every earlier one at t* - 1.  Each start that fails
-    this gets its own crossing, and the worst is the first maximum over
-    all.  A start the certificate leaves undecided, as on a target tied to
-    a curve value, gets the first crossing of its own curve from the full
-    expansion (``_basis_tv``).
+    A start's crossing is always the first crossing of its own curve from
+    the full expansion (``_basis_tv``), the curve ``compare`` prints.  The
+    candidate is the first start maximizing |p_1(x)|, the start the slowest
+    eigenfunction weighs most; its curve gives its crossing t*.  The
+    certificate (``_certified_tv`` on levels 0..``BASIS_MAX_LEVEL``, the
+    Christoffel tail covering the rest) only proves that no other start is
+    slower: that every later start is at or below the target at t* and
+    every earlier one at t* - 1.  Each start that fails this gets the
+    crossing of its own curve, and the worst is the first maximum over the
+    candidate and those starts.  Only the current worst curve is held.
     """
     target = check_target(target)
     max_steps = int(max_steps)
@@ -360,31 +360,26 @@ def worst_start_search(
     states = np.arange(basis.dim)
     terms = _start_terms(head, states)
 
-    def crossings(starts: np.ndarray) -> np.ndarray:
-        found = _certified_crossings(head, terms.take(starts), target, max_steps)
-        for i in np.flatnonzero(found < 0):
-            hit = first_crossing(_basis_tv(basis, int(starts[i]), max_steps), target)
-            found[i] = max_steps + 1 if hit is None else hit
-        return found
+    def own_crossing(start: int) -> tuple[int, np.ndarray]:
+        curve = _basis_tv(basis, start, max_steps)
+        hit = first_crossing(curve, target)
+        if hit is None:
+            raise _not_reached(target, max_steps)
+        return hit, curve
 
     candidate = int(np.argmax(np.abs(terms.poly[:, 1])))
-    worst = int(crossings(np.array([candidate]))[0])
-    if worst > max_steps:
-        raise _not_reached(target, max_steps)
-    # crossing[x]: x's crossing, or a bound that keeps it from being the answer.
-    crossing = np.where(states < candidate, worst - 1, worst)
-    others = np.flatnonzero((states != candidate) & (crossing >= 0))
-    tv, error = _certified_tv(head, terms.take(others), crossing[others])
-    passed = np.zeros(basis.dim, dtype=bool)
-    passed[candidate] = True
-    passed[others] = (tv + error <= target)[:, 0]
-    failed = np.flatnonzero(~passed)
-    if failed.size:
-        crossing[failed] = crossings(failed)
-    start = int(np.argmax(crossing))  # argmax returns the first (smallest) tie
-    if crossing[start] > max_steps:
-        raise _not_reached(target, max_steps)
-    return WorstStart(start=start, min_steps=int(crossing[start]))
+    worst, curve = own_crossing(candidate)
+    # The step at which each other start must be certified at or below the
+    # target for the candidate to be the first start to need ``worst`` steps.
+    bound = np.where(states < candidate, worst - 1, worst)
+    others = np.flatnonzero((states != candidate) & (bound >= 0))
+    tv, error = _certified_tv(head, terms.take(others), bound[others])
+    start = candidate
+    for x in others[(tv + error > target)[:, 0]]:
+        hit, own = own_crossing(int(x))
+        if hit > worst or (hit == worst and x < start):
+            start, worst, curve = int(x), hit, own
+    return WorstStart(start=start, min_steps=worst, curve=curve)
 
 
 @dataclass(frozen=True)
@@ -527,12 +522,12 @@ def compare(
     """Run the full exact-versus-bounds comparison for a flat-prior model.
 
     The full Gram basis of the chain (``gram_basis``) answers the exact
-    part, and no dense chain is built: the worst start and its crossing
-    come from ``worst_start_search``, the exact curve from that start is
-    the basis's eigen-expansion, and the crossing is re-checked against
-    that printed curve.  ``d``, ``r`` and ``v_x0`` parameterize the
-    drift/minorization summary entry; ``decay_samples > 0`` additionally
-    runs the Monte Carlo eigenfunction cross-check with that many replicas.
+    part, and no dense chain is built: ``worst_start_search`` gives the
+    worst start, its curve, the basis's eigen-expansion, which is printed,
+    and that curve's first crossing of the target.  ``d``, ``r`` and
+    ``v_x0`` parameterize the drift/minorization summary entry;
+    ``decay_samples > 0`` additionally runs the Monte Carlo eigenfunction
+    cross-check with that many replicas.
     """
     if not is_integer(n) or not 1 <= int(n) <= MAX_COMPARE_N:
         raise ParameterError(
@@ -550,14 +545,6 @@ def compare(
     fam = BetaBinomialFamily(n=n)
     basis = gram_basis(fam)
     worst = worst_start_search(basis, target, max_steps=max_steps)
-    curve = exact_tv_curve(None, None, worst.start, max_steps, basis=basis)
-    t = worst.min_steps
-    if curve[t] > target or (t > 0 and curve[t - 1] <= target):
-        raise ConvergenceError(
-            f"internal-invariant: the search puts the crossing of start {worst.start} "
-            f"at step {t}, but its TV curve first reaches {target} at step "
-            f"{first_crossing(curve, target)}"
-        )
 
     witness_weight = abs(worst.start - n / 2.0) / (n / 2.0)
     # In ComparisonRow column order after the exact curve.
@@ -568,7 +555,7 @@ def compare(
         eigen_witness_bound(n, witness_weight),
     )
     steps = np.arange(1, max_steps + 1)
-    exact = curve[1:]
+    exact = worst.curve[1:]
     values = [bound.values(steps) for bound in bounds]
     _check_row_invariants(steps, exact, bounds, values)
     gated = []

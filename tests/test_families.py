@@ -652,10 +652,14 @@ def test_gram_basis_levels():
     # Every n keeps all n + 1 levels: the forward recurrence's levels up to
     # its K, and the Jacobi eigenvectors above, so the tail rate
     # lambda_{n+1} is 0 and the polynomials are read from the columns.
+    # ``gram_residual`` covers only the levels the certificate sums, so the
+    # whole basis's orthogonality is checked here.
     for n in [*range(1, 301), 723, 2000]:
         basis = gram_basis(BetaBinomialFamily(n=n))
         assert basis.levels == n
         assert basis.gram_residual <= families.BASIS_GRAM_TOL
+        gram = basis.phi @ basis.phi.T
+        assert np.abs(gram - np.eye(n + 1)).max() <= families.BASIS_GRAM_TOL
         assert basis.log_eigenvalues.shape == (n + 2,)
         assert basis.log_eigenvalues[-1] == -math.inf
         assert basis.recurrence is None

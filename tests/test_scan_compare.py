@@ -11,12 +11,10 @@ import pytest
 from gibbsrates import (
     BetaBinomialFamily,
     ComparisonRow,
-    ConvergenceError,
     NoSolutionError,
     ParameterError,
     PoissonGammaFamily,
     ValidityThresholdError,
-    WorstStart,
     bb_xchain,
     chisq_min_steps_pg,
     compare,
@@ -238,19 +236,6 @@ def _refuse(what):
     return refuse
 
 
-def _certified_search(monkeypatch, fam):
-    """worst_start_search on the Gram basis, with the per-start curve that
-    answers an undecided start refused: the certificate must decide alone."""
-    basis = gram_basis(fam)
-
-    def search(target, max_steps):
-        with monkeypatch.context() as patch:
-            patch.setattr(scan_compare, "_basis_tv", _refuse("the undecided-start curve"))
-            return worst_start_search(basis, target, max_steps=max_steps)
-
-    return search
-
-
 def _spy_curves(monkeypatch):
     """The starts whose full basis curve ``_basis_tv`` evaluates, in call order."""
     starts = []
@@ -273,11 +258,11 @@ def _refuse_dense_products(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 37, 100, 233])
-def test_worst_start_search_matches_iteration(n, monkeypatch):
+def test_worst_start_search_matches_iteration(n):
     fam = BetaBinomialFamily(n=n)
     matrix, stationary = bb_xchain(fam)
     curves = [exact_tv_curve(matrix, stationary, x, 4 * n + 40) for x in range(n + 1)]
-    search = _certified_search(monkeypatch, fam)
+    basis = gram_basis(fam)
     for target in SEARCH_TARGETS:
         crossings = [first_crossing(curve, target) for curve in curves]
         worst_steps = max(crossings)
@@ -287,22 +272,25 @@ def test_worst_start_search_matches_iteration(n, monkeypatch):
                 continue
             if max_steps < worst_steps:
                 with pytest.raises(NoSolutionError, match="target-not-reached"):
-                    search(target, max_steps)
+                    worst_start_search(basis, target, max_steps=max_steps)
                 continue
-            worst = search(target, max_steps)
+            worst = worst_start_search(basis, target, max_steps=max_steps)
             assert (worst.start, worst.min_steps) == (worst_start, worst_steps)
 
 
 @pytest.mark.parametrize("n, max_steps, expected", [(723, 2169, (0, 1563)), (2000, 6000, (0, 4320))])
-def test_certified_worst_start_needs_no_lifting(monkeypatch, n, max_steps, expected):
-    # The certificate decides every start, with no per-start curve and no chain.
+def test_certified_worst_start_evaluates_one_curve(monkeypatch, n, max_steps, expected):
+    # The certificate proves every other start no slower, so the search
+    # evaluates the candidate's curve alone and builds no dense chain.
+    basis = gram_basis(BetaBinomialFamily(n=n))
     _refuse_dense_products(monkeypatch)
-    search = _certified_search(monkeypatch, BetaBinomialFamily(n=n))
-    worst = search(0.01, max_steps)
+    curves = _spy_curves(monkeypatch)
+    worst = worst_start_search(basis, 0.01, max_steps=max_steps)
     assert (worst.start, worst.min_steps) == expected
+    assert curves == [0]
     message = f"target-not-reached: some starts still exceed TV 0.01 after {expected[1] - 1} steps"
     with pytest.raises(NoSolutionError, match=message):
-        search(0.01, expected[1] - 1)
+        worst_start_search(basis, 0.01, max_steps=expected[1] - 1)
 
 
 def _assert_compare_answers_the_tie(monkeypatch, n, max_steps, target, starts):
@@ -315,12 +303,14 @@ def _assert_compare_answers_the_tie(monkeypatch, n, max_steps, target, starts):
     expected = max(crossings.values())
     expected_start = min(x for x, t in crossings.items() if t == expected)
     curve = curves[expected_start]
-    assert curve[expected] <= target < curve[expected - 1]  # the crossing re-check
     _refuse_dense_products(monkeypatch)
-    undecided = _spy_curves(monkeypatch)
+    evaluated = _spy_curves(monkeypatch)
     worst = worst_start_search(basis, target, max_steps=max_steps)
     assert (worst.start, worst.min_steps) == (expected_start, expected)
-    assert undecided, "the certificate decided every start; the target is no tie"
+    # The candidate is start 0; the certificate failed some other start,
+    # which got its own curve.
+    assert evaluated[0] == 0
+    assert set(evaluated) - {0}, "the certificate decided every start; the target is no tie"
     report = compare(n=n, max_steps=max_steps, target=target)
     assert (report.worst_start, report.min_steps["exact"]) == (expected_start, expected)
     np.testing.assert_array_equal(report.curves.columns[1], curve[1:])
@@ -343,7 +333,7 @@ def test_compare_answers_a_tie_on_its_own_curve(monkeypatch, n):
 @pytest.mark.parametrize("t", [150, 217, 218])
 def test_compare_answers_a_dense_loop_tie_from_the_basis(monkeypatch, t):
     # At the dense loop's own TV from start 0 the certificate cannot decide;
-    # the basis curves answer, and the printed curve passes the re-check.
+    # the basis curves answer.
     matrix, stationary = bb_xchain(BetaBinomialFamily(n=100))
     target = float(exact_tv_curve(matrix, stationary, 0, 400)[t])
     _assert_compare_answers_the_tie(monkeypatch, 100, 400, target, range(101))
@@ -547,15 +537,20 @@ def test_compare_worst_start_and_crossing_are_pinned(n, worst_start, exact):
     assert (report.worst_start, report.min_steps["exact"]) == (worst_start, exact)
 
 
-def test_compare_rechecks_the_searched_crossing(monkeypatch):
-    from gibbsrates import scan_compare
-
-    def one_step_late(basis, target, *, max_steps):
-        return WorstStart(start=0, min_steps=219)
-
-    monkeypatch.setattr(scan_compare, "worst_start_search", one_step_late)
-    with pytest.raises(ConvergenceError, match="internal-invariant.*step 218"):
-        compare(n=100, max_steps=400)
+@pytest.mark.parametrize("n", [1, 2, 16, 100, 233])
+def test_compare_prints_the_searched_curve(n):
+    # The exact answer is the first crossing of the printed curve, which is
+    # the worst start's own basis curve from the search, bit for bit.
+    basis = gram_basis(BetaBinomialFamily(n=n))
+    max_steps = 4 * n + 40
+    for target in SEARCH_TARGETS:
+        worst = worst_start_search(basis, target, max_steps=max_steps)
+        own = exact_tv_curve(None, None, worst.start, max_steps, basis=basis)
+        np.testing.assert_array_equal(worst.curve, own)
+        report = compare(n=n, max_steps=max_steps, target=target)
+        assert report.worst_start == worst.start
+        assert report.min_steps["exact"] == first_crossing(worst.curve, target) == worst.min_steps
+        np.testing.assert_array_equal(report.curves.columns[1], worst.curve[1:])
 
 
 def test_compare_validation():
