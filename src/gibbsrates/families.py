@@ -57,10 +57,11 @@ TRUNCATION_TOL = 1e-12
 # and the builders hold about two of them at once.
 MAX_DENSE_STATES = 10_001
 # Highest level the forward recurrence of an orthonormal basis tries (the
-# Gram basis takes the levels above the recurrence's from the Jacobi
-# matrix), which is also the most levels the certified worst-start search
-# sums; and how far the Gram matrix of the levels a basis keeps may stray
-# from the identity on the state space.
+# Gram basis takes the levels above the recurrence's from the Hahn
+# difference equation, and keeps at least min(n, this) levels), which is
+# also the most levels the certified worst-start search sums; and how far
+# the Gram matrix of the levels a basis keeps may stray from the identity
+# on the state space.
 BASIS_MAX_LEVEL = 60
 BASIS_GRAM_TOL = 1e-12
 # One unit in the last place of 1.0.
@@ -601,42 +602,39 @@ def meixner_basis(fam: PoissonGammaFamily) -> OrthonormalBasis:
     )
 
 
-def _jacobi_eigenvectors(b: np.ndarray) -> np.ndarray:
-    """The normalized eigenvectors of the Jacobi matrix with diagonal n/2 and
-    off-diagonal ``b[1:]`` (n = ``b.size - 1``), one column per state, for
-    the eigenvalues 0..n, with row 0 positive: phi_k(y) in column y.
+def _hahn_rows(n: int, levels: np.ndarray) -> np.ndarray:
+    """phi_k(y), y = 0..n, of the Gram basis on 0..n for the integer ``levels``,
+    one row per level, from the Hahn difference equation in y.
 
-    J - (n/2) I couples even levels to odd ones only, through the
-    (n//2 + 1) x ((n + 1)//2) lower bidiagonal block B with B[i, i] = b_{2i+1}
-    and B[i, i-1] = b_{2i}.  For each singular triple (sigma, u, v) of B
-    (Golub & Kahan 1965), (u, v)/sqrt(2) and (u, -v)/sqrt(2) are the
-    eigenvectors for n/2 + sigma and n/2 - sigma; for even n the left null
-    vector of B, with zero odd part, is the one for n/2.  The singular
-    values n/2, n/2 - 1, ... come out in that order, so the eigenvalues need
-    not be read from them.
+    At a = b = 1 the Hahn polynomial Q_k(y) = 3F2(-k, k + 1, -y; 1, -n; 1)
+    satisfies k(k + 1) Q(y) = B(y) Q(y + 1) - [B(y) + D(y)] Q(y) + D(y) Q(y - 1),
+    with B(y) = (y + 1)(y - n) and D(y) = y(y - n - 1) (Koekoek, Lesky &
+    Swarttouw 2010, (9.5.5)), from Q(0) = 1 and Q(1) = 1 - k(k + 1)/n.  It
+    runs for all the levels at once, one vector per y, up to y = n/2; the
+    rest is the mirror Q_k(n - y) = (-1)^k Q_k(y), and an odd level is 0 at
+    the centre of an even n.  Each row is normalized and signed (-1)^k at
+    y = 0, the sign of the recurrence's p_k there.
     """
-    n = b.size - 1
-    even, odd = n // 2 + 1, (n + 1) // 2
-    block = np.zeros((even, odd))
-    i = np.arange(odd)
-    block[i, i] = b[2 * i + 1]
-    j = np.arange(1, even)
-    block[j, j - 1] = b[2 * j]
-    u, _, vt = np.linalg.svd(block)
-    phi = np.empty((n + 1, n + 1))
-    high, low = n - i, i
-    phi[0::2, high] = phi[0::2, low] = u[:, :odd] * math.sqrt(0.5)
-    phi[1::2, high] = vt.T * math.sqrt(0.5)
-    phi[1::2, low] = -phi[1::2, high]
-    if even > odd:
-        phi[0::2, n // 2] = u[:, odd]
-        phi[1::2, n // 2] = 0.0
-    phi *= np.sign(phi[0])
+    k = np.asarray(levels, dtype=float)
+    eigen = k * (k + 1.0)
+    phi = np.empty((k.size, n + 1))
+    phi[:, 0] = 1.0
+    phi[:, 1] = 1.0 - eigen / n
+    for y in range(1, n // 2):
+        up, down = (y + 1.0) * (y - n), y * (y - n - 1.0)
+        phi[:, y + 1] = ((eigen + up + down) * phi[:, y] - down * phi[:, y - 1]) / up
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    below = (n + 1) // 2  # the states below n/2
+    np.multiply(phi[:, below - 1 :: -1], sign[:, None], out=phi[:, n + 1 - below :])
+    if n % 2 == 0:
+        phi[sign < 0, n // 2] = 0.0
+    phi *= (sign / np.sqrt(np.einsum("ky,ky->k", phi, phi)))[:, None]
     return phi
 
 
 def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
-    """Gram basis of the flat-prior beta-binomial x-chain on 0..n: all n + 1 levels.
+    """Gram basis of the flat-prior beta-binomial x-chain on 0..n: every level
+    the TV curve's cut can keep.
 
     Under the flat prior the stationary law is uniform, m = 1/(n + 1), and
     its orthonormal polynomials are the Gram (discrete Chebyshev)
@@ -644,15 +642,23 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     b_k = (k/2) sqrt(((n + 1)^2 - k^2)/(4k^2 - 1)), with the Hahn
     eigenvalues lambda_k = prod_{i<k} (n - i)/(n + 2 + i) of
     ``_hahn_eigenvalues``, the products of ``bb_spectral_data``, held as
-    their logs; lambda_{n+1} = 0 (log -inf), so the basis leaves no tail.
-    The forward recurrence keeps levels 0..K, with K chosen under
-    ``BASIS_GRAM_TOL`` (all levels up to n = 17, K = 44 at n = 100, the cap
-    ``BASIS_MAX_LEVEL`` from n = 180); it loses the levels near n (Gautschi
-    2004).  The levels above K are the rows of the Jacobi matrix's
-    normalized eigenvectors (Golub & Welsch 1969, ``_jacobi_eigenvectors``),
-    whose eigenvalues are the states 0..n, so the polynomials at a state
-    are read from the basis columns.  ``gram_residual`` covers levels
-    0..``BASIS_MAX_LEVEL``, the ones the certified worst-start search sums.
+    their logs.  The forward recurrence keeps levels 0..K_head, with K_head
+    chosen under ``BASIS_GRAM_TOL`` (all levels up to n = 17, 44 at
+    n = 100, the cap ``BASIS_MAX_LEVEL`` at every n from 193); it loses
+    the levels near n (Gautschi 2004).  The levels K_head + 1..K are rows
+    of the Hahn difference equation in y (``_hahn_rows``), so the
+    polynomials at a state are read from the basis columns.
+
+    K is the smallest level with lambda_{K+1} sqrt(n + 1) at most
+    EPS / (n + 1) min_x max(lambda_1 |p_1(x)|, lambda_2 |p_2(x)|), and never
+    below min(n, ``BASIS_MAX_LEVEL``): K = n up to n = 60, 63 at n = 100,
+    178 at n = 700, 308 at n = 2000.  A level k > K has
+    |lambda_k^t p_k(x)| <= lambda_{K+1}^t sqrt(1/m(x)) (Christoffel), so at
+    every step t >= 1 from every start it lies below EPS / dim of level 1's
+    or level 2's term: the cut of ``scan_compare._basis_tv`` could never
+    keep it, and the curve is the one the whole n + 1-level expansion gives.
+    ``gram_residual`` covers levels 0..``BASIS_MAX_LEVEL``, the ones the
+    certified worst-start search sums.
     The step error covers ``bb_xchain``: each of its log entries sums
     log-gamma values whose magnitudes add up to at most 3 lgamma(2n + 2)
     (three in the log binomial coefficient, three in the log beta function,
@@ -660,8 +666,8 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     size moves an entry by at most 1.5 lgamma(2n + 2) ulps relatively, and
     a normalized row by at most 3 lgamma(2n + 2) ulps in L1, twice what its
     TV needs.  The same count bounds its uniform stationary law, and the
-    dense loop adds dim ulps per step.  The basis is a dense (n + 1)^2
-    array, so more than ``MAX_DENSE_STATES`` states are refused.
+    dense loop adds dim ulps per step.  More than ``MAX_DENSE_STATES``
+    states are refused.
     """
     fam.require_flat_prior("the Gram basis")
     check_dense_states(fam.n + 1)
@@ -675,15 +681,20 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     log_mass = np.full(n + 1, -math.log(n + 1.0))
     step_error = 3.0 * float(gammaln(2.0 * n + 2.0)) * EPS + (n + 1) * EPS
     head = _orthonormal_basis(log_mass, a, b, log_eigenvalues, step_error)
-    phi = _jacobi_eigenvectors(b)
-    phi[: head.levels + 1] = head.phi
+    levels = n
+    if n > BASIS_MAX_LEVEL:
+        # With p_k = sqrt(n + 1) phi_k, the sqrt(n + 1) of both sides cancels.
+        leading = np.exp(log_eigenvalues[1:3, None]) * np.abs(head.phi[1:3])
+        cut = math.log(EPS / (n + 1) * float(leading.max(axis=0).min()))
+        levels = max(int(np.argmax(log_eigenvalues[1:] <= cut)), BASIS_MAX_LEVEL)
+    phi = np.concatenate([head.phi, _hahn_rows(n, np.arange(head.levels + 1, levels + 1))])
     summed = phi[: BASIS_MAX_LEVEL + 1]
     return OrthonormalBasis(
         log_mass=log_mass,
         phi=phi,
         gram_residual=float(np.abs(summed @ summed.T - np.eye(summed.shape[0])).max()),
         recurrence=None,
-        log_eigenvalues=log_eigenvalues,
+        log_eigenvalues=log_eigenvalues[: levels + 2],
         step_error=step_error,
     )
 

@@ -113,10 +113,11 @@ def exact_tv_curve(
 ) -> np.ndarray:
     """TV to stationarity at steps 0..max_steps (at most 10^5) from a point start.
 
-    Given the full eigenbasis of the chain (``gram_basis``), the curve is
-    the chain's eigen-expansion (``_basis_tv``); pass None for ``matrix``
-    and ``stationary``, which are not read.  Without ``basis`` it is the
-    dense loop's, ``iterate_tv`` on ``matrix`` (``exact-tv --family pg``).
+    Given the chain's eigenbasis (``gram_basis``, which holds every level
+    the expansion's cut can keep), the curve is the chain's eigen-expansion
+    (``_basis_tv``); pass None for ``matrix`` and ``stationary``, which are
+    not read.  Without ``basis`` it is the dense loop's, ``iterate_tv`` on
+    ``matrix`` (``exact-tv --family pg``).
     """
     start, max_steps = check_tv_query(start, max_steps, (matrix if basis is None else basis).dim)
     if basis is not None:
@@ -140,7 +141,7 @@ def check_tv_query(start, max_steps, dim: int) -> tuple[int, int]:
 
 
 def _basis_tv(basis: OrthonormalBasis, start: int, max_steps: int) -> np.ndarray:
-    """TV at steps 0..max_steps from ``start`` by the full expansion of ``basis``.
+    """TV at steps 0..max_steps from ``start`` by the expansion of ``basis``.
 
     K^t(x, y) - m(y) = sqrt(m(y)) sum_{k>=1} lambda_k^t p_k(x) phi_k(y), so
     TV(t) = 1/2 sum_y sqrt(m(y)) |sum_{k>=1} lambda_k^t p_k(x) phi_k(y)|;
@@ -337,18 +338,19 @@ def worst_start_search(
 ) -> WorstStart:
     """Find the start needing the most steps to bring TV down to the target.
 
-    ``basis`` is the full eigenbasis of the chain (``gram_basis`` for the
-    flat beta-binomial), and every start is searched with no chain power.
-    A start's crossing is always the first crossing of its own curve from
-    the full expansion (``_basis_tv``), the curve ``compare`` prints.  The
-    candidate is the first start maximizing |p_1(x)|, the start the slowest
-    eigenfunction weighs most; its curve gives its crossing t*.  The
-    certificate (``_certified_tv`` on levels 0..``BASIS_MAX_LEVEL``, the
-    Christoffel tail covering the rest) only proves that no other start is
-    slower: that every later start is at or below the target at t* and
-    every earlier one at t* - 1.  Each start that fails this gets the
-    crossing of its own curve, and the worst is the first maximum over the
-    candidate and those starts.  Only the current worst curve is held.
+    ``basis`` is the eigenbasis of the chain (``gram_basis`` for the flat
+    beta-binomial, every level the expansion's cut can keep), and every
+    start is searched with no chain power.  A start's crossing is always
+    the first crossing of its own curve from the expansion (``_basis_tv``),
+    the curve ``compare`` prints.  The candidate is the first start
+    maximizing |p_1(x)|, the start the slowest eigenfunction weighs most;
+    its curve gives its crossing t*.  The certificate (``_certified_tv`` on
+    levels 0..``BASIS_MAX_LEVEL``, the Christoffel tail covering the rest)
+    only proves that no other start is slower: that every later start is
+    at or below the target at t* and every earlier one at t* - 1.  Each
+    start that fails this gets the crossing of its own curve, and the worst
+    is the first maximum over the candidate and those starts.  Only the
+    current worst curve is held.
     """
     target = check_target(target)
     max_steps = int(max_steps)
@@ -521,7 +523,7 @@ def compare(
 ) -> ComparisonReport:
     """Run the full exact-versus-bounds comparison for a flat-prior model.
 
-    The full Gram basis of the chain (``gram_basis``) answers the exact
+    The Gram basis of the chain (``gram_basis``) answers the exact
     part, and no dense chain is built: ``worst_start_search`` gives the
     worst start, its curve, the basis's eigen-expansion, which is printed,
     and that curve's first crossing of the target.  ``d``, ``r`` and

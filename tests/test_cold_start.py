@@ -1,7 +1,8 @@
 """Cold start: no command loads scipy.  The flat beta-binomial comparison and
-exact curve answer from the Gram basis (numpy's SVD, ``numerics.gammaln`` and
-``numerics.logsumexp``), and the Poisson-gamma family checks its truncation,
-builds its law, its Meixner basis and its dense chain with the same two.
+exact curve answer from the Gram basis (the forward recurrence, the Hahn
+difference equation, ``numerics.gammaln`` and ``numerics.logsumexp``), and
+the Poisson-gamma family checks its truncation, builds its law, its Meixner
+basis and its dense chain with the same two.
 
 pytest itself imports scipy (through the test modules), so each check runs
 in a fresh interpreter and reads its ``sys.modules``.
@@ -98,8 +99,9 @@ def test_poisson_gamma_commands_load_no_scipy(tmp_path):
 
 
 def test_the_gram_basis_loads_no_scipy_linalg(tmp_path):
-    # The full Gram basis comes from numpy's SVD: importing scipy.linalg (or
-    # any other scipy module) would add to every cold comparison and curve.
+    # The Gram basis comes from two recurrences and no dense eigensolve:
+    # importing scipy.linalg (or any other scipy module) would add to every
+    # cold comparison and curve.
     argvs = [
         ["scan-compare", "--n", "100"],
         ["exact-tv", "--family", "bb", "--n", "100", "--start", "0",

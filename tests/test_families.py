@@ -648,51 +648,154 @@ def test_gram_basis_gram_residual_within_tolerance(n):
     )
 
 
+def _certified_levels(n: int) -> int:
+    # The smallest K with lambda_{K+1} sqrt(n + 1) <= EPS / (n + 1) times
+    # min_x max(lambda_1 |p_1(x)|, lambda_2 |p_2(x)|), at least min(n, 60),
+    # with p_1 and p_2 in closed form and the Hahn eigenvalues as products.
+    y = np.arange(n + 1, dtype=float) - n / 2.0
+    p1 = y / math.sqrt(n * (n + 2.0) / 12.0)
+    p2 = y**2 - n * (n + 2.0) / 12.0
+    p2 /= math.sqrt(np.mean(p2**2)) if n > 1 else 1.0
+    lam = [1.0]
+    for i in range(n):
+        lam.append(lam[-1] * (n - i) / (n + 2.0 + i))
+    lam.append(0.0)
+    floor = np.maximum(lam[1] * np.abs(p1), lam[min(2, n + 1)] * np.abs(p2)).min()
+    cut = families.EPS / (n + 1) * floor
+    levels = next(k for k in range(n + 1) if lam[k + 1] * math.sqrt(n + 1.0) <= cut)
+    return max(levels, min(n, families.BASIS_MAX_LEVEL))
+
+
 def test_gram_basis_levels():
-    # Every n keeps all n + 1 levels: the forward recurrence's levels up to
-    # its K, and the Jacobi eigenvectors above, so the tail rate
-    # lambda_{n+1} is 0 and the polynomials are read from the columns.
+    # Every n keeps levels 0..K: the forward recurrence's levels and the
+    # Hahn difference equation's above them, up to the last level the TV
+    # curve's cut can keep, so the polynomials are read from the columns.
     # ``gram_residual`` covers only the levels the certificate sums, so the
     # whole basis's orthogonality is checked here.
     for n in [*range(1, 301), 723, 2000]:
         basis = gram_basis(BetaBinomialFamily(n=n))
-        assert basis.levels == n
+        levels = _certified_levels(n)
+        assert basis.levels == levels
+        assert basis.phi.shape == (levels + 1, n + 1)
         assert basis.gram_residual <= families.BASIS_GRAM_TOL
         gram = basis.phi @ basis.phi.T
-        assert np.abs(gram - np.eye(n + 1)).max() <= families.BASIS_GRAM_TOL
-        assert basis.log_eigenvalues.shape == (n + 2,)
-        assert basis.log_eigenvalues[-1] == -math.inf
+        assert np.abs(gram - np.eye(levels + 1)).max() <= families.BASIS_GRAM_TOL
+        assert basis.log_eigenvalues.shape == (levels + 2,)
+        # lambda_{n+1} = 0: no tail is left out while K = n.
+        assert (basis.log_eigenvalues[-1] == -math.inf) == (levels == n)
         assert basis.recurrence is None
+    assert [gram_basis(BetaBinomialFamily(n=n)).levels for n in (60, 100, 700, 2000)] == [
+        60, 63, 178, 308,
+    ]
     with pytest.raises(UnsupportedPriorError):
         gram_basis(BetaBinomialFamily(n=10, a=2.0))
 
 
 @pytest.mark.parametrize("n", [16, 17, 100, 723])
 def test_gram_basis_levels_agree_with_the_recurrence(n):
-    # The Jacobi eigenvectors alone, against the forward recurrence on the
-    # levels where its Gram block holds, and the symmetry
+    # The difference equation's rows alone, against the forward recurrence
+    # on the levels where its Gram block holds, and the symmetry
     # phi_k(n - y) = (-1)^k phi_k(y) of the Gram polynomials.
     basis = gram_basis(BetaBinomialFamily(n=n))
-    k = np.arange(1, n + 1, dtype=float)
-    b = np.r_[0.0, 0.5 * k * np.sqrt(((n + 1.0) ** 2 - k**2) / (4.0 * k**2 - 1.0))]
     np.testing.assert_allclose(
-        families._jacobi_eigenvectors(b), basis.phi, rtol=0, atol=1e-11
+        families._hahn_rows(n, np.arange(basis.levels + 1)), basis.phi, rtol=0, atol=1e-11
     )
-    signs = (-1.0) ** np.arange(n + 1)
+    signs = (-1.0) ** np.arange(basis.levels + 1)
     np.testing.assert_allclose(
         basis.phi[:, ::-1], signs[:, None] * basis.phi, rtol=0, atol=1e-11
     )
 
 
+# The forward recurrence's top level in the Gram basis (K_head).
+GRAM_HEAD = {50: 32, 700: 60, 723: 60, 2000: 60}
+
+
+def _exact_kernel_rows(mpmath, n: int, starts) -> list[list]:
+    """Rows ``starts`` of the flat beta-binomial x-chain in 30 digits:
+    C(n, y) B(x + y + 1, 2n - x - y + 1) / B(x + 1, n - x + 1)."""
+    with mpmath.workdps(30):
+        lf = [mpmath.mpf(0)]
+        for m in range(1, 2 * n + 2):
+            lf.append(lf[-1] + mpmath.log(m))
+        return [
+            [
+                mpmath.exp(
+                    lf[n] - lf[y] - lf[n - y] + lf[x + y] + lf[2 * n - x - y] - lf[2 * n + 1]
+                    - lf[x] - lf[n - x] + lf[n + 1]
+                )
+                for y in range(n + 1)
+            ]
+            for x in starts
+        ]
+
+
 @pytest.mark.parametrize("n", [50, 723, 2000])
 def test_gram_polynomials_are_eigenfunctions_of_bb_xchain(n):
+    # Levels 0..K_head are the forward recurrence's, bit for bit.  The low
+    # levels are checked against bb_xchain's rows.  At n = 2000 those rows
+    # carry up to 2.7e-12 of rounding in L1 (within their step error),
+    # which alone puts the residual at 1.0e-12 to 2.3e-12 of max |p_k| on
+    # levels 32..154, so the seam (K_head, K_head + 1), K // 2 and K are
+    # checked against 30-digit rows of the same kernel.  At n = 50,
+    # K_head = 32 is the last level the recurrence keeps under
+    # BASIS_GRAM_TOL and is an eigenfunction only to 1.9e-12, so there the
+    # seam is level K_head + 1 alone.
+    mpmath = pytest.importorskip("mpmath")
     fam = BetaBinomialFamily(n=n)
     basis = gram_basis(fam)
+    head, top = GRAM_HEAD[n], basis.levels
+    j = np.arange(1, n + 1, dtype=float)
+    b = np.r_[0.0, 0.5 * j * np.sqrt(((n + 1.0) ** 2 - j**2) / (4.0 * j**2 - 1.0))]
+    np.testing.assert_array_equal(
+        families._three_term(basis.phi[0], np.arange(n + 1.0), np.full(n + 1, n / 2.0), b, head),
+        basis.phi[: head + 1],
+    )
     poly = basis.polynomials(np.arange(n + 1))
     entries = bb_xchain(fam)[0].entries
-    for k in (0, 1, 2, 3, n // 2, n - 1, n):
+    for k in (0, 1, 2, 3):
         residual = entries @ poly[k] - math.exp(basis.log_eigenvalues[k]) * poly[k]
         assert np.abs(residual).max() <= 1e-12 * np.abs(poly[k]).max()
+    starts = [0, 1, n // 3, n // 2, n - 1, n]
+    rows = _exact_kernel_rows(mpmath, n, starts)
+    levels = [head + 1, top // 2, top] if n == 50 else [head, head + 1, top // 2, top]
+    with mpmath.workdps(30):
+        for k in levels:
+            column = [mpmath.mpf(value) for value in poly[k]]
+            lam = mpmath.exp(mpmath.mpf(basis.log_eigenvalues[k]))
+            residual = max(
+                abs(float(mpmath.fdot(row, column) - lam * column[x]))
+                for row, x in zip(rows, starts)
+            )
+            assert residual <= 1e-12 * np.abs(poly[k]).max(), k
+
+
+@pytest.mark.parametrize("n", [700, 2000])
+def test_gram_rows_match_a_40_digit_recurrence(n):
+    # Against the orthonormal three-term recurrence run in 40 digits, which
+    # keeps about 30 of them at these levels, on about 60 spread states: the
+    # seam between the forward recurrence and the difference equation
+    # (K_head, K_head + 1) and the top level K.
+    mpmath = pytest.importorskip("mpmath")
+    basis = gram_basis(BetaBinomialFamily(n=n))
+    head, top = GRAM_HEAD[n], basis.levels
+    states = sorted({*range(0, n + 1, n // 57), 1, 2, n // 2, n - 1, n})
+    levels = [head, head + 1, top]
+    reference = np.empty((len(levels), len(states)))
+    with mpmath.workdps(40):
+        b = [mpmath.mpf(0)] + [
+            k * mpmath.sqrt(((n + 1) ** 2 - mpmath.mpf(k) ** 2) / (4 * mpmath.mpf(k) ** 2 - 1)) / 2
+            for k in range(1, top + 1)
+        ]
+        scale = 1 / mpmath.sqrt(n + 1)
+        for j, y in enumerate(states):
+            previous, current = mpmath.mpf(0), scale
+            for k in range(top):
+                if k in levels:
+                    reference[levels.index(k), j] = float(current)
+                x = y - mpmath.mpf(n) / 2
+                previous, current = current, (x * current - b[k] * previous) / b[k + 1]
+            reference[-1, j] = float(current)
+    np.testing.assert_allclose(basis.phi[levels][:, states], reference, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [100, 600, 2000])
@@ -700,23 +803,13 @@ def test_gram_step_error_covers_bb_xchain_rows(n):
     # Against a 30-digit kernel, the L1 error of bb_xchain's rows stays
     # within half of the certificate's per-step term.
     mpmath = pytest.importorskip("mpmath")
+    starts = (0, n // 3, n // 2, n)
+    rows = _exact_kernel_rows(mpmath, n, starts)
+    entries = bb_xchain(BetaBinomialFamily(n=n))[0].entries
     with mpmath.workdps(30):
-        log_factorial = [mpmath.mpf(0)]
-        for m in range(1, 2 * n + 2):
-            log_factorial.append(log_factorial[-1] + mpmath.log(m))
-
-        def exact(x, y):
-            # C(n, y) B(x + y + 1, 2n - x - y + 1) / B(x + 1, n - x + 1).
-            lf = log_factorial
-            return mpmath.exp(
-                lf[n] - lf[y] - lf[n - y] + lf[x + y] + lf[2 * n - x - y] - lf[2 * n + 1]
-                - lf[x] - lf[n - x] + lf[n + 1]
-            )
-
-        entries = bb_xchain(BetaBinomialFamily(n=n))[0].entries
         errors = [
-            sum(abs(float(mpmath.mpf(entries[x, y]) - exact(x, y))) for y in range(n + 1))
-            for x in (0, n // 3, n // 2, n)
+            sum(abs(float(mpmath.mpf(entries[x, y]) - exact)) for y, exact in enumerate(row))
+            for x, row in zip(starts, rows)
         ]
     assert 2.0 * max(errors) <= gram_basis(BetaBinomialFamily(n=n)).step_error
 

@@ -170,7 +170,8 @@ def test_late_curve_is_the_single_level_closed_form(n, start, level, max_steps):
 
 @pytest.mark.parametrize("n, start", [(50, 0), (50, 25), (200, 7), (2000, 0)])
 def test_single_level_tail_matches_the_full_expansion(n, start):
-    # The expansion over all n levels, at steps from n up to the cap.
+    # The expansion over every level the basis keeps, at steps from n up
+    # to the cap.
     basis = gram_basis(BetaBinomialFamily(n))
     curve = exact_tv_curve(None, None, start, MAX_COMPARE_STEPS, basis=basis)
     steps = np.unique(np.geomspace(n, MAX_COMPARE_STEPS, 60).astype(np.int64))
@@ -179,6 +180,55 @@ def test_single_level_tail_matches_the_full_expansion(n, start):
     normal = expansion >= sys.float_info.min
     assert normal.sum() >= 10
     np.testing.assert_allclose(curve[steps][normal], expansion[normal], rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 100, 723, 2000])
+def test_the_gram_basis_keeps_every_level_the_curve_cut_keeps(n):
+    # Twenty more difference-equation levels leave every curve unchanged,
+    # bit for bit: the cut of _basis_tv can never keep a level above K.
+    basis = gram_basis(BetaBinomialFamily(n))
+    more = min(n, basis.levels + 20)
+    with np.errstate(divide="ignore"):  # lambda_{n+1} = 0
+        log_eigenvalues = np.log(np.r_[1.0, families._hahn_eigenvalues(n, more + 1)])
+    wider = dataclasses.replace(
+        basis,
+        phi=np.vstack([basis.phi, families._hahn_rows(n, np.arange(basis.levels + 1, more + 1))]),
+        log_eigenvalues=log_eigenvalues[: more + 2],
+    )
+    for start in sorted({0, 1, n // 3, n // 2, n}):
+        np.testing.assert_array_equal(
+            scan_compare._basis_tv(basis, start, 20_000),
+            scan_compare._basis_tv(wider, start, 20_000),
+        )
+
+
+def test_exact_curve_at_the_dense_state_cap():
+    # n = 10 000 is the largest chain gram_basis builds: 709 levels, not
+    # 10 001.  The curve lies between the eigenfunction lower bound
+    # lambda_1^t / 2 (p_1 is largest at the ends) and the chi-square upper
+    # bound 1/2 sqrt(sum_k lambda_k^2t p_k(0)^2), with the Gram polynomials'
+    # p_k(0)^2 = (n + 1)(2k + 1) n!^2 / ((n + k + 1)! (n - k)!) (Koekoek,
+    # Lesky & Swarttouw 2010, (9.5.2)).
+    n = families.MAX_DENSE_STATES - 1
+    basis = gram_basis(BetaBinomialFamily(n))
+    assert basis.phi.shape == (709, n + 1)
+    curve = exact_tv_curve(None, None, 0, 20_000, basis=basis)
+    assert curve[0] == 1.0 - 1.0 / (n + 1)
+    assert (np.diff(curve) <= 0.0).all()
+    k = np.arange(1, n + 1)
+    log_lambda = np.cumsum(np.log((n - k + 1.0) / (n + k + 1.0)))
+    log_p0 = 0.5 * (
+        math.log(n + 1.0) + np.log(2.0 * k + 1.0) + 2.0 * math.lgamma(n + 1.0)
+        - np.array([math.lgamma(n + j + 2.0) + math.lgamma(n - j + 1.0) for j in k])
+    )
+    steps = np.unique(np.geomspace(1, 20_000, 40).astype(np.int64))
+    lower = 0.5 * np.exp(steps * log_lambda[0])
+    upper = 0.5 * np.sqrt(np.exp(2.0 * (steps[:, None] * log_lambda + log_p0)).sum(axis=1))
+    assert (lower <= curve[steps]).all() and (curve[steps] <= upper).all()
+    # The two bounds pin the curve within a factor 2.1 from step 2000 on
+    # (sqrt(3) as t grows).
+    late = steps >= 2000
+    assert (upper[late] <= 2.1 * lower[late]).all()
 
 
 def test_spectral_curve_validation():
