@@ -10,8 +10,8 @@ Output contract, shared by all subcommands:
 * all floats are rounded to 12 significant digits and printed by the one
   cell formatter ``numerics.float_cell`` (``repr`` of the rounded value),
   so repeated runs are byte-identical; only the requested format is built,
-  and row lists are columnar ``numerics.RowTable``s, each column formatted
-  once and each JSON row written by one template, in the same bytes as
+  and row lists are columnar ``numerics.RowTable``s, rendered a block of
+  rows at a time into byte slots, in the same bytes as
   ``json.dumps(..., indent=2)``, and written to stdout or ``--out`` one
   block of rows at a time;
 * log-scale magnitudes appear as ``{"mantissa": m, "exp10": e}`` pairs
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -251,6 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--config", dest="config", default=None, help="JSON file with option values"
         )
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: ``parse_args`` only reads
+    it, and every option's parser default is None, so no parsed value is
+    shared between calls."""
+    return build_parser()
 
 
 def _config_int(value) -> int:
@@ -672,9 +681,8 @@ def render(command: str, cfg: dict, output, sink) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
         code = exc.code
         if code is None:

@@ -23,14 +23,17 @@ leave the package:
 ``float_cell`` prints each float once as ``repr(round_sig(value))`` for both
 CSV (``csv_cell``) and JSON (``json_cell``).  Report tables are columnar: a
 ``RowTable`` holds one column per field (numpy arrays for long curves, a
-``GatedColumn`` for a bound with no value below its validity gate), formats
-each column once by a path chosen from its type, ``TABLE_BLOCK_ROWS`` rows
-at a time, and joins the texts into CSV lines or per-row JSON templates
-without a Python call per cell.  A table's text comes in pieces, one per
-block (``csv_pieces``, ``json_pieces``), and ``json_pieces`` yields a whole
-payload's text the same way, in the bytes ``json.dumps(jsonable(...),
-indent=2)`` would give, so a writer holds one block's text at a time;
-``to_csv`` and ``json_text`` join the same pieces.
+``GatedColumn`` for a bound with no value below its validity gate) and
+renders ``TABLE_BLOCK_ROWS`` rows at a time in numpy: each cell is written
+into fixed byte slots of a row buffer (``_float_slots`` for all float
+columns of a block at once, ``_int_slots``, or a sequence cell's text),
+around the row template's constant bytes, and one compaction by the
+buffer's mask gives the block's text, without a Python call per cell.  A
+table's text comes in pieces, one per block (``csv_pieces``,
+``json_pieces``), and ``json_pieces`` yields a whole payload's text the
+same way, in the bytes ``json.dumps(jsonable(...), indent=2)`` would give,
+so a writer holds one block's text at a time; ``to_csv`` and ``json_text``
+join the same pieces.
 """
 from __future__ import annotations
 
@@ -40,7 +43,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -82,12 +84,92 @@ _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _TABLE_SLOT_MARK = "\0row-table-"
 _TABLE_SLOT = re.compile(r'^( *)(.*)"\\u0000row-table-(\d+)"', re.MULTILINE)
 
-# Rows a ``RowTable`` formats and yields per block, so that a writer holds
-# one block's cell texts and text at a time: rendering ``compare(50, 10^5)``
-# (21.9 MiB of JSON) into a file peaks at 3.9 MiB of traced allocations.
-# 1024-row blocks render 2% and 256-row blocks 8% slower than 4096 (2 shared
-# cores).
-TABLE_BLOCK_ROWS = 4096
+# Rows a ``RowTable`` renders and yields per block, so that a writer holds
+# one block's byte slots and text at a time: rendering ``compare(50, 10^5)``
+# (21.9 MiB of JSON) into a file peaks at 3.7 MiB of traced allocations.
+# 3072- and 4096-row blocks render no faster (4096 peaks at 6.2 MiB).
+TABLE_BLOCK_ROWS = 2048
+
+# The byte slots of one float cell, left to right: a sign, the "0.000" prefix
+# of a fixed-form value below 1, twelve digits each followed by a point slot,
+# the "0" of an integral value's ".0" and an "e-ddd" exponent.  A cell's
+# layout (see ``_float_slots``) and its count of significant digits pick the
+# slots that print from ``_FLOAT_MASKS``.  An integer cell is a sign and 20
+# digits.
+_FLOAT_SLOT = np.frombuffer(b"-0.000" + b"0." * 12 + b"0e-000", dtype=np.uint8)
+_INT_SLOT = np.frombuffer(b"-" + b"0" * 20, dtype=np.uint8)
+_DIGIT0, _INTEGRAL_ZERO, _EXP_DIGITS = 6, 30, 33
+_ZERO_LAYOUT, _LAYOUTS = 18, 19
+_DIGIT_SLOTS = slice(_DIGIT0, _INTEGRAL_ZERO, 2)
+# Decimal exponents -_EXP_LOW..12 index the layout and scale tables.
+_EXP_LOW = 330
+# Normals below this are scaled by 2^600 first, so that their power of ten
+# stays a normal float.
+_TINY, _TINY_SHIFT = 1e-250, 600
+
+
+def _float_masks() -> np.ndarray:
+    """The printed slots of each (sign, layout, significant digits) row.
+
+    Layouts 0-15 are the fixed form of decimal exponents -4..11, 16 and 17
+    the exponent form with two and three exponent digits, 18 a zero.
+    """
+    masks = np.zeros((2, _LAYOUTS, 13, _FLOAT_SLOT.size), dtype=bool)
+    sig = np.arange(13)[:, None]
+    digit = np.arange(12)
+    point = _DIGIT0 + 2 * digit + 1
+    for exp10 in range(-4, 12):
+        mask = masks[0, exp10 + 4]
+        if exp10 >= 0:  # at least one digit after the point: "120.0"
+            mask[:, _DIGIT_SLOTS] = digit < np.maximum(sig, exp10 + 2)
+            mask[:, point[exp10]] = True
+            mask[:, _INTEGRAL_ZERO] = exp10 == 11
+        else:  # "0.", then -exp10 - 1 zeros
+            mask[:, _DIGIT_SLOTS] = digit < sig
+            mask[:, 1 : 2 - exp10] = True
+    for layout, first in ((16, _EXP_DIGITS + 1), (17, _EXP_DIGITS)):
+        mask = masks[0, layout]
+        mask[:, _DIGIT_SLOTS] = digit < sig
+        mask[2:, point[0]] = True
+        mask[:, _EXP_DIGITS - 2 : _EXP_DIGITS] = True
+        mask[:, first:] = True
+    masks[0, _ZERO_LAYOUT, :, 1:4] = True  # "0.0"
+    masks[1] = masks[0]
+    masks[1, :, :, 0] = True
+    return masks.reshape(-1, _FLOAT_SLOT.size)
+
+
+def _serialization_tables():
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy()
+    nonzero = digits[:, ::-1] != 0
+    significant = np.where(nonzero.any(axis=1), 4 - nonzero.argmax(axis=1), 0).astype(np.int8)
+    digits += ord("0")
+    exps = np.arange(-_EXP_LOW, 13)
+    layouts = np.where(exps >= -4, exps + 4, np.where(exps >= -99, 16, 17)).astype(np.int16)
+    # Correctly rounded powers 10^k for k = 11 - exp10, then 10^k / 2^600
+    # (NaN where no tiny normal's exponent reaches).
+    tops, shift = range(_EXP_LOW + 12), 2**_TINY_SHIFT
+    scales = np.array(
+        [float(f"1e{k}") for k in tops]
+        + [10**k / shift if k > 250 else math.nan for k in tops]
+    )
+    length = np.arange(_INT_SLOT.size)
+    int_masks = np.concatenate(
+        [length >= _INT_SLOT.size - np.arange(_INT_SLOT.size)[:, None]] * 2
+    )
+    int_masks[_INT_SLOT.size :, 0] = True  # the sign of a negative
+    return (
+        digits.view(np.uint32).ravel(), significant, layouts, scales, _float_masks(),
+        int_masks, 10 ** np.arange(1, 20, dtype=np.uint64),
+    )
+
+
+# The 4 ASCII digits of 0..9999 as one uint32 each, the digits of each up to
+# its last nonzero one, the layout of each decimal exponent, the powers of
+# ten, and the print masks of float and integer cells.
+_DIGIT4, _SIGNIFICANT4, _LAYOUT_OF_EXP, _SCALES, _FLOAT_MASKS, _INT_MASKS, _POW10 = (
+    _serialization_tables()
+)
 
 # Step counts are plain Python integers: exact ordering and arithmetic at any
 # magnitude, which 64-bit integers and doubles cannot promise near 10^40.
@@ -128,9 +210,9 @@ def round_sig(value: float) -> float:
 
     Serialization helper: a float leaves the package in JSON or CSV as the
     ``repr`` of this rounding (``float_cell``), so repeated runs emit
-    byte-identical output.  Most floats get that text straight from
-    ``"%.12g"`` (``float_cell``'s fast path, ``_float_texts``'s template)
-    without a call here.
+    byte-identical output.  Most floats get that text without a call here:
+    a scalar from ``"%.12g"`` (``float_cell``'s fast path), a table cell
+    from the digits of ``_float_slots``.
     """
     if not math.isfinite(value):
         return value
@@ -154,7 +236,10 @@ def float_cell(value: float) -> str:
     holds, so for a normal float below 1e12 the shortest repr of the rounded
     value has the same digits as ``"%.12g"`` (plus ``.0`` for an integer);
     a signed zero prints alike.  Subnormals, 1e12 and above (999999999999.5
-    rounds to 1e+12), infinities and NaN take the slow path.
+    rounds to 1e+12), infinities and NaN take the slow path.  This is the
+    one definition of a cell's text: table cells print alike
+    (``_float_slots``), and the cells its digits cannot decide take this
+    text (``_odd_float_texts``).
     """
     magnitude = abs(value)
     if _MIN_NORMAL <= magnitude < 1e12 or magnitude == 0.0:
@@ -217,52 +302,253 @@ def _column_values(column) -> list:
     return list(column)
 
 
-def _float_texts(values: np.ndarray, as_json: bool) -> list[str]:
-    """The printed cells of a block of floats, as ``float_cell`` (or
-    ``json_cell``) writes each.
+def _text_slots(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Texts as rows of their UTF-8 bytes, as wide as the longest, and the
+    mask of each row's bytes."""
+    encoded = [text.encode() for text in texts]
+    width = max(1, max(map(len, encoded), default=0))
+    rows = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    return rows, np.arange(width) < lengths[:, None]
 
-    Each distinct value is formatted once: the values are told apart by
-    their bits, so -0.0, 0.0 and NaN payloads keep their own texts.  One
-    ``"%.12g"`` template formats them all, which is ``float_cell``'s text for
-    a normal float below 1e12 that is not within 1e-11 relative of an
-    integer (such a value may print without a point, or round up to
-    1e+12); ``float_cell`` writes only the cells outside that set.
-    """
-    bits, where = np.unique(
-        np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True
-    )
-    distinct = bits.view(np.float64)
-    texts = ("\n".join(["%.12g"] * distinct.size) % tuple(distinct.tolist())).split("\n")
-    magnitude = np.abs(distinct)
-    with np.errstate(invalid="ignore"):
-        odd = ~((magnitude >= _MIN_NORMAL) & (magnitude < 1e12)) | (
-            np.abs(distinct - np.rint(distinct)) <= 1e-11 * magnitude
-        )
+
+def _put_texts(text: np.ndarray, keep: np.ndarray, where, texts: Sequence[str]) -> None:
+    """Write ``texts`` into the byte slots ``text`` and mask ``keep`` at rows ``where``."""
+    rows, mask = _text_slots(texts)
+    width = rows.shape[1]
+    text[where, :width] = rows
+    keep[where] = False
+    keep[where, :width] = mask
+
+
+def _odd_float_texts(values: np.ndarray, as_json: bool) -> list[str]:
+    """``float_cell``'s (in JSON ``json_cell``'s) text of each value: the
+    finite ones batched as ``repr(round_sig(v))``, one ``"%.12g"`` template,
+    one float parse and one ``"%r"`` template for all."""
+    finite = np.isfinite(values)
+    texts = np.empty(values.size, dtype=object)
+    numbers = values[finite].tolist()
+    if numbers:
+        rounded = map(float, ("\n".join(["%.12g"] * len(numbers)) % tuple(numbers)).split("\n"))
+        texts[finite] = ("\n".join(["%r"] * len(numbers)) % tuple(rounded)).split("\n")
     cell = json_cell if as_json else float_cell
-    for i in np.flatnonzero(odd).tolist():
-        texts[i] = cell(float(distinct[i]))
-    return np.array(texts, dtype=object)[where].tolist()
+    texts[~finite] = [cell(value) for value in values[~finite].tolist()]
+    return texts.tolist()
 
 
-def _column_texts(column, start: int, stop: int, as_json: bool) -> Iterable[str]:
-    """The printed cells of rows ``start`` to ``stop - 1`` of one column.
+def _float_slots(values: np.ndarray, as_json: bool, slots: Sequence[tuple]) -> None:
+    """Write the printed cells of float columns into their byte slots.
 
-    The path follows the column's type: numpy integers through ``str``,
-    numpy floats through ``float_cell`` once per distinct value (JSON
-    renames the non-finite texts), a ``GatedColumn`` as its None text ahead
-    of its floats, and any other sequence cell by cell through ``json_cell``
-    or ``csv_cell``.
+    ``values`` has one row of cells per (bytes, mask) pair of ``slots``, each
+    a (cells, 36) view; a cell prints as ``float_cell`` (``json_cell`` in
+    JSON) prints it.
+
+    A nonzero float v with smallest normal <= |v| < 1e12 has the decimal
+    exponent e = floor(log10 |v|), moved by one decade where the scaled
+    value s = |v| * 10^(11 - e) falls outside [10^11, 10^12), and its 12
+    digits are rint(s).  The power of ten is a correctly rounded float
+    (10^(11 - e) / 2^600 for |v| < 1e-250, first scaled exactly by 2^600,
+    so that the power stays finite), so s is off by at most that rounding
+    and the product's, 2 ulp of 10^12, under 5e-4.  Where s is more than
+    1e-3 from a rounding tie and from either decade edge, rint(s) is thus
+    the correctly rounded 12 digits that ``"%.12g"`` prints, and being fewer
+    than a float's 15.9 digits, they are also those of the shortest repr of
+    the rounded value (``float_cell``).  The digits come from 4-digit tables;
+    the cell's layout (fixed or exponent form, point position, sign, two or
+    three exponent digits, or a zero) and its count of significant digits
+    pick the slots that print from ``_FLOAT_MASKS``.
+
+    Every other cell (near a tie or an edge, non-finite, subnormal, or
+    printing as 1e12 and above) is written from ``_odd_float_texts``.
     """
-    if isinstance(column, GatedColumn):
-        nulls = max(0, min(stop, column.below) - start)
-        first, last = max(start - column.below, 0), max(stop - column.below, 0)
-        texts = _float_texts(column.values[first:last], as_json)
-        return chain(repeat("null" if as_json else "", nulls), texts) if nulls else texts
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return _float_texts(column[start:stop], as_json)
-        return map(str, column[start:stop].tolist())
-    return map(json_cell if as_json else csv_cell, column[start:stop])
+    cells = values.shape[1]
+    flat = values.ravel()
+    with np.errstate(invalid="ignore"):
+        magnitude = np.abs(flat)
+        zero = magnitude == 0.0
+        magnitude[~((magnitude >= _MIN_NORMAL) & (magnitude < 1e12))] = 1.0
+    # log10 of a float just below 1e12 may round to 12.
+    exp10 = np.minimum(np.floor(np.log10(magnitude)), 11).astype(np.int32)
+    tiny = magnitude < _TINY
+    if tiny.any():
+        magnitude[tiny] *= 2.0**_TINY_SHIFT
+    index = 11 - exp10
+    index[tiny] += _EXP_LOW + 12
+    scaled = magnitude * _SCALES[index]
+    outside = np.flatnonzero((scaled < 1e11) | (scaled >= 1e12))
+    if outside.size:  # log10 a decade off, next to a power of ten
+        step = np.where(scaled[outside] < 1e11, -1, 1).astype(np.int32)
+        exp10[outside] += step
+        index[outside] -= step
+        scaled[outside] = magnitude[outside] * _SCALES[index[outside]]
+    del magnitude, index
+    # Away from the decade edges (the placeholder 1.0 sits on one) and ties.
+    fine = (scaled >= 1e11 + 1e-3) & (scaled <= 1e12 - 1e-3)
+    whole = np.rint(scaled)
+    scaled -= whole
+    np.abs(scaled, out=scaled)
+    scaled -= 0.5
+    fine &= np.abs(scaled) >= 1e-3
+    del scaled
+    carry = whole == 1e12  # 999999999999.5 and above round to the next decade
+    whole[carry] = 1e11
+    exp10 += carry
+    fine &= exp10 <= 11
+    odd = ~(fine | zero)
+    digits = whole.astype(np.int64)
+    del whole
+    high = digits // 10**8
+    digits -= high * 10**8
+    mid = digits // 10**4
+    digits -= mid * 10**4
+    quads = np.empty((flat.size, 3), dtype=np.uint32)
+    quads[:, 0], quads[:, 1], quads[:, 2] = _DIGIT4[high], _DIGIT4[mid], _DIGIT4[digits]
+    significant = np.where(
+        digits != 0,
+        8 + _SIGNIFICANT4[digits],
+        np.where(mid != 0, 4 + _SIGNIFICANT4[mid], _SIGNIFICANT4[high]),
+    )
+    del high, mid, digits
+    layout = _LAYOUT_OF_EXP[exp10 + _EXP_LOW]
+    layout[zero] = _ZERO_LAYOUT
+    layout += _LAYOUTS * np.signbit(flat)
+    layout *= 13
+    layout += significant
+    exp_digits = _DIGIT4[np.minimum(np.abs(exp10), 999)].view(np.uint8).reshape(-1, 4)[:, 1:]
+    digit_bytes = quads.view(np.uint8).reshape(-1, 12)
+    for column, (text, keep) in enumerate(slots):
+        part = slice(column * cells, (column + 1) * cells)
+        text[:] = _FLOAT_SLOT
+        text[:, _DIGIT_SLOTS] = digit_bytes[part]
+        text[:, _EXP_DIGITS:] = exp_digits[part]
+        np.take(_FLOAT_MASKS, layout[part], axis=0, out=keep, mode="clip")
+    odd = np.flatnonzero(odd)
+    if odd.size:
+        texts = np.array(_odd_float_texts(flat[odd], as_json), dtype=object)
+        columns, rows = np.divmod(odd, cells)
+        for column in set(columns.tolist()):
+            mine = columns == column
+            _put_texts(*slots[column], rows[mine], texts[mine].tolist())
+
+
+def _int_slots(values: np.ndarray, text: np.ndarray, keep: np.ndarray) -> None:
+    """Write integers as ``str`` prints them into (cells, 21) byte slots:
+    a sign and 20 digits, of which the mask keeps the significant ones."""
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)  # |v|, int64's minimum too
+    count = np.searchsorted(_POW10, magnitude, side="right")
+    quads = np.empty((values.size, 5), dtype=np.uint32)
+    for i, power in enumerate((10**16, 10**12, 10**8, 10**4)):
+        quads[:, i] = _DIGIT4[magnitude // power]
+        magnitude %= power
+    quads[:, 4] = _DIGIT4[magnitude]
+    text[:, 0] = _INT_SLOT[0]
+    text[:, 1:] = quads.view(np.uint8).reshape(-1, 20)
+    count += 1 + _INT_SLOT.size * negative
+    np.take(_INT_MASKS, count, axis=0, out=keep, mode="clip")
+
+
+def _block_text(columns, start: int, stop: int, as_json: bool, layout: "_RowLayout") -> str:
+    """Rows ``start`` to ``stop - 1`` as one text: each column's cells written
+    into byte slots of the row buffer around the row template's constant
+    bytes, and one compaction of the buffer by its mask.
+
+    The path follows the column's type: numpy floats and ``GatedColumn``s
+    through one ``_float_slots`` call for all of them (a gated cell prints
+    as JSON's null or CSV's empty cell), numpy integers through
+    ``_int_slots``, and any other sequence cell by cell through
+    ``json_cell`` or ``csv_cell``.
+    """
+    rows = stop - start
+    floats, ints, texts = [], [], []
+    for i, column in enumerate(columns):
+        if isinstance(column, GatedColumn):
+            nulls = max(0, min(stop, column.below) - start)
+            first, last = max(start - column.below, 0), max(stop - column.below, 0)
+            floats.append((i, column.values[first:last], nulls))
+        elif isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            floats.append((i, column[start:stop], 0))
+        elif isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+            ints.append((i, column[start:stop]))
+        else:
+            cells = column[start:stop]
+            if isinstance(cells, np.ndarray):  # numpy scalars as Python ones
+                cells = cells.tolist()
+            texts.append((i, _text_slots(list(map(json_cell if as_json else csv_cell, cells)))))
+    widths = [_FLOAT_SLOT.size] * len(columns)
+    for i, _ in ints:
+        widths[i] = _INT_SLOT.size
+    for i, (cells, _) in texts:
+        widths[i] = cells.shape[1]
+    text, keep, offsets = layout.buffers(widths, rows)
+
+    def slot(i):
+        part = slice(offsets[i], offsets[i] + widths[i])
+        return text[:, part], keep[:, part]
+
+    if floats:
+        values = np.empty((len(floats), rows))
+        for row, (_, cells, nulls) in zip(values, floats):
+            row[:nulls] = 0.0
+            row[nulls:] = cells
+        _float_slots(values, as_json, [slot(i) for i, _, _ in floats])
+        for i, _, nulls in floats:
+            if nulls:
+                _put_texts(*slot(i), slice(0, nulls), ["null" if as_json else ""] * nulls)
+    for i, cells in ints:
+        _int_slots(cells, *slot(i))
+    for i, (cells, mask) in texts:
+        cell_text, cell_keep = slot(i)
+        cell_text[:], cell_keep[:] = cells, mask
+    skip = layout.skip if start == 0 else 0
+    return _compact(text.reshape(-1)[skip:], keep.reshape(-1)[skip:])
+
+
+# Bytes ``_compact`` compresses per call: ``np.compress`` builds an index
+# array of 8 bytes per byte kept.
+_COMPACT_BYTES = 1 << 16
+
+
+def _compact(text: np.ndarray, keep: np.ndarray) -> str:
+    """The bytes of ``text`` that ``keep`` marks, decoded as one UTF-8 text."""
+    out = np.empty(np.count_nonzero(keep), dtype=np.uint8)
+    end = 0
+    for first in range(0, text.size, _COMPACT_BYTES):
+        part = slice(first, first + _COMPACT_BYTES)
+        size = np.count_nonzero(keep[part])
+        np.compress(keep[part], text[part], out=out[end : end + size])
+        end += size
+    return str(out, "utf-8")
+
+
+class _RowLayout:
+    """The row buffer of one table's rendering: the constant byte segments
+    of its row template (``segments[i]`` before column i, the last one after
+    the last column), written once into a byte buffer and its mask, and
+    ``skip``, the bytes of the first row's first segment to leave out."""
+
+    def __init__(self, segments: Sequence[str], length: int, skip: int = 0):
+        self.segments = [segment.encode() for segment in segments]
+        self.capacity = min(length, TABLE_BLOCK_ROWS)
+        self.skip = skip
+        self.widths = None
+
+    def buffers(self, widths: list[int], rows: int):
+        """The byte buffer, mask and column offsets of ``rows`` rows of cell
+        slots of ``widths``; the buffer is reused while the widths hold."""
+        if widths != self.widths:
+            offsets, width = [], 0
+            for segment, cell in zip(self.segments, widths + [0]):
+                offsets.append(width + len(segment))
+                width += len(segment) + cell
+            self.text = np.empty((self.capacity, width), dtype=np.uint8)
+            self.keep = np.empty(self.text.shape, dtype=bool)
+            for segment, offset in zip(self.segments, offsets):
+                self.text[:, offset - len(segment) : offset] = np.frombuffer(segment, np.uint8)
+                self.keep[:, offset - len(segment) : offset] = True
+            self.widths, self.offsets = widths, offsets
+        return self.text[:rows], self.keep[:rows], self.offsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,10 +560,11 @@ class RowTable:
     given as row tuples is transposed once by ``from_rows``.  A table has at
     least one column.
 
-    Each column is formatted once, by the path its type picks, in blocks of
-    ``TABLE_BLOCK_ROWS`` rows, and rows are assembled without a Python call
-    per cell: a CSV line is ``",".join`` of a row of texts, a JSON row one
-    ``%`` template.  Inside a payload given to ``jsonable`` the table becomes
+    Each block of ``TABLE_BLOCK_ROWS`` rows is rendered by ``_block_text``:
+    every cell written into byte slots by the path its column's type picks,
+    the row template's constant bytes (CSV commas and newline; JSON indent,
+    keys and braces) around them, without a Python call per cell.  Inside a
+    payload given to ``jsonable`` the table becomes
     a list of dicts; the module's ``json_pieces`` writes it block by block
     through ``RowTable.json_pieces`` instead, so a 10^5-row report never
     exists as Python dicts, row objects or one whole text.
@@ -308,19 +595,19 @@ class RowTable:
         on access."""
         return zip(*map(_column_values, self.columns))
 
-    def _text_blocks(self, as_json: bool) -> Iterator[Iterator[tuple[str, ...]]]:
-        """Rows of printed cells, ``TABLE_BLOCK_ROWS`` rows per block."""
+    def _blocks(self, layout: _RowLayout, as_json: bool) -> Iterator[str]:
+        """The text of each block of ``TABLE_BLOCK_ROWS`` rows, in ``layout``."""
         length = len(self.columns[0])
         for start in range(0, length, TABLE_BLOCK_ROWS):
             stop = min(start + TABLE_BLOCK_ROWS, length)
-            yield zip(*(_column_texts(column, start, stop, as_json) for column in self.columns))
+            yield _block_text(self.columns, start, stop, as_json, layout)
 
     def csv_pieces(self) -> Iterator[str]:
         """The CSV text in pieces: the header line, then the lines of
         ``csv_cell`` cells of each block of rows."""
         yield ",".join(self.header) + "\n"
-        for rows in self._text_blocks(False):
-            yield "\n".join(map(",".join, rows)) + "\n"
+        segments = [""] + [","] * (len(self.header) - 1) + ["\n"]
+        yield from self._blocks(_RowLayout(segments, len(self.columns[0])), False)
 
     def to_csv(self) -> str:
         """A header line and one line of ``csv_cell`` cells per row."""
@@ -331,19 +618,16 @@ class RowTable:
         writes it at ``indent`` spaces, without the leading indent of its
         first line: an opening piece, the objects of each block of rows and
         a closing piece."""
-        if not len(self.columns[0]):
+        length = len(self.columns[0])
+        if not length:
             yield "[]"
             return
         pad = " " * (indent + 2)
-        fields = ",\n".join(
-            f"{pad}  " + json.dumps(name).replace("%", "%%") + ": %s" for name in self.header
-        )
-        template = f"{pad}{{\n{fields}\n{pad}}}"
-        separator = "[\n"
-        for rows in self._text_blocks(True):
-            yield separator
-            yield ",\n".join(map(template.__mod__, rows))
-            separator = ",\n"
+        keys = [f"{pad}  {json.dumps(name)}: " for name in self.header]
+        # Each object follows ",\n", which the table's first one leaves out.
+        segments = [f",\n{pad}{{\n{keys[0]}"] + [f",\n{key}" for key in keys[1:]] + [f"\n{pad}}}"]
+        yield "[\n"
+        yield from self._blocks(_RowLayout(segments, length, skip=2), True)
         yield f"\n{' ' * indent}]"
 
 

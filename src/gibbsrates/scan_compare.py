@@ -140,7 +140,19 @@ def check_tv_query(start, max_steps, dim: int) -> tuple[int, int]:
     return int(start), steps
 
 
-def _basis_tv(basis: OrthonormalBasis, start: int, max_steps: int) -> np.ndarray:
+def _curve_buffers(basis: OrthonormalBasis, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk buffers of ``_basis_tv`` on ``basis`` up to ``max_steps``:
+    room for a chunk's (steps, states) values and its (steps, levels)
+    coefficients.  A search allocates them once for all its curves, so a
+    fresh process does not page-fault megabytes of new temporaries per
+    chunk."""
+    rows = min(max(1, CURVE_BLOCK // basis.dim), max_steps)
+    return np.empty(rows * basis.dim), np.empty(rows * (basis.log_eigenvalues.size - 2))
+
+
+def _basis_tv(
+    basis: OrthonormalBasis, start: int, max_steps: int, buffers: tuple | None = None
+) -> np.ndarray:
     """TV at steps 0..max_steps from ``start`` by the expansion of ``basis``.
 
     K^t(x, y) - m(y) = sqrt(m(y)) sum_{k>=1} lambda_k^t p_k(x) phi_k(y), so
@@ -159,8 +171,10 @@ def _basis_tv(basis: OrthonormalBasis, start: int, max_steps: int) -> np.ndarray
     that level's closed form (Diaconis, Khare & Saloff-Coste 2008),
     1/2 |lambda_k^t p_k(x)| sum_y |phi_k(y)| phi_0(y), filled in one vector
     expression.  Once a chunk keeps none, the rest is 0.0, as the
-    expansion gives.
+    expansion gives.  Each chunk works in ``buffers`` (``_curve_buffers``)
+    through ``out=``.
     """
+    values, coeffs = _curve_buffers(basis, max_steps) if buffers is None else buffers
     curve = np.empty(max_steps + 1)
     curve[0] = -math.expm1(basis.log_mass[start])
     poly = basis.polynomials([start])[1:, 0]
@@ -179,8 +193,15 @@ def _basis_tv(basis: OrthonormalBasis, start: int, max_steps: int) -> np.ndarray
             curve[first:] = 0.5 * np.abs(tail) * (np.abs(basis.phi[top]) @ basis.phi[0])
             break
         steps = np.arange(first, min(first + size, max_steps + 1))
-        coeff = np.exp(steps[:, None] * log_levels[:top]) * poly[:top]
-        curve[steps] = 0.5 * (np.abs(coeff @ basis.phi[1 : top + 1]) @ basis.phi[0])
+        coeff = coeffs[: steps.size * top].reshape(steps.size, top)
+        np.multiply(steps[:, None], log_levels[:top], out=coeff)
+        np.exp(coeff, out=coeff)
+        coeff *= poly[:top]
+        terms = values[: steps.size * basis.dim].reshape(steps.size, basis.dim)
+        np.abs(np.matmul(coeff, basis.phi[1 : top + 1], out=terms), out=terms)
+        chunk = curve[first : first + steps.size]
+        np.matmul(terms, basis.phi[0], out=chunk)
+        chunk *= 0.5
         first += steps.size
         size = min(2 * size, cap)
     return curve
@@ -362,8 +383,10 @@ def worst_start_search(
     states = np.arange(basis.dim)
     terms = _start_terms(head, states)
 
+    buffers = _curve_buffers(basis, max_steps)
+
     def own_crossing(start: int) -> tuple[int, np.ndarray]:
-        curve = _basis_tv(basis, start, max_steps)
+        curve = _basis_tv(basis, start, max_steps, buffers)
         hit = first_crossing(curve, target)
         if hit is None:
             raise _not_reached(target, max_steps)

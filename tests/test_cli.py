@@ -1,5 +1,7 @@
 """Command-line interface: outputs, schema conformance, and exit codes."""
 
+import argparse
+import copy
 import hashlib
 import json
 import math
@@ -571,6 +573,41 @@ def test_a_long_report_renders_in_a_fraction_of_its_size(tmp_path):
     size = out_file.stat().st_size
     assert size > 100_000 * 150
     assert peak < size / 4
+
+
+def _parser_defaults(parser) -> list:
+    """Every action's default in the parser and its subparsers."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, action.dest, copy.deepcopy(action.default))
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+    ]
+
+
+def test_main_builds_its_parser_once_and_parsing_leaves_it_unchanged(run_cli, tmp_path):
+    parser = cli._parser()
+    assert cli._parser() is parser
+    defaults = _parser_defaults(parser)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"j_list": [0, 4], "target": 0.02}))
+    argvs = [
+        ["pg-demo", "--j-list", "0,8", "--target", "0.02"],
+        ["pg-demo", "--config", str(config)],
+        ["rosenthal", "--n", "50", "--d-grid", "10,1000", "--r-grid", "0.001,0.5"],
+        ["scan-compare", "--n", "-1"],
+        ["no-such-command"],
+        ["pg-demo", "--j-list", "0,8", "--target", "0.02"],
+    ]
+    outputs = [run_cli(argv) for argv in argvs]
+    assert outputs[0] == outputs[-1] and outputs[0][0] == 0
+    assert [code for code, _, _ in outputs] == [0, 0, 0, 2, 2, 0]
+    assert cli._parser() is parser and _parser_defaults(parser) == defaults
+    first = parser.parse_args(["pg-demo", "--j-list", "0,8"])
+    first.j_list.append(99)
+    assert parser.parse_args(["pg-demo", "--j-list", "0,8"]).j_list == [0, 8]
+    assert _parser_defaults(parser) == defaults
+    assert all(default is None for _, dest, default in defaults if dest != "help")
 
 
 def test_module_entry_point():

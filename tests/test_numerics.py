@@ -1,5 +1,6 @@
 """Log-domain scalars, geometric step solving, and dense-chain linear algebra."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -235,10 +236,33 @@ _NEAR_INTEGERS = np.concatenate(
 )
 
 
+def _kernel_cells(values, as_json: bool) -> list[str]:
+    """The cells ``numerics._float_slots`` writes for ``values``, read back
+    through one compaction with a newline after each cell's slot."""
+    block = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    width = numerics._FLOAT_SLOT.size
+    text = np.full((block.size, width + 1), ord("\n"), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    numerics._float_slots(block, as_json, [(text[:, :width], keep[:, :width])])
+    return str(np.compress(keep.ravel(), text.ravel()), "utf-8").split("\n")[:-1]
+
+
+_POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-307, 12)])
+KERNEL_EDGES = [
+    *_POWERS_OF_TEN, *np.nextafter(_POWERS_OF_TEN, 0.0), *np.nextafter(_POWERS_OF_TEN, math.inf),
+    *(float(f"5e{k}") for k in range(-308, 11)),
+    *(float(f"9.9999999999995e{k}") for k in range(-308, 11)),
+    99999999999.95, 0.00009999999999995,
+    *np.nextafter(2.2250738585072014e-308, [0.0, 1.0]), 2.2250738585072014e-308,
+    1e-250, 9.99999999999e-251, 3.3e-260, 1.2345678901234e-300, 7.77e-308,
+    5e-324, 1e-323, 4.9406564584124654e-320, 2.2250738585072e-308, 1.5e-310,
+]
+
+
 @given(
     st.lists(
         st.one_of(
-            st.floats(), st.sampled_from(TEMPLATE_EDGES),
+            st.floats(), st.sampled_from(TEMPLATE_EDGES), st.sampled_from(KERNEL_EDGES),
             st.integers(min_value=1, max_value=10**11).map(float),
         ),
         max_size=40,
@@ -247,14 +271,32 @@ _NEAR_INTEGERS = np.concatenate(
 )
 @example(TEMPLATE_EDGES, len(TEMPLATE_EDGES))
 @example(_NEAR_INTEGERS.tolist(), 100)
+@example(KERNEL_EDGES + [-value for value in KERNEL_EDGES], 0)
 @example([], 0)
 def test_float_texts_print_each_cell_as_float_cell(values, repeats):
-    # The block formatter's cells are float_cell's (json_cell's in JSON),
-    # cell for cell; the block repeats its first ``repeats`` values.
+    # The float kernel's cells are float_cell's (json_cell's in JSON), cell
+    # for cell; the block repeats its first ``repeats`` values.
     block = np.array(values + values[:repeats], dtype=np.float64)
     cells = block.tolist()
-    assert numerics._float_texts(block, False) == [float_cell(value) for value in cells]
-    assert numerics._float_texts(block, True) == [json_cell(value) for value in cells]
+    assert _kernel_cells(block, False) == [float_cell(value) for value in cells]
+    assert _kernel_cells(block, True) == [json_cell(value) for value in cells]
+
+
+def test_float_kernel_prints_every_binade_as_float_cell():
+    # 245 mantissas (the binade's ends and 243 drawn) in each of the 2048
+    # exponent fields, both signs: subnormals, every normal binade, and the
+    # infinities and NaNs.
+    rng = np.random.default_rng(28)
+    mantissas = np.concatenate(
+        [[0, (1 << 52) - 1], rng.integers(0, 1 << 52, 243, dtype=np.uint64)]
+    ).astype(np.uint64)
+    exponents = np.arange(2048, dtype=np.uint64) << np.uint64(52)
+    bits = (exponents[:, None] | mantissas).ravel()
+    values = np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64)
+    assert values.size >= 10**6
+    cells = values.tolist()
+    assert _kernel_cells(values, False) == [float_cell(value) for value in cells]
+    assert _kernel_cells(values, True) == [json_cell(value) for value in cells]
 
 
 @pytest.mark.parametrize(
@@ -272,6 +314,65 @@ def test_row_tables_render_alike_across_block_edges(count):
         assert table.to_csv().splitlines() == csv.splitlines() and csv.endswith("\n")
         assert json_text(table).splitlines() == js.splitlines()
         assert [len(row) for row in table.iter_rows()] == [3] * count
+
+
+def _fortieth_power(x):
+    x8 = (x * x) * (x * x)
+    x8 = x8 * x8
+    return ((x8 * x8) * (x8 * x8)) * x8
+
+
+def _digest_table() -> RowTable:
+    """A table of every cell path over several blocks, free of BLAS and libm
+    calls: random float bits of both signs over about 10^-18..10^13, the
+    serialization edges (signed zeros, infinities, NaN, subnormals, powers
+    of ten and their neighbours, ties at 12 digits), a gated column, an
+    integer column up to int64's ends and a sequence column."""
+    rng = np.random.default_rng(20081)
+    rows = 13_000
+    sign = rng.integers(0, 2, rows, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(1023 - 60, 1023 + 45, rows, dtype=np.uint64) << np.uint64(52)
+    mantissa = rng.integers(0, 1 << 52, rows, dtype=np.uint64)
+    floats = (sign | exponent | mantissa).view(np.float64)
+    powers = np.array([float(f"1e{k}") for k in range(-310, 13, 7)])
+    edges = np.concatenate([
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5e-310, 2.2250738585072014e-308,
+         999999999999.5, 99999999999.95, 0.00009999999999995, 0.5, 1e-5, 1e-250, 3e-300],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf),
+    ])
+    floats[: edges.size] = edges
+    floats[edges.size : edges.size + 3000] = _fortieth_power(np.linspace(0.0, 1.0, 3000))
+    gated = GatedColumn(4100, floats[::-1][4100:] * 3.0)
+    steps = np.arange(rows, dtype=np.int64) * 7919 - 10**6
+    steps[-3:] = [10**17, -(2**63), 2**63 - 1]
+    labels = [None, "a", 'q"uote', True, 17, -2.5, 1e-320] * (rows // 7) + [None] * (rows % 7)
+    return RowTable(("steps", "value", "bound", "label"), (steps, floats, gated, labels))
+
+
+# sha256 of the digest table's CSV and JSON texts, recorded before the table
+# renderer wrote cells into byte slots; the cell-by-cell comparisons compare
+# the package with itself, so only fixed digests catch a drift.
+TABLE_DIGESTS = {
+    "csv": "2f303a6a9cb3efb50bb47425c39477604bef5c6680c01d9eee2883737580e762",
+    "json": "48b3ea67e3c1538c770d60f76f74ac4eb147c6fc15477f9390c2e2f73d59c1db",
+}
+
+
+def test_a_table_of_every_cell_path_matches_its_pinned_digests():
+    table = _digest_table()
+    assert len(table.columns[0]) > 3 * TABLE_BLOCK_ROWS
+    texts = {"csv": table.to_csv(), "json": json_text(table)}
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert digests == TABLE_DIGESTS
+
+
+def test_other_numpy_columns_print_as_their_python_scalars():
+    # A numpy column of neither integers nor floats prints cell by cell as
+    # its Python scalars do: JSON's true, not numpy's True.
+    table = RowTable(("ok", "label"), (np.array([True, False]), np.array(["a", 'q"'])))
+    csv, js = _cell_by_cell(table)
+    assert table.to_csv() == csv == 'ok,label\ntrue,a\nfalse,q"\n'
+    assert json_text(table) == js == json.dumps(jsonable(table), indent=2) + "\n"
 
 
 def test_row_table_columns_must_match_the_header():

@@ -291,9 +291,9 @@ def _spy_curves(monkeypatch):
     starts = []
     spectral = scan_compare._basis_tv
 
-    def spy(basis, start, steps):
+    def spy(basis, start, steps, *buffers):
         starts.append(start)
-        return spectral(basis, start, steps)
+        return spectral(basis, start, steps, *buffers)
 
     monkeypatch.setattr(scan_compare, "_basis_tv", spy)
     return starts
