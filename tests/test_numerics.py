@@ -299,8 +299,13 @@ def test_float_kernel_prints_every_binade_as_float_cell():
     assert _kernel_cells(values, True) == [json_cell(value) for value in cells]
 
 
+# One block's edges and the edges of a two-block table of 2048-row blocks
+# (a single block's edges when blocks hold 4096 rows).
 @pytest.mark.parametrize(
-    "count", [0, 1, TABLE_BLOCK_ROWS - 1, TABLE_BLOCK_ROWS, TABLE_BLOCK_ROWS + 1]
+    "count",
+    sorted(
+        {0, 1, TABLE_BLOCK_ROWS - 1, TABLE_BLOCK_ROWS, TABLE_BLOCK_ROWS + 1, 4095, 4096, 4097}
+    ),
 )
 def test_row_tables_render_alike_across_block_edges(count):
     steps = np.arange(count)
