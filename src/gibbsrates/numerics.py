@@ -15,9 +15,8 @@ where ``log_sum_terms`` sums terms with ``np.logaddexp`` and
 scipy.  The dense-matrix half (total variation, matrix powers, and the
 power-iteration stationary laws and reversible spectra that only tests use
 as independent references) is conventional numpy; its one
-evolve-and-measure loop, ``iterate_tv``, runs step by step for the first
-``TV_BLOCK - 1`` steps and then, on long horizons, advances the last
-``TV_BLOCK`` laws of every start by one product with K^TV_BLOCK.  The
+evolve-and-measure loop, ``iterate_tv``, runs step by step until the
+laws, scaled to their mass, reach their floating-point fixed point.  The
 serialization policy lives next to ``round_sig``, the only way numbers
 leave the package:
 ``float_cell`` prints each float once as ``repr(round_sig(value))`` for both
@@ -62,15 +61,6 @@ MATRIX_POWER_CAP = 10**7
 
 # Step-count solver gives up beyond this many steps.
 STEP_SEARCH_CAP = 10**40
-
-# Steps ``iterate_tv`` advances per dense product once it runs blocked (a
-# power of two; 256 measured within 10% of 128 on 10^5-step curves, 64 up to
-# 2.7 times slower at n = 100), and the steps per state that must remain
-# after the first TV_BLOCK - 1 for blocking to pay for its log2(TV_BLOCK)
-# squarings: break-even measured at 0.5 to 2.3 steps per state for 51 to
-# 2001 states (one and two OpenBLAS threads).
-TV_BLOCK = 128
-TV_BLOCK_MIN_STEPS_PER_STATE = 3
 
 LN2 = math.log(2.0)
 LN10 = math.log(10.0)
@@ -1173,20 +1163,17 @@ def iterate_tv(
 
     Each yield is a chunk of shape (steps, starts), in step order.  A start
     is an integer state (numpy integers included; floats and bools are
-    refused).  Steps 0..TV_BLOCK - 1 evolve the starts as one block of rows,
-    one product with K per step and one step per chunk.  When at least
-    TV_BLOCK_MIN_STEPS_PER_STATE steps per state remain after that, the
-    last TV_BLOCK laws of every start then form one window that each product
-    with P = K^TV_BLOCK advances by TV_BLOCK steps, one chunk per product.
-    P is built by log2(TV_BLOCK) squarings.  Each advanced law is rescaled
-    by its own sum, as ``bb_xchain`` normalizes the rows of K, so the
-    rounding floor does not rise: without it the 10^5-step floor at n = 50
-    rose from 1.3e-14 to 1.2e-12, and renormalizing the squares of K
-    instead still left it above the stepwise loop's at n = 100.
-    This groups the same K^t differently (Levin, Peres & Wilmer, ch. 4):
-    steps below TV_BLOCK are bit-identical to the stepwise loop and later
-    ones agree with it to rounding, about 1e-14.  The generator is lazy, so
-    a caller that stops within the first TV_BLOCK - 1 steps never builds P.
+    refused).  The starts evolve as one block of rows, one product with K
+    per step and one step per chunk, until the laws reach their
+    floating-point fixed point: every law, scaled to its mass, repeats the
+    previous step's bit for bit.  One read-only chunk then holds the rest of
+    the horizon, every row the TV of that scaled law, and no further product
+    runs.  Every value before the stop is the plain loop's.  Past it the
+    plain loop's scaled law stayed bit for bit on the Poisson-gamma chains
+    probed, and moved by at most 2.8e-17 at n = 2, whose rows sum to
+    1 + 2.2e-16; the scaling drops that mass drift, which lifts the plain
+    loop's own TV to 4.2e-13 by step 10^4 there.  The generator is lazy, so
+    a caller that stops early runs no further product.
     """
     dim = matrix.dim
     if not is_integer(max_steps) or max_steps < 0:
@@ -1197,28 +1184,18 @@ def iterate_tv(
     # the TV itself; halving is exact in binary floating point.
     half_pi = 0.5 * stationary.weights
     width = len(starts)
-    remaining = max_steps - (TV_BLOCK - 1)
-    blocked = remaining > 0 and remaining >= TV_BLOCK_MIN_STEPS_PER_STATE * dim
     laws = np.zeros((width, dim))
     laws[np.arange(width), starts] = 0.5
-    # Row step * width + i holds start i's law at that step.
-    window = np.empty((TV_BLOCK * width, dim)) if blocked else None
-    for step in range(TV_BLOCK if blocked else max_steps + 1):
+    scaled = None
+    for step in range(max_steps + 1):
         if step:
             laws = laws @ matrix.entries
-        if blocked:
-            window[step * width : (step + 1) * width] = laws
+        previous, scaled = scaled, laws * (0.5 / laws.sum(axis=1, keepdims=True))
+        if np.array_equal(scaled, previous):
+            tv = np.abs(scaled - half_pi).sum(axis=1)
+            yield np.broadcast_to(tv, (max_steps + 1 - step, width))
+            return
         yield np.abs(laws - half_pi).sum(axis=1)[None, :]
-    if not blocked:
-        return
-    power = matrix.entries
-    for _ in range(TV_BLOCK.bit_length() - 1):
-        power = power @ power
-    for first in range(TV_BLOCK, max_steps + 1, TV_BLOCK):
-        steps = min(TV_BLOCK, max_steps + 1 - first)
-        window = window[: steps * width] @ power
-        window *= 0.5 / window.sum(axis=1, keepdims=True)
-        yield np.abs(window - half_pi).sum(axis=1).reshape(steps, width)
 
 
 def matrix_power_tv(
@@ -1230,7 +1207,8 @@ def matrix_power_tv(
     """TV distance to stationarity after ``n_steps`` from a point start.
 
     The last value of ``iterate_tv``, which evolves laws rather than forming
-    K^n_steps.  ``n_steps`` must be a machine loop count (at most 10^7);
+    K^n_steps and runs no product past their floating-point fixed point.
+    ``n_steps`` must be a machine loop count (at most 10^7);
     certificates beyond that range belong to the log-domain solver.
     """
     if n_steps < 0:

@@ -117,7 +117,8 @@ def exact_tv_curve(
     the expansion's cut can keep), the curve is the chain's eigen-expansion
     (``_basis_tv``); pass None for ``matrix`` and ``stationary``, which are
     not read.  Without ``basis`` it is the dense loop's, ``iterate_tv`` on
-    ``matrix`` (``exact-tv --family pg``).
+    ``matrix`` (``exact-tv --family pg``), flat from the laws'
+    floating-point fixed point on.
     """
     start, max_steps = check_tv_query(start, max_steps, (matrix if basis is None else basis).dim)
     if basis is not None:
@@ -790,7 +791,11 @@ def _pg_certified_crossings(fam: PoissonGammaFamily, starts, target: float) -> n
 
 
 def _pg_dense_crossings(fam: PoissonGammaFamily, starts, target: float) -> np.ndarray:
-    """Each start's first step at or below the target on the dense chain."""
+    """Each start's first step at or below the target on the dense chain.
+
+    A start whose curve stays above the target through ``MAX_COMPARE_STEPS``
+    is refused with the value it keeps from the loop's fixed point on.
+    """
     matrix, stationary = pg_xchain(fam)
     crossed = np.full(len(starts), -1)
     first = 0  # the step of the chunk's first row
@@ -801,9 +806,11 @@ def _pg_dense_crossings(fam: PoissonGammaFamily, starts, target: float) -> np.nd
         first += len(chunk)
         if crossed.min() >= 0:
             return crossed
+    i = int(np.argmin(crossed))
     raise NoSolutionError(
-        f"target-not-reached: start {starts[int(np.argmin(crossed))]} needs more "
-        f"than {MAX_COMPARE_STEPS} exact steps"
+        f"target-not-reached: the exact TV from start {starts[i]} is {chunk[-1, i]:.3g} "
+        f"from step {first - len(chunk)} through step {MAX_COMPARE_STEPS}, above the "
+        f"target {target}"
     )
 
 
@@ -833,14 +840,13 @@ def pg_mixing_demo(
         raise ParameterError("at least one start state is required")
     margin = fam.x_max // 2
     for j in starts:
-        if not 0 <= j <= margin:
+        if is_integer(j) and not 0 <= j <= margin:
             raise ParameterError(
                 f"start-too-deep: start {j} must lie in 0..{margin} "
                 f"(half of x_max={fam.x_max}) to keep truncation error away"
             )
-    check_dense_states(fam.x_max + 1)
-    for j in starts:
         check_start(j, fam.x_max + 1)
+    check_dense_states(fam.x_max + 1)
     crossed = _pg_certified_crossings(fam, starts, target)
     undecided = np.flatnonzero(crossed < 0)
     if undecided.size:

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -45,6 +46,58 @@ def pg_default():
 def compare100():
     """The headline n=100 comparison report (no Monte Carlo cross-check)."""
     return compare(n=100, max_steps=400, target=0.01, d=1000.0, r=0.001)
+
+
+@pytest.fixture(scope="session")
+def stepwise_tv():
+    """The plain loop: one product per step for every start.
+
+    Returns the TV of each start at steps 0..max_steps; each law's mass,
+    whose drift from 1 (rows of K summing to 1 only to rounding) moves the
+    loop's own TV by up to that much; and the loop's fixed point: the first
+    step at which every law, scaled to its mass, repeats the previous step's
+    bit for bit (None if none does), with the TV of those scaled laws.
+    """
+
+    def run(matrix, stationary, starts, max_steps):
+        half_pi = 0.5 * stationary.weights
+        laws = np.zeros((len(starts), matrix.dim))
+        laws[np.arange(len(starts)), starts] = 0.5
+        tvs, masses, scaled, stop, fixed = [], [], None, None, None
+        for step in range(max_steps + 1):
+            if step:
+                laws = laws @ matrix.entries
+            tvs.append(np.abs(laws - half_pi).sum(axis=1))
+            masses.append(2.0 * laws.sum(axis=1))
+            previous, scaled = scaled, laws * (0.5 / laws.sum(axis=1, keepdims=True))
+            if stop is None and previous is not None and np.array_equal(scaled, previous):
+                stop, fixed = step, np.abs(scaled - half_pi).sum(axis=1)
+        return np.array(tvs), np.array(masses), stop, fixed
+
+    return run
+
+
+@pytest.fixture
+def count_products():
+    """Make a ``StochasticMatrix`` record the operand shapes of every product
+    taken with its entries, in ``count_products.shapes``."""
+    shapes = []
+
+    class CountingArray(np.ndarray):
+        def __matmul__(self, other):
+            shapes.append((self.shape, other.shape))
+            return np.asarray(self) @ np.asarray(other)
+
+        def __rmatmul__(self, other):
+            shapes.append((other.shape, self.shape))
+            return np.asarray(other) @ np.asarray(self)
+
+    def count(matrix):
+        object.__setattr__(matrix, "entries", matrix.entries.view(CountingArray))
+        return matrix
+
+    count.shapes = shapes
+    return count
 
 
 def pytest_configure(config):

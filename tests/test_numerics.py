@@ -35,7 +35,6 @@ from gibbsrates import (
 from gibbsrates import numerics
 from gibbsrates.numerics import (
     TABLE_BLOCK_ROWS,
-    TV_BLOCK,
     GatedColumn,
     RowTable,
     csv_cell,
@@ -814,75 +813,63 @@ def test_matrix_power_tv_validation():
         matrix_power_tv(matrix, 0, Distribution([0.5, 0.5]), 1)
 
 
-def test_matrix_power_tv_keeps_the_last_value_of_a_blocked_curve(bb100):
+def test_matrix_power_tv_keeps_the_last_value_of_the_curve(bb100):
     _, matrix, stationary = bb100
     curve = exact_tv_curve(matrix, stationary, 0, 2000)
-    for steps in (0, TV_BLOCK - 1, 2000):
+    for steps in (0, 127, 2000):
         assert matrix_power_tv(matrix, 0, stationary, steps) == curve[steps]
 
 
 # ---------------------------------------------------------------------------
-# iterate_tv: stepwise for the first TV_BLOCK - 1 steps, then blocked
+# iterate_tv: stepwise until the laws' floating-point fixed point
 # ---------------------------------------------------------------------------
-
-
-def _stepwise_tv(matrix, stationary, starts, max_steps):
-    """The plain loop: one product per step for every start.
-
-    Returns the TV of each start at steps 0..max_steps and each law's mass,
-    whose drift from 1 (rows of K summing to 1 only to rounding) moves the
-    loop's own TV by up to that much.
-    """
-    half_pi = 0.5 * stationary.weights
-    laws = np.zeros((len(starts), matrix.dim))
-    laws[np.arange(len(starts)), starts] = 0.5
-    tvs, masses = [], []
-    for step in range(max_steps + 1):
-        if step:
-            laws = laws @ matrix.entries
-        tvs.append(np.abs(laws - half_pi).sum(axis=1))
-        masses.append(2.0 * laws.sum(axis=1))
-    return np.array(tvs), np.array(masses)
 
 
 _ENGINE_CHAINS = {
     **{f"bb{n}": (lambda n=n: (*bb_xchain(BetaBinomialFamily(n=n)), 0)) for n in (1, 2, 50, 200, 700)},
     "pg": lambda: (*pg_xchain(PoissonGammaFamily(shape=2.0, x_max=400)), 100),
 }
-_ENGINE_HORIZONS = (0, TV_BLOCK - 1, TV_BLOCK, TV_BLOCK + 1, 2 * TV_BLOCK + 3, 10**4)
-# Agreement demanded of blocked steps with the plain loop.
+_ENGINE_HORIZONS = (0, 127, 128, 129, 259, 10**4)
+# Agreement demanded of every step with the plain loop.
 _ENGINE_TOL = 2e-14
 
 
 @pytest.fixture(scope="module")
-def engine_reference():
-    """Each chain with its start and the plain loop to the longest horizon."""
+def engine_reference(stepwise_tv):
+    """Each chain with its start and the plain loop to the longest horizon;
+    ``fixed_point`` gives that loop's fixed point and the TV it holds there."""
     cache = {}
 
-    def get(key):
+    def run(key):
         if key not in cache:
             matrix, stationary, start = _ENGINE_CHAINS[key]()
             cache[key] = (matrix, stationary, start,
-                          *_stepwise_tv(matrix, stationary, [start], max(_ENGINE_HORIZONS)))
+                          *stepwise_tv(matrix, stationary, [start], max(_ENGINE_HORIZONS)))
         return cache[key]
 
+    def get(key):
+        return run(key)[:5]
+
+    get.fixed_point = lambda key: run(key)[5:]
     return get
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["rule", "forced"])
 @pytest.mark.parametrize("horizon", _ENGINE_HORIZONS)
 @pytest.mark.parametrize("chain", sorted(_ENGINE_CHAINS))
-def test_iterate_tv_matches_the_stepwise_loop(engine_reference, monkeypatch, chain, horizon, forced):
-    if forced:  # block whenever a step is left after the first TV_BLOCK - 1
-        monkeypatch.setattr(numerics, "TV_BLOCK_MIN_STEPS_PER_STATE", 0)
+def test_iterate_tv_matches_the_stepwise_loop(engine_reference, chain, horizon):
     matrix, stationary, start, tvs, masses = engine_reference(chain)
+    stop, fixed = engine_reference.fixed_point(chain)
     chunks = list(iterate_tv(matrix, stationary, [start], horizon))
     assert all(chunk.ndim == 2 and chunk.shape[1] == 1 for chunk in chunks)
     curve = np.concatenate(chunks)[:, 0]
     assert curve.shape == (horizon + 1,)
-    head = min(horizon + 1, TV_BLOCK)
+    # The plain loop's values bit for bit up to its fixed point (step 35
+    # for bb1, 92 for bb2, 83 for pg, 970 for bb50 and 3817 for bb200; bb700
+    # has none within 10^4 steps), then the TV of the scaled law it fixes.
+    head = horizon + 1 if stop is None else min(horizon + 1, stop)
     np.testing.assert_array_equal(curve[:head], tvs[:head, 0])
-    # Past the first block the plain loop is only a reference up to its own
+    assert np.all(curve[head:] == fixed)
+    # Past the fixed point the plain loop is only a reference up to its own
     # mass drift (see the next test).
     drift = np.abs(masses[: horizon + 1, 0] - 1.0)
     assert np.all(np.abs(curve - tvs[: horizon + 1, 0]) <= _ENGINE_TOL + drift)
@@ -899,38 +886,28 @@ def test_iterate_tv_blocked_steps_do_not_drift_with_the_stepwise_loop(engine_ref
     assert curve[-1] <= _ENGINE_TOL
 
 
-def test_iterate_tv_chunks_several_starts_in_step_order(monkeypatch):
-    monkeypatch.setattr(numerics, "TV_BLOCK_MIN_STEPS_PER_STATE", 0)
+def test_iterate_tv_chunks_several_starts_in_step_order(stepwise_tv):
     matrix, stationary = pg_xchain(PoissonGammaFamily(shape=2.0, x_max=400))
     starts = [0, 5, 100, 150]
-    horizon = 3 * TV_BLOCK + 7
+    horizon = 391
     chunks = list(iterate_tv(matrix, stationary, starts, horizon))
-    # One step per chunk, then one chunk per product with K^TV_BLOCK.
-    assert [len(chunk) for chunk in chunks] == [1] * TV_BLOCK + [TV_BLOCK, TV_BLOCK, 8]
+    tvs, masses, stop, fixed = stepwise_tv(matrix, stationary, starts, horizon)
+    # One step per chunk until all four laws are fixed, then one chunk.
+    assert stop is not None
+    assert [len(chunk) for chunk in chunks] == [1] * stop + [horizon + 1 - stop]
     curve = np.concatenate(chunks)
-    tvs, masses = _stepwise_tv(matrix, stationary, starts, horizon)
-    np.testing.assert_array_equal(curve[:TV_BLOCK], tvs[:TV_BLOCK])
+    np.testing.assert_array_equal(curve[:stop], tvs[:stop])
+    assert np.all(curve[stop:] == fixed)
     assert np.all(np.abs(curve - tvs) <= _ENGINE_TOL + np.abs(masses - 1.0))
 
 
-def test_iterate_tv_builds_no_power_for_a_caller_that_stops_early():
+def test_iterate_tv_runs_no_product_past_what_its_caller_reads(count_products):
     matrix, stationary = bb_xchain(BetaBinomialFamily(n=100))
-    shapes = []
-
-    class CountingArray(np.ndarray):
-        def __matmul__(self, other):
-            shapes.append((self.shape, other.shape))
-            return np.asarray(self) @ np.asarray(other)
-
-        def __rmatmul__(self, other):
-            shapes.append((other.shape, self.shape))
-            return np.asarray(other) @ np.asarray(self)
-
-    object.__setattr__(matrix, "entries", matrix.entries.view(CountingArray))
-    for _ in zip(range(TV_BLOCK), iterate_tv(matrix, stationary, [0], 10**5)):
+    count_products(matrix)
+    for _ in zip(range(128), iterate_tv(matrix, stationary, [0], 10**5)):
         pass
-    # Steps 1..TV_BLOCK - 1 take one vector product each; K is never squared.
-    assert shapes == [((1, 101), (101, 101))] * (TV_BLOCK - 1)
+    # Steps 1..127 take one vector product each; K is never squared.
+    assert count_products.shapes == [((1, 101), (101, 101))] * 127
 
 
 @pytest.mark.parametrize("n, parent_floor", [(50, 1.3e-14), (100, 1.2e-14), (200, 6.1e-14)])

@@ -1,8 +1,10 @@
 """Exact-versus-bounds comparison reports and the mixing demos."""
 
 import dataclasses
+import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -766,14 +768,11 @@ def test_pg_demo_rows_do_not_depend_on_a_deep_truncation(shape):
         assert pg_mixing_demo(starts, shape=shape, x_max=x_max).rows == reference
 
 
-@pytest.mark.parametrize("block", [2, 4, 8])
-def test_pg_demo_rows_do_not_depend_on_the_block(monkeypatch, block):
+def test_pg_dense_crossings_give_the_certified_rows():
     # The rows are certified without a chain; the dense fallback must give
-    # them too.  With a small block its crossings (5 to 12 steps) fall
-    # inside blocked chunks of several steps, each start at its own row.
+    # them too, each start at its own row.
     starts = [128, 0, 64, 8, 32, 16]
     reference = {shape: pg_mixing_demo(starts, shape=shape).rows for shape in (1.0, 2.0)}
-    monkeypatch.setattr(numerics, "TV_BLOCK", block)
     for shape, rows in reference.items():
         dense = scan_compare._pg_dense_crossings(PoissonGammaFamily(shape=shape), starts, 0.01)
         assert list(dense) == [row.exact_min_steps for row in rows]
@@ -811,6 +810,33 @@ def _dense_crossings(fam, starts, targets):
         target: [first_crossing(curve[:, i], target) for i in range(len(starts))]
         for target in targets
     }
+
+
+def test_pg_dense_loop_stops_across_the_advertised_range(stepwise_tv):
+    # Each prior at its smallest valid truncation, with three starts run
+    # together so that their laws fix at different steps.  The loop must
+    # reach its fixed point; every value before it is the plain loop's bit
+    # for bit and every later one the TV of the fixed scaled laws, and the
+    # pg-demo fallback crosses 0.01 where the plain loop does.
+    stops = {}
+    for shape, rate in [*itertools.product((0.001, 0.5, 1.0, 2.0, 50.0), (1.0, 5.0)), (1.0, 0.2)]:
+        fam = PoissonGammaFamily(shape=shape, rate=rate, x_max=_smallest_x_max(shape, rate))
+        starts = [0, fam.x_max // 4, fam.x_max // 2]
+        matrix, stationary = pg_xchain(fam)
+        chunks = list(numerics.iterate_tv(matrix, stationary, starts, MAX_COMPARE_STEPS))
+        stop = len(chunks) - 1
+        assert len(chunks[-1]) == MAX_COMPARE_STEPS + 1 - stop > 1, (shape, rate)
+        tvs, _, reference_stop, fixed = stepwise_tv(matrix, stationary, starts, stop)
+        assert reference_stop == stop, (shape, rate)
+        curve = np.concatenate(chunks)
+        np.testing.assert_array_equal(curve[:stop], tvs[:stop])
+        assert np.all(curve[stop:] == fixed)
+        crossings = [first_crossing(tvs[:, i], 0.01) for i in range(len(starts))]
+        assert list(scan_compare._pg_dense_crossings(fam, starts, 0.01)) == crossings
+        stops[shape, rate] = stop
+    # The slowest to fix is the smallest shape at rate 5 (35 states), whose
+    # starts run alone never fix: their laws' mass drifts.
+    assert max(stops.values()) == stops[0.001, 5.0] == 3208
 
 
 @pytest.mark.parametrize("rate", [0.2, 1.0, 3.0])
@@ -878,11 +904,9 @@ def test_pg_demo_far_starts_take_the_dense_fallback(monkeypatch, shape, rate, x_
         return dense_crossings(fam, starts, target)
 
     monkeypatch.setattr(scan_compare, "_pg_dense_crossings", spy)
-    for block in (numerics.TV_BLOCK, 2):
-        monkeypatch.setattr(numerics, "TV_BLOCK", block)
-        rows = pg_mixing_demo(starts, shape=shape, rate=rate, x_max=x_max).rows
-        assert [tuple(dataclasses.astuple(row)) for row in rows] == expected
-    assert fallback == [starts[1:], starts[1:]]
+    rows = pg_mixing_demo(starts, shape=shape, rate=rate, x_max=x_max).rows
+    assert [tuple(dataclasses.astuple(row)) for row in rows] == expected
+    assert fallback == [starts[1:]]
 
 
 def test_pg_demo_validation():
@@ -892,6 +916,30 @@ def test_pg_demo_validation():
         pg_mixing_demo([])
     with pytest.raises(ParameterError, match="start-too-deep"):
         pg_mixing_demo([-1])
+    for start in (None, "8", 8.0, True):
+        with pytest.raises(ParameterError, match="start state must be an integer"):
+            pg_mixing_demo([0, start])
+
+
+def test_pg_demo_names_the_value_its_dense_curve_stays_at(monkeypatch, count_products, capsys):
+    # At 1e-20 the certificate decides no start, and the dense curves of
+    # both starts fix at their rounding floor, near 1e-16, within a few
+    # hundred steps: the refusal names that value, not the horizon.
+    build = scan_compare.pg_xchain
+
+    def counted(fam):
+        matrix, stationary = build(fam)
+        return count_products(matrix), stationary
+
+    monkeypatch.setattr(scan_compare, "pg_xchain", counted)
+    message = (r"target-not-reached: the exact TV from start 0 is \d\.\d\de-1[67] from step "
+               r"\d+ through step 100000, above the target 1e-20")
+    with pytest.raises(NoSolutionError, match=f"^{message}$"):
+        pg_mixing_demo([0, 8], target=1e-20)
+    assert 0 < len(count_products.shapes) < 1000
+    assert cli.main(["pg-demo", "--j-list", "0,8", "--target", "1e-20"]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {message}\n", err), err
 
 
 def test_pg_demo_chisq_reads_the_meixner_rate_and_log_stationary():
