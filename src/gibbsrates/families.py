@@ -441,10 +441,9 @@ def pg_xchain(fam: PoissonGammaFamily) -> tuple[StochasticMatrix, Distribution]:
     are refused.  ``pg_mixing_demo`` reads its crossings from
     ``meixner_basis`` and builds this chain only for the starts that basis
     cannot decide; ``exact-tv --family pg`` and the tests use it directly.
-    ``iterate_tv`` on it mostly stops at the laws' floating-point fixed
-    point within a few hundred steps, so a long horizon costs only those
-    products; a chain whose laws never repeat (shape 0.001 at rate 5, or a
-    law cycling with period 3) runs every step.
+    ``iterate_tv`` on it stops once the laws, scaled to their mass, repeat
+    an earlier step's, after at most a few hundred steps on the chains
+    probed, so a long horizon costs only those products.
 
     The log-gamma of the sums (shape + x) + x' is evaluated once per
     distinct sum formed.  Nearly every sum equals shape + (x + x'), one

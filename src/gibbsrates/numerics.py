@@ -16,7 +16,7 @@ scipy.  The dense-matrix half (total variation, matrix powers, and the
 power-iteration stationary laws and reversible spectra that only tests use
 as independent references) is conventional numpy; its one
 evolve-and-measure loop, ``iterate_tv``, runs step by step until the
-laws, scaled to their mass, reach their floating-point fixed point.  The
+laws, scaled to their mass, repeat an earlier step's bit for bit.  The
 serialization policy lives next to ``round_sig``, the only way numbers
 leave the package:
 ``float_cell`` prints each float once as ``repr(round_sig(value))`` for both
@@ -1163,17 +1163,20 @@ def iterate_tv(
 
     Each yield is a chunk of shape (steps, starts), in step order.  A start
     is an integer state (numpy integers included; floats and bools are
-    refused).  The starts evolve as one block of rows, one product with K
-    per step and one step per chunk, until the laws reach their
-    floating-point fixed point: every law, scaled to its mass, repeats the
-    previous step's bit for bit.  One read-only chunk then holds the rest of
-    the horizon, every row the TV of that scaled law, and no further product
-    runs.  Every value before the stop is the plain loop's.  Past it the
-    plain loop's scaled law stayed bit for bit on the Poisson-gamma chains
-    probed, and moved by at most 2.8e-17 at n = 2, whose rows sum to
-    1 + 2.2e-16; the scaling drops that mass drift, which lifts the plain
-    loop's own TV to 4.2e-13 by step 10^4 there.  The generator is lazy, so
-    a caller that stops early runs no further product.
+    refused).  The starts evolve as one block of rows, one step per chunk:
+    each step multiplies the laws, scaled to their mass, by K and reads the
+    TV of the product.  That step is a fixed map of the scaled laws, so once
+    they repeat an earlier step's bit for bit, the curve repeats from there
+    for ever; Brent's cycle search, comparing each step with the one at the
+    last power of two, finds the repeat within about twice the step where
+    the orbit closed.  One chunk then holds the rest of the horizon, that
+    period of the curve repeated, and no further product runs.  On the
+    chains probed the orbit closes with period 1 to 10, within a few
+    hundred steps for Poisson-gamma chains and about 10^4 for the
+    beta-binomial chain at n = 700.  The scaling also
+    keeps the mass from drifting: rows of K that sum to 1 + 2.2e-16 (n = 2)
+    lift an unscaled loop's TV to 4.2e-13 by step 10^4.  The generator is
+    lazy, so a caller that stops early runs no further product.
     """
     dim = matrix.dim
     if not is_integer(max_steps) or max_steps < 0:
@@ -1186,16 +1189,20 @@ def iterate_tv(
     width = len(starts)
     laws = np.zeros((width, dim))
     laws[np.arange(width), starts] = 0.5
-    scaled = None
+    # The scaled laws at the last anchor step, and the TVs of the steps since.
+    anchor, orbit = None, []
     for step in range(max_steps + 1):
         if step:
-            laws = laws @ matrix.entries
-        previous, scaled = scaled, laws * (0.5 / laws.sum(axis=1, keepdims=True))
-        if np.array_equal(scaled, previous):
-            tv = np.abs(scaled - half_pi).sum(axis=1)
-            yield np.broadcast_to(tv, (max_steps + 1 - step, width))
+            laws = scaled @ matrix.entries
+        scaled = laws * (0.5 / laws.sum(axis=1, keepdims=True))
+        orbit.append(np.abs(laws - half_pi).sum(axis=1))
+        if np.array_equal(scaled, anchor):
+            # The TVs after the anchor, this step's last, are one period.
+            yield np.resize(np.roll(orbit, 1, axis=0), (max_steps + 1 - step, width))
             return
-        yield np.abs(laws - half_pi).sum(axis=1)[None, :]
+        yield orbit[-1][None, :]
+        if not step & (step - 1):  # step 0 or a power of two
+            anchor, orbit = scaled, []
 
 
 def matrix_power_tv(
@@ -1207,7 +1214,7 @@ def matrix_power_tv(
     """TV distance to stationarity after ``n_steps`` from a point start.
 
     The last value of ``iterate_tv``, which evolves laws rather than forming
-    K^n_steps and runs no product past their floating-point fixed point.
+    K^n_steps and runs no product once their scaled values repeat.
     ``n_steps`` must be a machine loop count (at most 10^7);
     certificates beyond that range belong to the log-domain solver.
     """

@@ -117,8 +117,8 @@ def exact_tv_curve(
     the expansion's cut can keep), the curve is the chain's eigen-expansion
     (``_basis_tv``); pass None for ``matrix`` and ``stationary``, which are
     not read.  Without ``basis`` it is the dense loop's, ``iterate_tv`` on
-    ``matrix`` (``exact-tv --family pg``), flat from the laws'
-    floating-point fixed point on.
+    ``matrix`` (``exact-tv --family pg``), which repeats its last few
+    values once the laws, scaled to their mass, repeat.
     """
     start, max_steps = check_tv_query(start, max_steps, (matrix if basis is None else basis).dim)
     if basis is not None:
@@ -794,7 +794,9 @@ def _pg_dense_crossings(fam: PoissonGammaFamily, starts, target: float) -> np.nd
     """Each start's first step at or below the target on the dense chain.
 
     A start whose curve stays above the target through ``MAX_COMPARE_STEPS``
-    is refused with the value it keeps from the loop's fixed point on.
+    is refused.  If the loop stopped because its scaled laws repeat, the
+    curve repeats its last chunk for ever, and the refusal names the lowest
+    value that start repeats.
     """
     matrix, stationary = pg_xchain(fam)
     crossed = np.full(len(starts), -1)
@@ -807,10 +809,14 @@ def _pg_dense_crossings(fam: PoissonGammaFamily, starts, target: float) -> np.nd
         if crossed.min() >= 0:
             return crossed
     i = int(np.argmin(crossed))
+    if len(chunk) == 1:
+        raise NoSolutionError(
+            f"target-not-reached: start {starts[i]} needs more than {MAX_COMPARE_STEPS} exact steps"
+        )
     raise NoSolutionError(
-        f"target-not-reached: the exact TV from start {starts[i]} is {chunk[-1, i]:.3g} "
-        f"from step {first - len(chunk)} through step {MAX_COMPARE_STEPS}, above the "
-        f"target {target}"
+        f"target-not-reached: the exact TV from start {starts[i]} never reaches the target "
+        f"{target}: from step {first - len(chunk)} on it repeats values no lower than "
+        f"{chunk[:, i].min():.3g}"
     )
 
 

@@ -821,7 +821,7 @@ def test_matrix_power_tv_keeps_the_last_value_of_the_curve(bb100):
 
 
 # ---------------------------------------------------------------------------
-# iterate_tv: stepwise until the laws' floating-point fixed point
+# iterate_tv: stepwise until the scaled laws repeat
 # ---------------------------------------------------------------------------
 
 
@@ -836,41 +836,33 @@ _ENGINE_TOL = 2e-14
 
 @pytest.fixture(scope="module")
 def engine_reference(stepwise_tv):
-    """Each chain with its start and the plain loop to the longest horizon;
-    ``fixed_point`` gives that loop's fixed point and the TV it holds there."""
+    """Each chain with its start and the plain loop to the longest horizon."""
     cache = {}
 
-    def run(key):
+    def get(key):
         if key not in cache:
             matrix, stationary, start = _ENGINE_CHAINS[key]()
             cache[key] = (matrix, stationary, start,
-                          *stepwise_tv(matrix, stationary, [start], max(_ENGINE_HORIZONS)))
+                          *stepwise_tv(matrix, stationary, [start], max(_ENGINE_HORIZONS), scaled=False))
         return cache[key]
 
-    def get(key):
-        return run(key)[:5]
-
-    get.fixed_point = lambda key: run(key)[5:]
     return get
 
 
 @pytest.mark.parametrize("horizon", _ENGINE_HORIZONS)
 @pytest.mark.parametrize("chain", sorted(_ENGINE_CHAINS))
-def test_iterate_tv_matches_the_stepwise_loop(engine_reference, chain, horizon):
+def test_iterate_tv_matches_the_stepwise_loop(engine_reference, stepwise_tv, chain, horizon):
     matrix, stationary, start, tvs, masses = engine_reference(chain)
-    stop, fixed = engine_reference.fixed_point(chain)
     chunks = list(iterate_tv(matrix, stationary, [start], horizon))
     assert all(chunk.ndim == 2 and chunk.shape[1] == 1 for chunk in chunks)
     curve = np.concatenate(chunks)[:, 0]
     assert curve.shape == (horizon + 1,)
-    # The plain loop's values bit for bit up to its fixed point (step 35
-    # for bb1, 92 for bb2, 83 for pg, 970 for bb50 and 3817 for bb200; bb700
-    # has none within 10^4 steps), then the TV of the scaled law it fixes.
-    head = horizon + 1 if stop is None else min(horizon + 1, stop)
-    np.testing.assert_array_equal(curve[:head], tvs[:head, 0])
-    assert np.all(curve[head:] == fixed)
-    # Past the fixed point the plain loop is only a reference up to its own
-    # mass drift (see the next test).
+    # Every step, those after the loop's stop too (step 65 for bb1 and bb2,
+    # 130 for pg, 1025 for bb50 and 4106 for bb200; bb700 runs on to 16385),
+    # is the unstopped loop's bit for bit.
+    np.testing.assert_array_equal(curve, stepwise_tv(matrix, stationary, [start], horizon)[0][:, 0])
+    # The plain loop is only a reference up to its own mass drift (see the
+    # next test).
     drift = np.abs(masses[: horizon + 1, 0] - 1.0)
     assert np.all(np.abs(curve - tvs[: horizon + 1, 0]) <= _ENGINE_TOL + drift)
 
@@ -891,13 +883,14 @@ def test_iterate_tv_chunks_several_starts_in_step_order(stepwise_tv):
     starts = [0, 5, 100, 150]
     horizon = 391
     chunks = list(iterate_tv(matrix, stationary, starts, horizon))
-    tvs, masses, stop, fixed = stepwise_tv(matrix, stationary, starts, horizon)
-    # One step per chunk until all four laws are fixed, then one chunk.
-    assert stop is not None
+    # One step per chunk until the scaled laws of all four starts repeat an
+    # earlier step's, then one chunk for the rest.
+    stop = len(chunks) - 1
+    assert stop < horizon
     assert [len(chunk) for chunk in chunks] == [1] * stop + [horizon + 1 - stop]
     curve = np.concatenate(chunks)
-    np.testing.assert_array_equal(curve[:stop], tvs[:stop])
-    assert np.all(curve[stop:] == fixed)
+    np.testing.assert_array_equal(curve, stepwise_tv(matrix, stationary, starts, horizon)[0])
+    tvs, masses = stepwise_tv(matrix, stationary, starts, horizon, scaled=False)
     assert np.all(np.abs(curve - tvs) <= _ENGINE_TOL + np.abs(masses - 1.0))
 
 
