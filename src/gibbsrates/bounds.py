@@ -152,6 +152,8 @@ class DriftMinorization:
                 "minorization mass epsilon must lie in (0, 1], got "
                 f"log epsilon = {eps.log_value}"
             )
+        if not math.isfinite(v):
+            raise ParameterError(f"V(x0) must be a finite number, got {v}")
         if v < 0.0:
             raise ParameterError(f"V(x0) must be nonnegative, got {v}")
         object.__setattr__(self, "lam", lam)
@@ -185,7 +187,9 @@ class RosenthalParams:
     def __post_init__(self) -> None:
         d = float(self.d)
         r = float(self.r)
-        if not math.isfinite(d) or d < 0.0:
+        if not math.isfinite(d):
+            raise ParameterError(f"invalid-d: small-set radius must be a finite number, got {d}")
+        if d < 0.0:
             raise ParameterError(f"invalid-d: small-set radius must be >= 0, got {d}")
         if not 0.0 < r < 1.0:
             raise ParameterError(f"invalid-r: exponent split must lie in (0, 1), got {r}")
@@ -361,6 +365,8 @@ def _two_term(ratio_a: float, ratio_b: float, weight: float) -> GeometricBound:
     for name, ratio in (("A", ratio_a), ("B", ratio_b)):
         if not 0.0 <= float(ratio) < 1.0:
             raise ParameterError(f"invalid ratio: {name} must lie in [0, 1), got {ratio}")
+    if not math.isfinite(float(weight)):
+        raise ParameterError(f"weight must be a finite number, got {weight}")
     if float(weight) < 0.0:
         raise ParameterError(f"weight must be nonnegative, got {weight}")
     return GeometricBound(

@@ -52,7 +52,14 @@ from .families import (
     pg_spectral_data,
     pg_xchain,
 )
-from .numerics import LogMagnitude, RowTable, json_pieces, jsonable, rounded_decompose
+from .numerics import (
+    LogMagnitude,
+    RowTable,
+    is_integer,
+    json_pieces,
+    jsonable,
+    rounded_decompose,
+)
 from .operators import (
     SCAN_KINDS,
     JointState,
@@ -63,6 +70,7 @@ from .operators import (
     run_trajectory,
 )
 from .scan_compare import (
+    MAX_COMPARE_STEPS,
     check_tv_query,
     compare,
     exact_tv_curve,
@@ -523,6 +531,8 @@ def _run_spectral(cfg: dict):
         grid = cfg["grid"]
         if not isinstance(grid, int) or grid < 2:
             raise ParameterError(f"grid must be an integer >= 2, got {grid!r}")
+        if grid > MAX_COMPARE_STEPS:
+            raise ParameterError(f"--grid must be at most {MAX_COMPARE_STEPS} rows, got {grid}")
         alphas = np.linspace(0.0, 1.0, grid)
         rows = RowTable(("alpha", "gap"), (alphas, spectral_gap(alphas, cfg["product"])))
         result = {"mode": "gap_curve", "product": cfg["product"], "grid": grid, "rows": rows}
@@ -632,6 +642,10 @@ def _run_simulate(cfg: dict):
                 ("steps", "samples", "estimate", "std_error", "predicted", "z_score"),
                 [(cfg["steps"], cfg["samples"], estimate, std_error, predicted, z_score)],
             ),
+        )
+    if is_integer(cfg["steps"]) and cfg["steps"] > MAX_COMPARE_STEPS:
+        raise ParameterError(
+            f"--steps must be at most {MAX_COMPARE_STEPS} for a trajectory, got {cfg['steps']}"
         )
     states = run_trajectory(fam, start, strategy, cfg["steps"], seed=cfg["seed"])
     rows = RowTable.from_rows(

@@ -93,9 +93,13 @@ _ZERO_LAYOUT, _LAYOUTS = 18, 19
 _DIGIT_SLOTS = slice(_DIGIT0, _INTEGRAL_ZERO, 2)
 # Decimal exponents -_EXP_LOW..12 index the layout and scale tables.
 _EXP_LOW = 330
-# Normals below this are scaled by 2^600 first, so that their power of ten
+# Values below this are scaled by 2^600 first, so that their power of ten
 # stays a normal float.
 _TINY, _TINY_SHIFT = 1e-250, 600
+# A subnormal is j * 2^-1074 for its mantissa count j; decimal grids 10^m
+# for m = _GRID_TOP, _GRID_TOP - 1, ..., -324 cover every subnormal's
+# shortest digits (see ``_subnormal_digits``).
+_GRID_TOP, _GRIDS = -308, 17
 
 
 def _float_masks() -> np.ndarray:
@@ -148,18 +152,36 @@ def _serialization_tables():
         [length >= _INT_SLOT.size - np.arange(_INT_SLOT.size)[:, None]] * 2
     )
     int_masks[_INT_SLOT.size :, 0] = True  # the sign of a negative
+    # Each grid's spacing 10^m in subnormal ulps, 10^m * 2^1074, as a
+    # double-double (both parts correctly rounded from exact integers), the
+    # Veltkamp halves of its leading part, and its reciprocal.
+    grids = []
+    for m in range(_GRID_TOP, _GRID_TOP - _GRIDS, -1):
+        ulps, power = 2**1074, 10**-m
+        high = ulps / power
+        top, bottom = high.as_integer_ratio()
+        low = (ulps * bottom - top * power) / (power * bottom)
+        grids.append((high, low, *_split(high), power / ulps))
     return (
         digits.view(np.uint32).ravel(), significant, layouts, scales, _float_masks(),
-        int_masks, 10 ** np.arange(1, 20, dtype=np.uint64),
+        int_masks, 10 ** np.arange(1, 20, dtype=np.uint64), np.array(grids).T,
     )
+
+
+def _split(a):
+    """Veltkamp's split of a double (or each of an array's) into two
+    halves of at most 26 bits, so that a product of two halves is exact
+    (Dekker 1971)."""
+    t = a * 134217729.0  # 2^27 + 1
+    high = t - (t - a)
+    return high, a - high
 
 
 # The 4 ASCII digits of 0..9999 as one uint32 each, the digits of each up to
 # its last nonzero one, the layout of each decimal exponent, the powers of
-# ten, and the print masks of float and integer cells.
-_DIGIT4, _SIGNIFICANT4, _LAYOUT_OF_EXP, _SCALES, _FLOAT_MASKS, _INT_MASKS, _POW10 = (
-    _serialization_tables()
-)
+# ten, the print masks of float and integer cells, and the subnormal grids.
+(_DIGIT4, _SIGNIFICANT4, _LAYOUT_OF_EXP, _SCALES, _FLOAT_MASKS, _INT_MASKS, _POW10,
+ _ULP_GRIDS) = _serialization_tables()
 
 # Step counts are plain Python integers: exact ordering and arithmetic at any
 # magnitude, which 64-bit integers and doubles cannot promise near 10^40.
@@ -326,6 +348,74 @@ def _odd_float_texts(values: np.ndarray, as_json: bool) -> list[str]:
     return texts.tolist()
 
 
+def _in_ulps(digits: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+    """digits * 10^m in subnormal ulps (m = _GRID_TOP - grid) as a sum
+    p + tail: Dekker's exact product of the digits with the grid's leading
+    double, plus the digits times its trailing double.  For digits below
+    2^53 and a sum below 2^53 the sum is off by under 1e-15."""
+    high, low, high_high, high_low, _ = _ULP_GRIDS[:, grid]
+    p = digits * high
+    d_high, d_low = _split(digits)
+    tail = ((d_high * high_high - p) + d_high * high_low + d_low * high_high) + d_low * high_low
+    return p, tail + digits * low
+
+
+def _subnormal_digits(values, whole, exp10, fine):
+    """``float_cell``'s digits of subnormal ``values`` as ``_float_slots``
+    writes them: 12 digits, the decimal exponent and whether both are sure,
+    from the kernel's 12 digits and exponent of each value and whether
+    those are sure.
+
+    ``float_cell`` prints the ``repr`` of the double nearest the value's
+    12-digit rounding.  In ulps of 2^-1074 that double is the count j:
+    - below 1e-312, the value's own mantissa, since the rounding moves it
+      by at most 5e-325, under half an ulp;
+    - from 1e-312 on, the integer nearest the 12 digits times
+      10^(exp10 - 11).
+    Every ulp is 2^-1074 below 2^-1021, and no decimal lies exactly half an
+    ulp from j, so the ``repr`` is the nearest point of the coarsest grid
+    10^m (m = -308 down to -324) that lies within half an ulp of j.  A
+    grid's nearest point is rint(j / 10^m), and ``_in_ulps`` gives its
+    distance from j to under 1e-15 ulps.  It has at most 12 digits: 10^-324
+    is 0.2 ulp, and from 1e-312 on the 12-digit rounding is itself on a
+    grid whose points are at least 2.02 ulps apart.  On the 10^-324 grid,
+    finer than an ulp, rint can pick the farther of two points near a tie,
+    so a point there counts only within half a spacing of j.  A value stays
+    unsure when its count or a distance comes within 1e-6 of half an ulp,
+    when no grid takes it, and from 1e-312 on when its 12 digits are not
+    sure.
+    """
+    magnitude = np.abs(values)
+    count = magnitude.view(np.int64).astype(np.float64)
+    sure = np.ones(values.size, dtype=bool)
+    rounded = np.flatnonzero(magnitude >= 1e-312)
+    if rounded.size:
+        grid = np.clip(_GRID_TOP + 11 - exp10[rounded], 0, _GRIDS - 1)
+        p, tail = _in_ulps(whole[rounded], grid)
+        nearest = np.rint(p)
+        tail += p - nearest
+        step = np.rint(tail)
+        count[rounded] = nearest + step
+        sure[rounded] = fine[rounded] & (np.abs(np.abs(tail - step) - 0.5) > 1e-6)
+    digits = np.zeros(values.size)
+    open_ = np.flatnonzero(sure)
+    sure = np.zeros(values.size, dtype=bool)
+    for grid, (spacing, *_, per_ulp) in enumerate(_ULP_GRIDS.T):
+        if not open_.size:
+            break
+        points = np.rint(count[open_] * per_ulp)
+        p, tail = _in_ulps(points, grid)
+        miss = np.abs((p - count[open_]) + tail)
+        hit = (miss < min(0.5, spacing / 2.0) - 1e-6) & (points < 1e12)
+        mine = open_[hit]
+        digits[mine], exp10[mine], sure[mine] = points[hit], _GRID_TOP - grid, True
+        open_ = open_[~hit & (np.abs(miss - 0.5) > 1e-6)]
+    # The grid's digits as 12 with trailing zeros, at the first one's exponent.
+    length = np.searchsorted(_POW10, digits.astype(np.uint64), side="right")
+    exp10 += length
+    return digits * _SCALES[11 - length], exp10, sure
+
+
 def _float_slots(values: np.ndarray, as_json: bool, slots: Sequence[tuple]) -> None:
     """Write the printed cells of float columns into their byte slots.
 
@@ -333,30 +423,43 @@ def _float_slots(values: np.ndarray, as_json: bool, slots: Sequence[tuple]) -> N
     a (cells, 36) view; a cell prints as ``float_cell`` (``json_cell`` in
     JSON) prints it.
 
-    A nonzero float v with smallest normal <= |v| < 1e12 has the decimal
-    exponent e = floor(log10 |v|), moved by one decade where the scaled
+    A nonzero float v with |v| < 1e12 has the decimal exponent
+    e = floor(log10 |v|), moved by one decade where the scaled
     value s = |v| * 10^(11 - e) falls outside [10^11, 10^12), and its 12
     digits are rint(s).  The power of ten is a correctly rounded float
     (10^(11 - e) / 2^600 for |v| < 1e-250, first scaled exactly by 2^600,
     so that the power stays finite), so s is off by at most that rounding
     and the product's, 2 ulp of 10^12, under 5e-4.  Where s is more than
     1e-3 from a rounding tie and from either decade edge, rint(s) is thus
-    the correctly rounded 12 digits that ``"%.12g"`` prints, and being fewer
-    than a float's 15.9 digits, they are also those of the shortest repr of
-    the rounded value (``float_cell``).  The digits come from 4-digit tables;
+    the correctly rounded 12 digits that ``"%.12g"`` prints.  For a normal
+    v, being fewer than a float's 15.9 digits, they are also those of the
+    shortest repr of the rounded value (``float_cell``); a subnormal's
+    printed digits come from these through ``_subnormal_digits``, and a
+    column whose cells are all +0.0 writes the slot of a zero without any
+    of this work.  The digits come from 4-digit tables;
     the cell's layout (fixed or exponent form, point position, sign, two or
     three exponent digits, or a zero) and its count of significant digits
     pick the slots that print from ``_FLOAT_MASKS``.
 
-    Every other cell (near a tie or an edge, non-finite, subnormal, or
-    printing as 1e12 and above) is written from ``_odd_float_texts``.
+    Every other cell (near a tie or an edge, non-finite, a subnormal that
+    ``_subnormal_digits`` leaves unsure, or printing as 1e12 and above) is
+    written from ``_odd_float_texts``.
     """
+    zero_rows = ~values.view(np.int64).any(axis=1)  # every cell +0.0
+    for (text, keep), zeros in zip(slots, zero_rows):
+        if zeros:
+            text[:] = _FLOAT_SLOT
+            keep[:] = _FLOAT_MASKS[13 * _ZERO_LAYOUT]
+    if zero_rows.any():
+        values = values[~zero_rows]
+        slots = [slot for slot, zeros in zip(slots, zero_rows) if not zeros]
     cells = values.shape[1]
     flat = values.ravel()
     with np.errstate(invalid="ignore"):
         magnitude = np.abs(flat)
         zero = magnitude == 0.0
-        magnitude[~((magnitude >= _MIN_NORMAL) & (magnitude < 1e12))] = 1.0
+        subnormal = (magnitude > 0.0) & (magnitude < _MIN_NORMAL)
+        magnitude[~((magnitude > 0.0) & (magnitude < 1e12))] = 1.0
     # log10 of a float just below 1e12 may round to 12.
     exp10 = np.minimum(np.floor(np.log10(magnitude)), 11).astype(np.int32)
     tiny = magnitude < _TINY
@@ -384,6 +487,11 @@ def _float_slots(values: np.ndarray, as_json: bool, slots: Sequence[tuple]) -> N
     whole[carry] = 1e11
     exp10 += carry
     fine &= exp10 <= 11
+    subnormal = np.flatnonzero(subnormal)
+    if subnormal.size:
+        whole[subnormal], exp10[subnormal], fine[subnormal] = _subnormal_digits(
+            flat[subnormal], whole[subnormal], exp10[subnormal], fine[subnormal]
+        )
     odd = ~(fine | zero)
     digits = whole.astype(np.int64)
     del whole

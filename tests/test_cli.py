@@ -455,6 +455,55 @@ def test_pg_demo_non_finite_gamma_parameter_exits_2(run_cli, option, value):
     assert err == f"error: gamma {option} must be a positive finite number, got {value}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rosenthal", "--n", "10", "--v-x0", "nan"], "V(x0) must be a finite number, got nan"),
+        (["rosenthal", "--n", "10", "--v-x0", "inf"], "V(x0) must be a finite number, got inf"),
+        (["scan-compare", "--n", "10", "--v-x0", "nan"], "V(x0) must be a finite number, got nan"),
+        (["scan-compare", "--n", "10", "--v-x0", "inf"], "V(x0) must be a finite number, got inf"),
+        (["two-term", "--ratio-a", "0.5", "--ratio-b", "0.5", "--weight", "inf"],
+         "weight must be a finite number, got inf"),
+        (["two-term", "--ratio-a", "0.5", "--ratio-b", "0.5", "--weight", "nan"],
+         "weight must be a finite number, got nan"),
+        (["rosenthal", "--n", "10", "--d", "inf"],
+         "invalid-d: small-set radius must be a finite number, got inf"),
+    ],
+)
+def test_non_finite_option_values_are_refused_by_name(run_cli, argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+_TRAJECTORY = ["simulate", "--family", "bb", "--n", "5", "--start-x", "2", "--start-theta", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectral", "--gap-curve", "--product", "0.5", "--grid", "100000000"],
+         "--grid must be at most 100000 rows, got 100000000"),
+        (["spectral", "--gap-curve", "--product", "0.5", "--grid", "100001"],
+         "--grid must be at most 100000 rows, got 100001"),
+        (_TRAJECTORY + ["--steps", "100001"],
+         "--steps must be at most 100000 for a trajectory, got 100001"),
+    ],
+)
+def test_tables_longer_than_the_row_cap_are_refused(run_cli, argv, message):
+    # One row per grid point or trajectory step, capped as --steps-max is.
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_the_row_cap_itself_is_answered(run_cli):
+    code, out, _ = run_cli(
+        ["spectral", "--gap-curve", "--product", "0.5", "--grid", "100000", "--format", "csv"]
+    )
+    assert code == 0 and out.count("\n") == 2 + 100_000
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["words", "--bogus", "3"]) == 2
     capsys.readouterr()

@@ -21,6 +21,7 @@ from gibbsrates import (
     binomial_tail_le,
     bb_xchain,
     BetaBinomialFamily,
+    compare,
     PoissonGammaFamily,
     exact_tv_curve,
     log1mexp,
@@ -296,6 +297,93 @@ def test_float_kernel_prints_every_binade_as_float_cell():
     cells = values.tolist()
     assert _kernel_cells(values, False) == [float_cell(value) for value in cells]
     assert _kernel_cells(values, True) == [json_cell(value) for value in cells]
+
+
+def _subnormals(counts) -> np.ndarray:
+    """The positive and negative floats of the mantissa counts ``counts``."""
+    bits = np.asarray(counts, dtype=np.uint64)
+    return np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64)
+
+
+_SUBNORMAL_EDGES = [1e-312, 2.0**-1022, *(float(f"1e{k}") for k in range(-323, -307))]
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        np.arange(1, 1 << 16),
+        np.random.default_rng(30).integers(1, 1 << 52, 10**5),
+        # 64 counts either side of each edge's own (2^-1022 is count 2^52).
+        (np.array(_SUBNORMAL_EDGES).view(np.int64)[:, None] + np.arange(-64, 65)).ravel(),
+        # Counts within 1e-5 of a tie between two points of the 10^-324
+        # grid, where rint of the count over the spacing picks the farther.
+        [194134669676, 137038547868, 139233401453, 188879653921],
+    ],
+    ids=["below-2^16", "random", "edges", "grid-ties"],
+)
+def test_float_kernel_prints_subnormals_as_float_cell(counts):
+    # Subnormal digits come from the mantissa count (below 1e-312) or the
+    # count nearest the 12-digit rounding, not from float_cell.
+    values = _subnormals(counts)
+    cells = values.tolist()
+    assert _kernel_cells(values, False) == [float_cell(value) for value in cells]
+    assert _kernel_cells(values, True) == [json_cell(value) for value in cells]
+
+
+def test_float_kernel_prints_most_subnormals_itself(monkeypatch):
+    # Only a cell within a decision margin of its digits falls back to
+    # float_cell's text: none of the counts below 2^16, a few per thousand
+    # of random ones.
+    fallback = []
+    odd_texts = numerics._odd_float_texts
+    monkeypatch.setattr(
+        numerics, "_odd_float_texts",
+        lambda values, as_json: fallback.append(values.size) or odd_texts(values, as_json),
+    )
+    _kernel_cells(_subnormals(np.arange(1, 1 << 16)), False)
+    assert sum(fallback) == 0
+    _kernel_cells(_subnormals(np.random.default_rng(30).integers(1, 1 << 52, 10**5)), False)
+    assert sum(fallback) < 0.01 * 2 * 10**5
+    # A 10^5-step report's curves decay through the subnormals: 337 of its
+    # cells fall back, where 8502 did while every subnormal cell did.
+    fallback.clear()
+    for _ in json_pieces(compare(n=50, max_steps=10**5, target=0.01).payload()):
+        pass
+    assert sum(fallback) < 1000
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (np.zeros(50), np.zeros(50)),
+        (-np.zeros(50), np.zeros(50)),
+        (np.zeros(50), np.r_[np.zeros(49), -0.0]),
+        (np.zeros(50), np.r_[np.zeros(25), 5e-324, 1.5, np.zeros(23)]),
+    ],
+    ids=["all-zero", "all-negative-zero", "one-negative-zero", "mixed"],
+)
+@pytest.mark.parametrize("below", [0, 10, 50])
+def test_zero_columns_print_as_the_cell_formatters(first, second, below):
+    # A float column whose block is all +0.0 writes its zero cells without
+    # the digit kernel; -0.0, other cells and a gated prefix print alike.
+    table = RowTable(("a", "b", "gated"), (first, second, GatedColumn(below, first[below:])))
+    csv, js = _cell_by_cell(table)
+    assert table.to_csv().splitlines() == csv.splitlines()
+    assert json_text(table).splitlines() == js.splitlines()
+    for values in (first, second):
+        cells = values.tolist()
+        assert _kernel_cells(values, False) == [float_cell(value) for value in cells]
+        assert _kernel_cells(values, True) == [json_cell(value) for value in cells]
+
+
+def test_a_gated_prefix_ending_in_an_all_zero_block_prints_as_the_cell_formatters():
+    count = 3 * TABLE_BLOCK_ROWS
+    tv = np.r_[np.linspace(1.0, 1e-300, TABLE_BLOCK_ROWS), np.zeros(count - TABLE_BLOCK_ROWS)]
+    below = TABLE_BLOCK_ROWS + 100
+    table = RowTable(("tv", "bound"), (tv, GatedColumn(below, tv[below:])))
+    csv, js = _cell_by_cell(table)
+    assert table.to_csv().splitlines() == csv.splitlines()
+    assert json_text(table).splitlines() == js.splitlines()
 
 
 # One block's edges and the edges of a two-block table of 2048-row blocks
