@@ -17,7 +17,8 @@ Output contract, shared by all subcommands:
 * log-scale magnitudes appear as ``{"mantissa": m, "exp10": e}`` pairs
   (value = m * 10^e), the loss-free way to print a 10^-10000-scale bound;
 * exit code 0 on success, 2 for parameter/usage errors, 3 for numerical
-  failures (non-convergence, truncation, no solution in range).
+  failures (non-convergence, truncation, no solution in range), and
+  ``EXIT_CLOSED_STDOUT`` = 141 when the reader of stdout closes it early.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -78,6 +80,11 @@ from .scan_compare import (
     pg_mixing_demo,
 )
 from .spectral import alpha_scan_eigenvalues, argmax_gap, spectral_gap
+
+# The exit code when the reader of stdout closes it before the text is all
+# written (``| head -1``): 128 + SIGPIPE, what a shell reports for a writer
+# that the signal ends.
+EXIT_CLOSED_STDOUT = 141
 
 COMMANDS = (
     "rosenthal",
@@ -721,5 +728,14 @@ def main(argv=None) -> int:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
     else:
-        render(args.command, cfg, output, sys.stdout)
+        try:
+            render(args.command, cfg, output, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The rest of the text, and the interpreter's last flush, go to
+            # devnull, so no second error follows.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_CLOSED_STDOUT
     return 0

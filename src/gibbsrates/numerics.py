@@ -41,12 +41,14 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, NoSolutionError, ParameterError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 LOG_ZERO = float("-inf")
 
@@ -1410,5 +1412,7 @@ def binomial_tail_le(n_flips: int, cutoff: int) -> Fraction:
         raise ParameterError(f"flip count must lie in 1..64, got {n_flips}")
     if not 0 <= cutoff <= n_flips:
         raise ParameterError(f"cutoff must lie in 0..{n_flips}, got {cutoff}")
+    from fractions import Fraction  # loads decimal; no command needs it
+
     total = sum(math.comb(n_flips, j) for j in range(cutoff + 1))
     return Fraction(total, 2**n_flips)

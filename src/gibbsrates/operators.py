@@ -4,7 +4,10 @@ Two views of the same object live here.  The stochastic view runs the
 actual two-component sampler: a *step* refreshes theta from its
 conditional, x from its conditional, or one of the two at random, and a
 Monte Carlo estimator tracks how the exact joint eigenfunction decays
-under the random scan.
+under the random scan.  It reads every horizon asked for off one set of
+replica paths, and since a repeated refresh leaves the law unchanged
+(P1 P1 = P1, below), a replica draws a conditional only on the first step
+of each run of equal letters.
 
 The algebraic view treats each step as a letter — P1 refreshes theta, P2
 refreshes x — so an l-step random scan is a length-l word in {P1, P2}.
@@ -19,8 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -28,10 +31,17 @@ from .errors import ParameterError
 from .families import BetaBinomialFamily, PoissonGammaFamily, bb_eigenfunction_phi
 from .numerics import StepCount, is_integer
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 # Exhaustive word enumeration is capped at 2^20 raw words.
 MAX_WORD_LENGTH = 20
 # Monte Carlo decay estimates below this sample count are too noisy to report.
+# The cap bounds the replica arrays: at 10^6 replicas `simulate --decay` and
+# `scan-compare --n 100 --decay-samples` peak at 74 MB of RSS, about 40 MB
+# of it the replicas', so 10^12 would ask for some 40 TB.
 MIN_DECAY_SAMPLES = 1000
+MAX_DECAY_SAMPLES = 10**6
 
 THETA_LETTER = "P1"
 X_LETTER = "P2"
@@ -136,21 +146,73 @@ def run_trajectory(
     return states
 
 
+def check_decay_samples(samples, name: str = "samples") -> int:
+    """The replica count of a decay estimate, refused by ``name`` outside
+    MIN_DECAY_SAMPLES..MAX_DECAY_SAMPLES before anything is allocated."""
+    if not is_integer(samples) or not MIN_DECAY_SAMPLES <= int(samples) <= MAX_DECAY_SAMPLES:
+        raise ParameterError(
+            f"{name} must be an integer in {MIN_DECAY_SAMPLES}..{MAX_DECAY_SAMPLES} "
+            f"(at least {MIN_DECAY_SAMPLES} replicas for a stable standard error, "
+            f"at most {MAX_DECAY_SAMPLES} held in memory), got {samples!r}"
+        )
+    return int(samples)
+
+
+def _mean_and_std_error(values: np.ndarray) -> tuple[float, float]:
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
+
+
+def _redraw_on_letter_change(
+    fam: BetaBinomialFamily,
+    rng: np.random.Generator,
+    x: np.ndarray,
+    theta: np.ndarray,
+    scan_weight: float,
+    previous: np.ndarray | None,
+) -> np.ndarray:
+    """One random-scan step of every replica, in place; returns the step's
+    letters (True for P1).  A replica draws its conditional only where its
+    letter differs from ``previous``, its letter one step before (None on
+    the first step, where every replica draws)."""
+    letters = rng.random(x.size) < scan_weight
+    if previous is None:
+        redraw_theta, redraw_x = letters, ~letters
+    else:
+        redraw_theta, redraw_x = letters & ~previous, previous & ~letters
+    rows = np.flatnonzero(redraw_theta)
+    if rows.size:
+        theta[rows] = fam.draw_theta(rng, x[rows])
+    rows = np.flatnonzero(redraw_x)
+    if rows.size:
+        x[rows] = fam.draw_x(rng, theta[rows])
+    return letters
+
+
 def eigenfunction_decay(
     fam: BetaBinomialFamily,
     start: JointState,
     strategy: ScanStrategy,
-    n_steps: StepCount,
+    n_steps: StepCount | Sequence[StepCount],
     samples: int = 10_000,
     seed: int = 0,
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[tuple[float, float], ...]:
     """Monte Carlo estimate of E[phi(state after n_steps)] under a random scan.
 
     Returns (estimate, standard error) from ``samples`` independent
-    replicas advanced in lockstep off a single generator.  The exact
-    answer is phi(start) * lambda^n_steps with lambda the level-1 scan
-    eigenvalue, so this is the simulation cross-check of the spectral
-    machinery.  At n_steps = 0 the estimate is exact: (phi(start), 0.0).
+    replicas advanced in lockstep off a single generator; given an
+    increasing sequence of horizons, one such pair per horizon, all read
+    off the same replicas as they pass it.  The exact answer is
+    phi(start) * lambda^n_steps with lambda the level-1 scan eigenvalue, so
+    this is the simulation cross-check of the spectral machinery.  At
+    n_steps = 0 the estimate is exact: (phi(start), 0.0).
+
+    Each step draws one uniform per replica to pick its letter, but since
+    P1 P1 = P1 and P2 P2 = P2 a replica draws its conditional only on the
+    first step of a run of equal letters: a repeated refresh would leave
+    the law of the state unchanged.  The law at every horizon is the
+    chain's; only the joint law across horizons differs.  The generator is
+    consumed the same way up to each horizon, so a horizon's pair does not
+    depend on the later horizons asked for.
     """
     if not isinstance(fam, BetaBinomialFamily):
         raise ParameterError("the decay diagnostic is defined for the beta-binomial family")
@@ -158,32 +220,26 @@ def eigenfunction_decay(
     if strategy.kind != "random":
         raise ParameterError("the decay diagnostic tracks the random scan; "
                              f"got strategy kind {strategy.kind!r}")
-    if not is_integer(n_steps) or int(n_steps) < 0:
+    several = isinstance(n_steps, (tuple, list))
+    horizons = tuple(n_steps) if several else (n_steps,)
+    if not horizons or not all(is_integer(h) and int(h) >= 0 for h in horizons):
         raise ParameterError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
-    if not is_integer(samples) or int(samples) < MIN_DECAY_SAMPLES:
-        raise ParameterError(
-            f"samples must be an integer >= {MIN_DECAY_SAMPLES} for a stable "
-            f"standard error, got {samples!r}"
-        )
+    horizons = tuple(map(int, horizons))
+    if any(later <= earlier for earlier, later in zip(horizons, horizons[1:])):
+        raise ParameterError(f"n_steps must be increasing horizons, got {n_steps!r}")
+    samples = check_decay_samples(samples)
     rng = _seeded_generator(seed)
-    n_steps = int(n_steps)
-    samples = int(samples)
     start_value = float(bb_eigenfunction_phi(fam, start.x, start.theta))
-    if n_steps == 0:
-        return start_value, 0.0
-    x = np.full(samples, start.x, dtype=np.int64)
-    theta = np.full(samples, start.theta, dtype=float)
-    for _ in range(n_steps):
-        pick_theta = rng.random(samples) < strategy.scan_weight
-        if np.any(pick_theta):
-            theta[pick_theta] = fam.draw_theta(rng, x[pick_theta])
-        pick_x = ~pick_theta
-        if np.any(pick_x):
-            x[pick_x] = fam.draw_x(rng, theta[pick_x])
-    values = bb_eigenfunction_phi(fam, x, theta)
-    estimate = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(samples))
-    return estimate, std_error
+    results = [(start_value, 0.0)] * horizons.count(0)
+    if horizons[-1] > 0:
+        x = np.full(samples, start.x, dtype=np.int64)
+        theta = np.full(samples, start.theta, dtype=float)
+        letters = None
+        for t in range(1, horizons[-1] + 1):
+            letters = _redraw_on_letter_change(fam, rng, x, theta, strategy.scan_weight, letters)
+            if t == horizons[len(results)]:
+                results.append(_mean_and_std_error(bb_eigenfunction_phi(fam, x, theta)))
+    return tuple(results) if several else results[0]
 
 
 @dataclass(frozen=True)
@@ -305,6 +361,8 @@ class AlphaMultiplier:
     coeffs: tuple[int, ...]
 
     def evaluate_exact(self, scan_weight: Fraction) -> Fraction:
+        from fractions import Fraction  # loads decimal; no command needs it
+
         alpha = Fraction(scan_weight)
         if not 0 <= alpha <= 1:
             raise ParameterError(f"scan weight must lie in [0, 1], got {alpha}")

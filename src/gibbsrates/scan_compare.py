@@ -74,6 +74,7 @@ from .operators import (
     THETA_LETTER,
     JointState,
     ScanStrategy,
+    check_decay_samples,
     collapse_census,
     eigenfunction_decay,
 )
@@ -553,7 +554,8 @@ def compare(
     and that curve's first crossing of the target.  ``d``, ``r`` and
     ``v_x0`` parameterize the drift/minorization summary entry;
     ``decay_samples > 0`` additionally runs the Monte Carlo eigenfunction
-    cross-check with that many replicas.
+    cross-check with that many replicas, one set of paths seeded by ``seed``
+    and read at each horizon of ``DECAY_CHECK_STEPS``.
     """
     if not is_integer(n) or not 1 <= int(n) <= MAX_COMPARE_N:
         raise ParameterError(
@@ -567,6 +569,8 @@ def compare(
         )
     max_steps = int(max_steps)
     target = check_target(target)
+    if decay_samples:
+        check_decay_samples(decay_samples, "decay_samples")
 
     fam = BetaBinomialFamily(n=n)
     basis = gram_basis(fam)
@@ -621,11 +625,15 @@ def compare(
         theta0 = 0.0 if worst.start <= n / 2 else 1.0
         start_state = JointState(x=worst.start, theta=theta0)
         phi0 = float(bb_eigenfunction_phi(fam, worst.start, theta0))
-        strategy = ScanStrategy.random_scan(0.5)
-        for index, length in enumerate(DECAY_CHECK_STEPS):
-            observed, std_error = eigenfunction_decay(
-                fam, start_state, strategy, length, samples=decay_samples, seed=seed + index
-            )
+        estimates = eigenfunction_decay(
+            fam,
+            start_state,
+            ScanStrategy.random_scan(0.5),
+            DECAY_CHECK_STEPS,
+            samples=decay_samples,
+            seed=seed,
+        )
+        for length, (observed, std_error) in zip(DECAY_CHECK_STEPS, estimates):
             decay_rows.append(
                 DecayCheckRow(
                     steps=length,

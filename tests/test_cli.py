@@ -358,6 +358,23 @@ def test_negative_seed_exits_2(run_cli, argv):
     assert err.startswith("error: seed must be a nonnegative integer, got -1")
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["simulate", "--decay", "--n", "10", "--scan", "random", "--steps", "3",
+          "--start-x", "1", "--start-theta", "0.5", "--samples", "1000000000000"], "samples"),
+        (["scan-compare", "--n", "100", "--decay-samples", "1000000000000"], "decay_samples"),
+    ],
+)
+def test_decay_replicas_over_the_cap_exit_2(run_cli, argv, name):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: {name} must be an integer in 1000..1000000 (at least 1000 replicas "
+        "for a stable standard error, at most 1000000 held in memory), got 1000000000000\n"
+    )
+
+
 def test_simulate_weight_with_systematic_scan_fails(run_cli):
     code, out, err = run_cli(
         ["simulate", "--family", "bb", "--n", "5", "--scan-weight", "0.5",
@@ -669,6 +686,29 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["result"]["total"] == 4
+
+
+def test_a_closed_stdout_pipe_exits_quietly():
+    # The reader takes one line and closes its end, as `| head -1` does; a
+    # 20 000-row report is far more than a pipe buffer, so the writer meets
+    # the closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gibbsrates", "scan-compare", "--n", "100",
+         "--steps-max", "20000", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.startswith(b"# config: ")
+    assert (code, err) == (cli.EXIT_CLOSED_STDOUT, b"")
+    assert cli.EXIT_CLOSED_STDOUT == 141
 
 
 # ---------------------------------------------------------------------------

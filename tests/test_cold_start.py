@@ -112,3 +112,27 @@ def test_the_gram_basis_loads_no_scipy_linalg(tmp_path):
         modules = loaded[" ".join(argv)]
         assert not [m for m in modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")]
         assert modules == [], modules
+
+
+def test_import_and_commands_load_no_fractions(tmp_path):
+    # fractions (and with it decimal) serves only the exact binomial tails
+    # and word multipliers, which no command evaluates; importing it cost
+    # each cold process about 4 ms.
+    code = (
+        "import contextlib, io, sys, gibbsrates, gibbsrates.cli\n"
+        "for argv in ([], ['scan-compare', '--n', '20', '--decay-samples', '1000'],"
+        " ['words', '--len', '4']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        argv and gibbsrates.cli.main(argv)\n"
+        "    print(sorted({'fractions', 'decimal', '_decimal'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]

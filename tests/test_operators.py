@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +226,126 @@ def test_decay_validation():
         eigenfunction_decay(fam, start, random, 1, samples=999)
     with pytest.raises(ParameterError):
         eigenfunction_decay(fam, start, random, -1)
+    for horizons in ((), (1, 1), (2, 1), (0, -1), (1, 2.0), [True, 2]):
+        with pytest.raises(ParameterError, match="n_steps"):
+            eigenfunction_decay(fam, start, random, horizons, samples=1000)
+
+
+def test_decay_refuses_replicas_over_the_cap_before_allocating():
+    # 10^12 replicas would be terabytes of arrays: the count is refused by
+    # name before the generator or any replica array exists.
+    fam = BetaBinomialFamily(n=4)
+    start = JointState(x=2, theta=0.5)
+    tracemalloc.start()
+    try:
+        for samples in (10**12, operators.MAX_DECAY_SAMPLES + 1):
+            with pytest.raises(ParameterError, match=r"samples must be an integer in 1000\.\.1000000"):
+                eigenfunction_decay(fam, start, ScanStrategy.random_scan(0.5), 5, samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_decay_horizons_share_one_set_of_paths():
+    # The generator is consumed the same way up to each horizon, so every
+    # horizon of a multi-horizon call is bit for bit its own single call.
+    fam = BetaBinomialFamily(n=10)
+    start = JointState(x=10, theta=1.0)
+    random = ScanStrategy.random_scan(0.5)
+    horizons = (0, 1, 2, 5, 10)
+    together = eigenfunction_decay(fam, start, random, horizons, samples=5000, seed=9)
+    assert together == eigenfunction_decay(fam, start, random, list(horizons), samples=5000, seed=9)
+    assert len(together) == len(horizons)
+    assert together[0] == (bb_eigenfunction_phi(fam, 10, 1.0), 0.0)
+    for steps, pair in zip(horizons, together):
+        assert eigenfunction_decay(fam, start, random, steps, samples=5000, seed=9) == pair
+    assert eigenfunction_decay(fam, start, random, (0,), samples=5000) == (together[0],)
+
+
+def _spy_draws(monkeypatch):
+    """Count the conditional draws of the beta-binomial family, per step
+    of the decay loop, coordinate by coordinate."""
+    draws = []
+
+    def spy(name):
+        original = getattr(BetaBinomialFamily, name)
+
+        def draw(self, rng, values):
+            draws.append((name, np.size(values)))
+            return original(self, rng, values)
+
+        monkeypatch.setattr(BetaBinomialFamily, name, draw)
+
+    spy("draw_theta")
+    spy("draw_x")
+    return draws
+
+
+@pytest.mark.parametrize("weight, letter", [(0.0, "draw_x"), (1.0, "draw_theta")])
+def test_decay_at_a_pure_scan_weight_draws_only_on_the_first_step(monkeypatch, weight, letter):
+    # Every step repeats the first step's letter, and a repeated refresh
+    # leaves the law unchanged, so only step 1 draws.
+    draws = _spy_draws(monkeypatch)
+    fam = BetaBinomialFamily(n=6)
+    start = JointState(x=0, theta=0.25)
+    estimates = eigenfunction_decay(
+        fam, start, ScanStrategy.random_scan(weight), (1, 10), samples=2000, seed=4
+    )
+    assert draws == [(letter, 2000)]
+    assert estimates[0] == estimates[1]
+
+
+def test_decay_draws_a_conditional_only_on_a_letter_change(monkeypatch):
+    # 10 steps at scan weight 1/2: one draw at step 1 and one on each of the
+    # 9 later steps whose letter changes, with probability 1/2: 5.5 draws per
+    # replica on average, against 10 for a draw every step.
+    draws = _spy_draws(monkeypatch)
+    fam = BetaBinomialFamily(n=10)
+    start = JointState(x=10, theta=1.0)
+    samples = 20_000
+    eigenfunction_decay(fam, start, ScanStrategy.random_scan(0.5), 10, samples=samples, seed=2)
+    total = sum(size for _, size in draws)
+    assert abs(total - 5.5 * samples) < 6 * math.sqrt(9 * 0.25 * samples)
+
+
+def _exact_random_scan_x_law(fam, length):
+    """The x-law after ``length`` balanced random-scan steps from (0, 0),
+    summed over the reduced words with their census counts: from theta = 0
+    the first P2 leaves x at 0, and each P1 P2 after it is one sweep K."""
+    matrix, _ = bb_xchain(fam)
+    law = np.zeros(fam.n + 1)
+    for word, count in collapse_census(length).counts.items():
+        letters = word.letters[1:] if word.letters[0] == "P2" else word.letters
+        sweeps = len(letters) // 2
+        law += count / 2**length * np.linalg.matrix_power(matrix.entries, sweeps)[0]
+    return law
+
+
+def test_decay_paths_follow_the_random_scan_law_at_every_horizon():
+    # The x-law of the replicas at horizons 1, 2, 3 and 10 against the exact
+    # law of the random scan, by chi-square.  At horizon 1 every word leaves
+    # x at 0.
+    scipy_stats = pytest.importorskip("scipy.stats")
+    fam = BetaBinomialFamily(n=3)
+    samples = 100_000
+    rng = np.random.default_rng(31)
+    x = np.zeros(samples, dtype=np.int64)
+    theta = np.zeros(samples)
+    letters = None
+    for t in range(1, 11):
+        letters = operators._redraw_on_letter_change(fam, rng, x, theta, 0.5, letters)
+        if t not in (1, 2, 3, 10):
+            continue
+        counts = np.bincount(x, minlength=fam.n + 1)
+        expected = samples * _exact_random_scan_x_law(fam, t)
+        support = expected > 0.0
+        assert counts[~support].sum() == 0
+        if support.sum() > 1:
+            result = scipy_stats.chisquare(counts[support], expected[support])
+            assert result.pvalue > 1e-4, (t, counts, expected)
+        else:
+            assert t == 1 and counts[0] == samples
 
 
 # ---------------------------------------------------------------------------

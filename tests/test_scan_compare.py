@@ -627,6 +627,33 @@ def test_compare_decay_check_rows():
         assert abs(z) < 4.0
 
 
+def test_compare_decay_check_draws_once_per_run_of_letters(monkeypatch):
+    # One set of paths serves all four horizons, and a replica draws only
+    # when its letter changes: about 1 + 9/2 = 5.5 conditional draws per
+    # replica, against 1 + 2 + 5 + 10 = 18 for a fresh run per horizon.
+    drawn = []
+    for name in ("draw_theta", "draw_x"):
+        original = getattr(families.BetaBinomialFamily, name)
+
+        def draw(self, rng, values, original=original):
+            drawn.append(np.size(values))
+            return original(self, rng, values)
+
+        monkeypatch.setattr(families.BetaBinomialFamily, name, draw)
+    report = compare(n=100, decay_samples=100_000)
+    assert len(report.decay_check) == len(DECAY_CHECK_STEPS)
+    assert sum(drawn) <= 650_000
+
+
+def test_compare_refuses_decay_replicas_over_the_cap_before_the_comparison(monkeypatch):
+    def build(fam):
+        raise AssertionError("built a basis for a query it refuses")
+
+    monkeypatch.setattr(scan_compare, "gram_basis", build)
+    with pytest.raises(ParameterError, match=r"^decay_samples must be an integer in 1000\.\.1000000"):
+        compare(n=100, decay_samples=10**12)
+
+
 def test_compare_without_decay_has_no_rows(compare100):
     assert compare100.decay_check == ()
 
