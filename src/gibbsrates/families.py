@@ -498,9 +498,8 @@ class OrthonormalBasis:
     x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1}, or is None for a basis
     whose polynomials are read from its columns.  ``log_eigenvalues`` holds
     log lambda_0..lambda_{K+1}: level K + 1 is the rate of the tail the
-    basis leaves out.  ``step_error`` bounds, per step, how far in TV the
-    family's dense x-chain and its stationary law stray from the chain this
-    basis diagonalizes, with the dense loop's rounding included.
+    basis leaves out.  It holds no error against any dense chain: a
+    certificate takes its per-step error from its caller.
     """
 
     log_mass: np.ndarray
@@ -508,7 +507,6 @@ class OrthonormalBasis:
     gram_residual: float
     recurrence: tuple[np.ndarray, np.ndarray] | None
     log_eigenvalues: np.ndarray
-    step_error: float
 
     @property
     def levels(self) -> int:
@@ -546,8 +544,7 @@ def _three_term(first: np.ndarray, x: np.ndarray, a, b, levels: int) -> np.ndarr
 
 
 def _orthonormal_basis(
-    log_mass: np.ndarray, a: np.ndarray, b: np.ndarray, log_eigenvalues: np.ndarray,
-    step_error: float,
+    log_mass: np.ndarray, a: np.ndarray, b: np.ndarray, log_eigenvalues: np.ndarray
 ) -> OrthonormalBasis:
     """The basis phi_0..phi_K of m = exp(``log_mass``), K chosen by its Gram matrix.
 
@@ -575,7 +572,6 @@ def _orthonormal_basis(
         gram_residual=float(residual[levels]),
         recurrence=(a[: levels + 1], b[: levels + 1]),
         log_eigenvalues=log_eigenvalues[: levels + 2],
-        step_error=float(step_error),
     )
 
 
@@ -587,10 +583,8 @@ def meixner_basis(fam: PoissonGammaFamily) -> OrthonormalBasis:
     three-term recurrence with a_k = (k + (k + shape) c)/(1 - c) and
     b_k = sqrt(k (k + shape - 1) c)/(1 - c) (Koekoek, Lesky & Swarttouw,
     section 9.10); lambda_k = (1 + rate)^-k.  Beyond the forward
-    recurrence, the tail cut at x_max costs the far levels accuracy.  Per
-    step the truncated dense chain drops a row tail below
-    ``TRUNCATION_TOL``, and its stationary law differs from m by less; with
-    the dense loop's dim ulps that is the step error.
+    recurrence, the tail cut at x_max costs the far levels accuracy.  The
+    truncation's per-step error is set by ``scan_compare._pg_certified_crossings``.
     """
     c = 1.0 / (1.0 + fam.rate)
     k = np.arange(min(BASIS_MAX_LEVEL, fam.x_max) + 2, dtype=float)
@@ -600,9 +594,7 @@ def meixner_basis(fam: PoissonGammaFamily) -> OrthonormalBasis:
         math.log(fam.rate) - math.log1p(fam.rate)
     )
     log_eigenvalues = k * math.log(fam.meixner_eigenvalue(1))
-    return _orthonormal_basis(
-        log_mass, a, b, log_eigenvalues, TRUNCATION_TOL + (fam.x_max + 1) * EPS
-    )
+    return _orthonormal_basis(log_mass, a, b, log_eigenvalues)
 
 
 def _hahn_rows(n: int, levels: np.ndarray) -> np.ndarray:
@@ -661,16 +653,9 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     or level 2's term: the cut of ``scan_compare._basis_tv`` could never
     keep it, and the curve is the one the whole n + 1-level expansion gives.
     ``gram_residual`` covers levels 0..``BASIS_MAX_LEVEL``, the ones the
-    certified worst-start search sums.
-    The step error covers ``bb_xchain``: each of its log entries sums
-    log-gamma values whose magnitudes add up to at most 3 lgamma(2n + 2)
-    (three in the log binomial coefficient, three in the log beta function,
-    with arguments at most 2n + 2), so rounding each to half an ulp of its
-    size moves an entry by at most 1.5 lgamma(2n + 2) ulps relatively, and
-    a normalized row by at most 3 lgamma(2n + 2) ulps in L1, twice what its
-    TV needs.  The same count bounds its uniform stationary law, and the
-    dense loop adds dim ulps per step.  More than ``MAX_DENSE_STATES``
-    states are refused.
+    certified worst-start search sums; it bounds the curve ``_basis_tv``
+    prints, so the basis carries no error against ``bb_xchain``.  More than
+    ``MAX_DENSE_STATES`` states are refused.
     """
     fam.require_flat_prior("the Gram basis")
     check_dense_states(fam.n + 1)
@@ -682,8 +667,7 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     with np.errstate(divide="ignore"):  # lambda_{n+1} = 0
         log_eigenvalues = np.log(np.concatenate([[1.0], _hahn_eigenvalues(n, n + 1)]))
     log_mass = np.full(n + 1, -math.log(n + 1.0))
-    step_error = 3.0 * float(gammaln(2.0 * n + 2.0)) * EPS + (n + 1) * EPS
-    head = _orthonormal_basis(log_mass, a, b, log_eigenvalues, step_error)
+    head = _orthonormal_basis(log_mass, a, b, log_eigenvalues)
     levels = n
     if n > BASIS_MAX_LEVEL:
         # With p_k = sqrt(n + 1) phi_k, the sqrt(n + 1) of both sides cancels.
@@ -698,7 +682,6 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
         gram_residual=float(np.abs(summed @ summed.T - np.eye(summed.shape[0])).max()),
         recurrence=None,
         log_eigenvalues=log_eigenvalues[: levels + 2],
-        step_error=step_error,
     )
 
 

@@ -39,9 +39,11 @@ MAX_WORD_LENGTH = 20
 # Monte Carlo decay estimates below this sample count are too noisy to report.
 # The cap bounds the replica arrays: at 10^6 replicas `simulate --decay` and
 # `scan-compare --n 100 --decay-samples` peak at 74 MB of RSS, about 40 MB
-# of it the replicas', so 10^12 would ask for some 40 TB.
+# of it the replicas', so 10^12 would ask for some 40 TB.  At about 60 ns
+# a replica-step, the replica-step cap is about 6 s of work.
 MIN_DECAY_SAMPLES = 1000
 MAX_DECAY_SAMPLES = 10**6
+MAX_DECAY_REPLICA_STEPS = 10**8
 
 THETA_LETTER = "P1"
 X_LETTER = "P2"
@@ -122,11 +124,11 @@ def step(
     return JointState(x=int(fam.draw_x(rng, state.theta)), theta=state.theta)
 
 
-def _seeded_generator(seed: int) -> np.random.Generator:
-    """A generator for a nonnegative integer seed; anything else is refused."""
+def check_seed(seed) -> int:
+    """A generator's seed: a nonnegative integer; anything else is refused."""
     if not is_integer(seed) or seed < 0:
         raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    return seed
 
 
 def run_trajectory(
@@ -139,7 +141,7 @@ def run_trajectory(
     """Simulate ``n_steps`` steps from ``start``; returns n_steps + 1 states."""
     if not is_integer(n_steps) or int(n_steps) < 0:
         raise ParameterError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
-    rng = _seeded_generator(seed)
+    rng = np.random.default_rng(check_seed(seed))
     states = [start]
     for _ in range(int(n_steps)):
         states.append(step(fam, states[-1], strategy, rng))
@@ -228,7 +230,10 @@ def eigenfunction_decay(
     if any(later <= earlier for earlier, later in zip(horizons, horizons[1:])):
         raise ParameterError(f"n_steps must be increasing horizons, got {n_steps!r}")
     samples = check_decay_samples(samples)
-    rng = _seeded_generator(seed)
+    if samples * horizons[-1] > MAX_DECAY_REPLICA_STEPS:
+        raise ParameterError(f"samples x steps = {samples} x {horizons[-1]} exceeds the cap "
+                             f"of {MAX_DECAY_REPLICA_STEPS} replica-steps of a decay estimate")
+    rng = np.random.default_rng(check_seed(seed))
     start_value = float(bb_eigenfunction_phi(fam, start.x, start.theta))
     results = [(start_value, 0.0)] * horizons.count(0)
     if horizons[-1] > 0:

@@ -43,6 +43,7 @@ from .errors import ConvergenceError, NoSolutionError, ParameterError
 from .families import (
     BASIS_MAX_LEVEL,
     EPS,
+    TRUNCATION_TOL,
     BetaBinomialFamily,
     OrthonormalBasis,
     PoissonGammaFamily,
@@ -75,6 +76,7 @@ from .operators import (
     JointState,
     ScanStrategy,
     check_decay_samples,
+    check_seed,
     collapse_census,
     eigenfunction_decay,
 )
@@ -142,19 +144,7 @@ def check_tv_query(start, max_steps, dim: int) -> tuple[int, int]:
     return int(start), steps
 
 
-def _curve_buffers(basis: OrthonormalBasis, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The chunk buffers of ``_basis_tv`` on ``basis`` up to ``max_steps``:
-    room for a chunk's (steps, states) values and its (steps, levels)
-    coefficients.  A search allocates them once for all its curves, so a
-    fresh process does not page-fault megabytes of new temporaries per
-    chunk."""
-    rows = min(max(1, CURVE_BLOCK // basis.dim), max_steps)
-    return np.empty(rows * basis.dim), np.empty(rows * (basis.log_eigenvalues.size - 2))
-
-
-def _basis_tv(
-    basis: OrthonormalBasis, start: int, max_steps: int, buffers: tuple | None = None
-) -> np.ndarray:
+def _basis_tv(basis: OrthonormalBasis, start: int, max_steps: int) -> np.ndarray:
     """TV at steps 0..max_steps from ``start`` by the expansion of ``basis``.
 
     K^t(x, y) - m(y) = sqrt(m(y)) sum_{k>=1} lambda_k^t p_k(x) phi_k(y), so
@@ -173,15 +163,15 @@ def _basis_tv(
     that level's closed form (Diaconis, Khare & Saloff-Coste 2008),
     1/2 |lambda_k^t p_k(x)| sum_y |phi_k(y)| phi_0(y), filled in one vector
     expression.  Once a chunk keeps none, the rest is 0.0, as the
-    expansion gives.  Each chunk works in ``buffers`` (``_curve_buffers``)
-    through ``out=``.
+    expansion gives.  The chunks work through ``out=`` in two buffers.
     """
-    values, coeffs = _curve_buffers(basis, max_steps) if buffers is None else buffers
+    cap = max(1, CURVE_BLOCK // basis.dim)
+    rows = min(cap, max_steps)
+    values, coeffs = np.empty(rows * basis.dim), np.empty(rows * (basis.log_eigenvalues.size - 2))
     curve = np.empty(max_steps + 1)
     curve[0] = -math.expm1(basis.log_mass[start])
     poly = basis.polynomials([start])[1:, 0]
     log_levels = basis.log_eigenvalues[1:-1]
-    cap = max(1, CURVE_BLOCK // basis.dim)
     first, size = 1, 1
     while first <= max_steps:
         lead = np.exp(first * log_levels) * np.abs(poly)
@@ -231,9 +221,12 @@ class _StartTerms(NamedTuple):
         return _StartTerms(*(column[index] for column in self))
 
 
-def _start_terms(basis: OrthonormalBasis, starts) -> _StartTerms:
+def _start_terms(basis: OrthonormalBasis, starts, above: int = 0) -> _StartTerms:
     """``_StartTerms`` of ``starts``; the Christoffel coefficient is taken in
-    the log domain, with the subtraction's rounding added."""
+    the log domain, with the subtraction's rounding added.  A printed curve
+    that also sums ``above`` unit rows past level K, each term at most
+    lambda_{K+1}^t sqrt(1/m(x)), adds twice that per row to the tail: for
+    the term, its rounding and its share of the cut of ``_basis_tv``."""
     x = np.asarray(starts, dtype=np.int64)
     log_m = basis.log_mass[x]
     poly = basis.polynomials(x)
@@ -241,64 +234,72 @@ def _start_terms(basis: OrthonormalBasis, starts) -> _StartTerms:
         log_sum = logsumexp(2.0 * np.log(np.abs(poly)), axis=0)
         share = np.exp(log_sum + log_m)  # m(x) sum_{k<=K} p_k(x)^2, at most 1
         rest = np.maximum(1.0 - share, 0.0) + 4 * (basis.levels + 2) * EPS * share
-        log_christoffel = 0.5 * (np.log(rest) - log_m)
+        log_christoffel = np.logaddexp(0.5 * np.log(rest), np.log(2.0 * above)) - 0.5 * log_m
     unknown = ~(np.isfinite(log_christoffel) & np.isfinite(poly).all(axis=0))
     poly[0] = 0.0
     return _StartTerms(log_m, poly.T, log_christoffel, unknown)
 
 
 def _certified_tv(
-    basis: OrthonormalBasis, terms: _StartTerms, steps
+    basis: OrthonormalBasis, terms: _StartTerms, steps, step_error: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """TV_K from each start at its row of ``steps``, and a bound on its distance
-    to the dense TV, both of the shape of ``steps`` (one row per start).
+    to the reported TV, both of the shape of ``steps`` (one row per start).
 
     From a start x the chain ``basis`` diagonalizes has
-    K^t(x, y) - m(y) = sqrt(m(y)) sum_{k>=1} lambda_k^t p_k(x) phi_k(y), so
-    TV_K(t) = 1/2 sum_y sqrt(m(y)) |sum_{1<=k<=K} lambda_k^t p_k(x) phi_k(y)|,
-    one (pairs x K)(K x dim) product.  Its distance to the TV the dense loop
-    prints is at most the sum of:
+    K^t(x, y) - m(y) = sqrt(m(y)) sum_{k>=1} c_k phi_k(y), c_k = lambda_k^t p_k(x),
+    so TV_K(t) = 1/2 sum_y sqrt(m(y)) |sum_{1<=k<=K} c_k phi_k(y)|, one
+    (pairs x K)(K x dim) product.  Its distance to the reported TV is at
+    most the sum of:
 
     * the Christoffel tail 1/2 lambda_{K+1}^t sqrt(1/m(x) - sum_{k<=K} p_k(x)^2)
       (Cauchy-Schwarz over the levels above K, whose p_k(x)^2 sum to the
       rest of 1/m(x));
-    * (t + 1) times the basis's ``step_error``: one per step of the dense
-      chain, and one for its stationary law;
-    * rounding: the basis's Gram residual plus 4 (K + 2) ulps, times
-      1/2 sum_k |lambda_k^t p_k(x)|.
+    * (t + 1) times ``step_error``, the caller's bound on how far per step
+      the chain it reports strays from the one ``basis`` diagonalizes, with
+      one more for its stationary law: 0 where it reports the expansion;
+    * rounding: 1/2 sum_k |c_k| times the basis's Gram residual plus
+      4 (K + 2) + 2 dim + |t log lambda_k| ulps at level k, for this sum and
+      the curve ``_basis_tv`` prints.  Each takes c_k from
+      exp(t log lambda_k) within (|t log lambda_k| + 4)/2 ulps, then sums K + 1
+      (here) or under dim (there) levels and dim states, half an ulp per
+      term as sum_y sqrt(m(y)) |phi_k(y)| <= 1; the cut of ``_basis_tv``,
+      under dim levels each below EPS / dim of the largest |c_k|, adds one.
 
     Step 0 is read exactly as 1 - m(x), within one ``step_error``.  A start
     whose polynomials or Christoffel tail overflow gets an infinite bound.
     """
     t = np.asarray(steps, dtype=np.int64).reshape(terms.log_mass.size, -1)
-    rounding = 0.5 * (basis.gram_residual + 4 * (basis.levels + 2) * EPS)
+    rounding = basis.gram_residual + (4 * (basis.levels + 2) + 2 * basis.dim) * EPS
     log_levels, log_tail = basis.log_eigenvalues[:-1], basis.log_eigenvalues[-1]
     tv = np.empty(t.shape)
-    error = (t + 1) * basis.step_error
+    error = (t + 1) * step_error
     chunk = max(1, CERTIFY_BLOCK // (t.shape[1] * basis.dim))
     # Step 0 makes 0 * -inf of a zero tail rate; its entries are replaced below.
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, t.shape[0], chunk):
             part = slice(first, first + chunk)
-            # coeff[s, p, k] = lambda_k^t[s, p] p_k(x_s)
-            coeff = np.exp(t[part, :, None] * log_levels) * terms.poly[part, None, :]
+            # exponent[s, p, k] = t[s, p] log lambda_k, and coeff its c_k at x_s
+            exponent = t[part, :, None] * log_levels
+            coeff = np.exp(exponent) * terms.poly[part, None, :]
             flat = coeff.reshape(-1, basis.levels + 1)
             tv[part] = (0.5 * (np.abs(flat @ basis.phi) @ basis.phi[0])).reshape(coeff.shape[:2])
-            error[part] += (
-                0.5 * np.exp(t[part] * log_tail + terms.log_christoffel[part, None])
-                + rounding * np.abs(coeff).sum(axis=2)
+            error[part] += 0.5 * (
+                np.exp(t[part] * log_tail + terms.log_christoffel[part, None])
+                + (np.abs(coeff) * (rounding - EPS * exponent)).sum(axis=2)
             )
     at_zero = t == 0
     tv[at_zero] = -np.expm1(np.broadcast_to(terms.log_mass[:, None], t.shape)[at_zero])
-    error[at_zero] = basis.step_error
+    error[at_zero] = step_error
     error[terms.unknown] = np.inf
     return tv, error
 
 
 def _certified_crossings(
-    basis: OrthonormalBasis, terms: _StartTerms, target: float, last: int
+    basis: OrthonormalBasis, terms: _StartTerms, target: float, last: int, step_error: float
 ) -> np.ndarray:
-    """Each start's crossing of the target where ``_certified_tv`` decides it.
+    """Each start's crossing of the target where ``_certified_tv``, with the
+    caller's ``step_error``, decides it.
 
     A decided start gets its crossing in 0..``last``, or ``last`` + 1 if it
     is certified above the target at step ``last``; an undecided one gets
@@ -325,7 +326,7 @@ def _certified_crossings(
         stride = np.where(high_i <= last, 0, np.maximum(low_i + 1, 1))
         spread = (high_i - low_i - 1) * probes // CERTIFY_PROBES
         steps = np.minimum(low_i + 1 + np.where(stride > 0, stride * probes, spread), last)
-        tv, error = _certified_tv(basis, terms.take(index), steps)
+        tv, error = _certified_tv(basis, terms.take(index), steps, step_error)
         below = tv + error <= target
         hit = below.any(axis=1)
         first = np.where(hit, np.argmax(below, axis=1), CERTIFY_PROBES)
@@ -368,12 +369,14 @@ def worst_start_search(
     the curve ``compare`` prints.  The candidate is the first start
     maximizing |p_1(x)|, the start the slowest eigenfunction weighs most;
     its curve gives its crossing t*.  The certificate (``_certified_tv`` on
-    levels 0..``BASIS_MAX_LEVEL``, the Christoffel tail covering the rest)
-    only proves that no other start is slower: that every later start is
-    at or below the target at t* and every earlier one at t* - 1.  Each
-    start that fails this gets the crossing of its own curve, and the worst
-    is the first maximum over the candidate and those starts.  Only the
-    current worst curve is held.
+    levels 0..``BASIS_MAX_LEVEL``, the Christoffel tail covering the rest
+    and the basis's own rows above them) bounds each start's distance to
+    that printed curve, so it has no per-step error.  It only proves that
+    no other start is slower: that every later start is at or below the
+    target at t* and every earlier one at t* - 1.  Each start that fails
+    this gets the crossing of its own curve, and the worst is the first
+    maximum over the candidate and those starts.  Only the current worst
+    curve is held.
     """
     target = check_target(target)
     max_steps = int(max_steps)
@@ -383,12 +386,10 @@ def worst_start_search(
         log_eigenvalues=basis.log_eigenvalues[: BASIS_MAX_LEVEL + 2],
     )
     states = np.arange(basis.dim)
-    terms = _start_terms(head, states)
-
-    buffers = _curve_buffers(basis, max_steps)
+    terms = _start_terms(head, states, basis.levels - head.levels)
 
     def own_crossing(start: int) -> tuple[int, np.ndarray]:
-        curve = _basis_tv(basis, start, max_steps, buffers)
+        curve = _basis_tv(basis, start, max_steps)
         hit = first_crossing(curve, target)
         if hit is None:
             raise _not_reached(target, max_steps)
@@ -400,7 +401,7 @@ def worst_start_search(
     # target for the candidate to be the first start to need ``worst`` steps.
     bound = np.where(states < candidate, worst - 1, worst)
     others = np.flatnonzero((states != candidate) & (bound >= 0))
-    tv, error = _certified_tv(head, terms.take(others), bound[others])
+    tv, error = _certified_tv(head, terms.take(others), bound[others], 0.0)
     start = candidate
     for x in others[(tv + error > target)[:, 0]]:
         hit, own = own_crossing(int(x))
@@ -571,6 +572,7 @@ def compare(
     target = check_target(target)
     if decay_samples:
         check_decay_samples(decay_samples, "decay_samples")
+        check_seed(seed)
 
     fam = BetaBinomialFamily(n=n)
     basis = gram_basis(fam)
@@ -785,15 +787,18 @@ class PgMixingDemo:
 def _pg_certified_crossings(fam: PoissonGammaFamily, starts, target: float) -> np.ndarray:
     """Each start's crossing where the Meixner expansion certifies it, else -1.
 
-    ``_certified_crossings`` on ``meixner_basis(fam)``, whose step error
-    holds the truncation: the untruncated chain the basis diagonalizes and
-    the truncated dense one differ by a row tail below ``TRUNCATION_TOL``
-    per step.  A start not settled within ``MAX_COMPARE_STEPS`` steps, or
+    ``_certified_crossings`` on ``meixner_basis(fam)`` bounds the distance
+    to the truncated dense chain, whose crossing is reported: it differs
+    from the chain the basis diagonalizes per step by a row tail below
+    ``TRUNCATION_TOL``, its stationary law by less, and the dense loop adds
+    dim ulps.  A start not settled within ``MAX_COMPARE_STEPS`` steps, or
     before the (t + 1) step terms alone reach the target, is left at -1.
     """
     basis = meixner_basis(fam)
-    last = min(MAX_COMPARE_STEPS, int(target / basis.step_error))
-    crossing = _certified_crossings(basis, _start_terms(basis, starts), target, last)
+    step_error = TRUNCATION_TOL + (fam.x_max + 1) * EPS
+    last = min(MAX_COMPARE_STEPS, int(target / step_error))
+    terms = _start_terms(basis, starts)
+    crossing = _certified_crossings(basis, terms, target, last, step_error)
     crossing[crossing > last] = -1
     return crossing
 

@@ -364,11 +364,19 @@ def test_negative_seed_exits_2(run_cli, argv):
         (["simulate", "--decay", "--n", "10", "--scan", "random", "--steps", "3",
           "--start-x", "1", "--start-theta", "0.5", "--samples", "1000000000000"], "samples"),
         (["scan-compare", "--n", "100", "--decay-samples", "1000000000000"], "decay_samples"),
+        (["simulate", "--decay", "--n", "10", "--scan", "random", "--steps", "100001",
+          "--start-x", "1", "--start-theta", "0.5", "--samples", "1000"], "steps"),
     ],
 )
 def test_decay_replicas_over_the_cap_exit_2(run_cli, argv, name):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
+    if name == "steps":
+        assert err == (
+            "error: samples x steps = 1000 x 100001 exceeds the cap of 100000000 "
+            "replica-steps of a decay estimate\n"
+        )
+        return
     assert err == (
         f"error: {name} must be an integer in 1000..1000000 (at least 1000 replicas "
         "for a stable standard error, at most 1000000 held in memory), got 1000000000000\n"

@@ -798,33 +798,6 @@ def test_gram_rows_match_a_40_digit_recurrence(n):
     np.testing.assert_allclose(basis.phi[levels][:, states], reference, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("n", [100, 600, 2000])
-def test_gram_step_error_covers_bb_xchain_rows(n):
-    # Against a 30-digit kernel, the L1 error of bb_xchain's rows stays
-    # within half of the certificate's per-step term.
-    mpmath = pytest.importorskip("mpmath")
-    starts = (0, n // 3, n // 2, n)
-    rows = _exact_kernel_rows(mpmath, n, starts)
-    entries = bb_xchain(BetaBinomialFamily(n=n))[0].entries
-    with mpmath.workdps(30):
-        errors = [
-            sum(abs(float(mpmath.mpf(entries[x, y]) - exact)) for y, exact in enumerate(row))
-            for x, row in zip(starts, rows)
-        ]
-    assert 2.0 * max(errors) <= gram_basis(BetaBinomialFamily(n=n)).step_error
-
-
-@pytest.mark.parametrize("n", [1, 100, 2000])
-def test_gram_step_error_keeps_the_gammaln_margin(n):
-    # numerics.gammaln(2n + 2) has the bits of scipy's gammaln, so the
-    # margin is the one scipy's value gives, exactly.
-    from scipy.special import gammaln
-
-    reference = 3.0 * float(gammaln(2.0 * n + 2.0)) * families.EPS + (n + 1) * families.EPS
-    step_error = gram_basis(BetaBinomialFamily(n=n)).step_error
-    assert type(step_error) is float and step_error == reference
-
-
 # ---------------------------------------------------------------------------
 # SpectralData container
 # ---------------------------------------------------------------------------

@@ -241,6 +241,12 @@ def test_decay_refuses_replicas_over_the_cap_before_allocating():
         for samples in (10**12, operators.MAX_DECAY_SAMPLES + 1):
             with pytest.raises(ParameterError, match=r"samples must be an integer in 1000\.\.1000000"):
                 eigenfunction_decay(fam, start, ScanStrategy.random_scan(0.5), 5, samples=samples)
+        # So are more than 10^8 replica-steps, about 6 s of work, whatever
+        # the horizons asked for below the last.
+        message = r"^samples x steps = 1000000 x 101 exceeds the cap of 100000000 replica-steps"
+        for horizons in (101, (1, 2, 101)):
+            with pytest.raises(ParameterError, match=message):
+                eigenfunction_decay(fam, start, ScanStrategy.random_scan(0.5), horizons, samples=10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

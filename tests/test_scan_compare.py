@@ -293,9 +293,9 @@ def _spy_curves(monkeypatch):
     starts = []
     spectral = scan_compare._basis_tv
 
-    def spy(basis, start, steps, *buffers):
+    def spy(basis, start, steps):
         starts.append(start)
-        return spectral(basis, start, steps, *buffers)
+        return spectral(basis, start, steps)
 
     monkeypatch.setattr(scan_compare, "_basis_tv", spy)
     return starts
@@ -330,19 +330,52 @@ def test_worst_start_search_matches_iteration(n):
             assert (worst.start, worst.min_steps) == (worst_start, worst_steps)
 
 
-@pytest.mark.parametrize("n, max_steps, expected", [(723, 2169, (0, 1563)), (2000, 6000, (0, 4320))])
-def test_certified_worst_start_evaluates_one_curve(monkeypatch, n, max_steps, expected):
+@pytest.mark.parametrize(
+    "n, max_steps, target, expected",
+    [
+        pytest.param(723, 2169, 0.01, (0, 1563), id="723-2169-expected0"),
+        pytest.param(2000, 6000, 0.01, (0, 4320), id="2000-6000-expected1"),
+        # Tiny targets at large n, where a margin growing with t by a dense
+        # chain's rounding, 3 lgamma(2n + 2) + n + 1 ulps a step, would fail
+        # 600 and 537 starts and evaluate their curves.
+        pytest.param(600, 30000, 1e-8, (0, 5449), id="600-30000-expected2"),
+        pytest.param(2000, 80200, 1e-6, (0, 13535), id="2000-80200-expected3"),
+    ],
+)
+def test_certified_worst_start_evaluates_one_curve(monkeypatch, n, max_steps, target, expected):
     # The certificate proves every other start no slower, so the search
     # evaluates the candidate's curve alone and builds no dense chain.
     basis = gram_basis(BetaBinomialFamily(n=n))
     _refuse_dense_products(monkeypatch)
     curves = _spy_curves(monkeypatch)
-    worst = worst_start_search(basis, 0.01, max_steps=max_steps)
+    worst = worst_start_search(basis, target, max_steps=max_steps)
     assert (worst.start, worst.min_steps) == expected
     assert curves == [0]
-    message = f"target-not-reached: some starts still exceed TV 0.01 after {expected[1] - 1} steps"
-    with pytest.raises(NoSolutionError, match=message):
-        worst_start_search(basis, 0.01, max_steps=expected[1] - 1)
+    last = expected[1] - 1
+    message = f"target-not-reached: some starts still exceed TV {target} after {last} steps"
+    with pytest.raises(NoSolutionError, match=re.escape(message)):
+        worst_start_search(basis, target, max_steps=last)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 61, 100, 300, 723, 2000])
+def test_certificate_bounds_the_printed_curve(monkeypatch, n):
+    # The worst-start certificate's bound, with no per-step error, covers
+    # the curve _basis_tv prints, around each target's worst crossing t*.
+    basis = gram_basis(BetaBinomialFamily(n=n))
+    start_terms, calls = scan_compare._start_terms, []
+    monkeypatch.setattr(
+        scan_compare, "_start_terms", lambda *args: calls.append(args) or start_terms(*args)
+    )
+    starts = sorted({0, 1, n // 3, n // 2, n - 1, n})
+    for target in (0.5, 0.01, 1e-4, 1e-6, 1e-8):
+        last = worst_start_search(basis, target, max_steps=MAX_COMPARE_STEPS).min_steps
+        head, _, above = calls[-1]  # the levels and terms the search certifies with
+        steps = np.array(sorted({s for s in (1, 2, 3, last // 2, last - 1, last) if s >= 0}))
+        tv, error = scan_compare._certified_tv(
+            head, start_terms(head, starts, above), np.tile(steps, (len(starts), 1)), 0.0
+        )
+        printed = np.array([scan_compare._basis_tv(basis, x, steps[-1])[steps] for x in starts])
+        assert np.all(np.abs(tv - printed) <= error), (target, np.abs(tv - printed), error)
 
 
 def _assert_compare_answers_the_tie(monkeypatch, n, max_steps, target, starts):
@@ -583,8 +616,7 @@ def test_compare_long_horizon_answers(n, max_steps, exact):
     "n, worst_start, exact", [(16, 0, 37), (100, 0, 218), (233, 0, 505), (600, 0, 1297)]
 )
 def test_compare_worst_start_and_crossing_are_pinned(n, worst_start, exact):
-    # The scipy-free Gram basis (numerics.gammaln in its step error)
-    # answers as scipy's gammaln margin did.
+    # The certificate bounds the printed curve, and no start moves.
     report = compare(n=n, max_steps=3 * n)
     assert (report.worst_start, report.min_steps["exact"]) == (worst_start, exact)
 
@@ -652,6 +684,15 @@ def test_compare_refuses_decay_replicas_over_the_cap_before_the_comparison(monke
     monkeypatch.setattr(scan_compare, "gram_basis", build)
     with pytest.raises(ParameterError, match=r"^decay_samples must be an integer in 1000\.\.1000000"):
         compare(n=100, decay_samples=10**12)
+
+
+def test_compare_refuses_a_bad_seed_before_the_comparison(monkeypatch):
+    def build(fam):
+        raise AssertionError("built a basis for a query it refuses")
+
+    monkeypatch.setattr(scan_compare, "gram_basis", build)
+    with pytest.raises(ParameterError, match=r"^seed must be a nonnegative integer, got -1$"):
+        compare(n=100, decay_samples=1000, seed=-1)
 
 
 def test_compare_without_decay_has_no_rows(compare100):
