@@ -493,10 +493,9 @@ class OrthonormalBasis:
     x-chain's eigenfunctions with eigenvalues lambda_k (Diaconis, Khare &
     Saloff-Coste 2008).  ``levels`` is the chosen K and ``gram_residual``
     the largest entry of |Phi Phi^T - I| over levels 0..min(K,
-    ``BASIS_MAX_LEVEL``), the levels a certificate sums.  ``recurrence``
-    holds the coefficients (a_k, b_k) of
-    x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1}, or is None for a basis
-    whose polynomials are read from its columns.  ``log_eigenvalues`` holds
+    ``BASIS_MAX_LEVEL``), the levels a certificate sums.  Every start a
+    certificate or curve reads is a state, so the polynomials there are
+    read from the columns (``polynomials``).  ``log_eigenvalues`` holds
     log lambda_0..lambda_{K+1}: level K + 1 is the rate of the tail the
     basis leaves out.  It holds no error against any dense chain: a
     certificate takes its per-step error from its caller.
@@ -505,7 +504,6 @@ class OrthonormalBasis:
     log_mass: np.ndarray
     phi: np.ndarray
     gram_residual: float
-    recurrence: tuple[np.ndarray, np.ndarray] | None
     log_eigenvalues: np.ndarray
 
     @property
@@ -517,19 +515,19 @@ class OrthonormalBasis:
         return self.phi.shape[1]
 
     def polynomials(self, x) -> np.ndarray:
-        """p_0..p_K at the points ``x``, one row per level.
+        """p_0..p_K at the states ``x``, one row per level: p_k(x) is
+        phi_k(x) / sqrt(m(x)), taken as phi_k(x) exp(-log m(x) / 2).
 
-        Without a recurrence, ``x`` must be states, and p_k(x) is
-        phi_k(x) / sqrt(m(x)).  From the recurrence, far from the bulk of m
-        the values grow like x^k; one that overflows is inf (or nan), with
-        no warning, and the caller must treat it as unknown.
+        A state whose sqrt(m(x)) is not a normal float holds phi_k(x) with
+        few or no significant bits, so its column is nan: the caller must
+        treat it as unknown.
         """
-        if self.recurrence is None:
-            x = np.asarray(x, dtype=np.int64)
-            return self.phi[:, x] * np.exp(-0.5 * self.log_mass[x])
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=np.int64)
+        half = 0.5 * self.log_mass[x]
         with np.errstate(over="ignore", invalid="ignore"):
-            return _three_term(np.ones_like(x), x, *self.recurrence, self.levels)
+            poly = self.phi[:, x] * np.exp(-half)
+        poly[:, np.exp(half) < np.finfo(float).tiny] = np.nan
+        return poly
 
 
 def _three_term(first: np.ndarray, x: np.ndarray, a, b, levels: int) -> np.ndarray:
@@ -548,13 +546,15 @@ def _orthonormal_basis(
 ) -> OrthonormalBasis:
     """The basis phi_0..phi_K of m = exp(``log_mass``), K chosen by its Gram matrix.
 
-    The recurrence runs on phi_k = sqrt(m) p_k directly, from phi_0 = sqrt(m)
-    in the log domain, so a state whose mass underflows gives phi = 0 rather
-    than inf * 0.  Far levels lose accuracy (Gautschi 2004, on forward
+    The three-term recurrence x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1}
+    runs on phi_k = sqrt(m) p_k directly, from phi_0 = sqrt(m) in the log
+    domain, so a state whose mass underflows gives phi = 0 rather than
+    inf * 0.  Far levels lose accuracy (Gautschi 2004, on forward
     recurrences), so K is the largest level up to ``BASIS_MAX_LEVEL`` and
     dim - 1 whose leading Gram block is within ``BASIS_GRAM_TOL`` of the
     identity (level 0 is always kept).  ``a``, ``b`` and ``log_eigenvalues``
-    cover levels 0..top and 0..top + 1, top = min(``BASIS_MAX_LEVEL``, dim - 1).
+    cover levels 0..top and 0..top + 1, top = min(``BASIS_MAX_LEVEL``, dim - 1);
+    the basis keeps the rows, not the coefficients.
     """
     top = min(BASIS_MAX_LEVEL, log_mass.size - 1)
     y = np.arange(log_mass.size, dtype=float)
@@ -570,7 +570,6 @@ def _orthonormal_basis(
         log_mass=log_mass,
         phi=phi[: levels + 1],
         gram_residual=float(residual[levels]),
-        recurrence=(a[: levels + 1], b[: levels + 1]),
         log_eigenvalues=log_eigenvalues[: levels + 2],
     )
 
@@ -585,6 +584,8 @@ def meixner_basis(fam: PoissonGammaFamily) -> OrthonormalBasis:
     section 9.10); lambda_k = (1 + rate)^-k.  Beyond the forward
     recurrence, the tail cut at x_max costs the far levels accuracy.  The
     truncation's per-step error is set by ``scan_compare._pg_certified_crossings``.
+    The polynomials at a start are read from the columns, so far in the
+    tail, where sqrt(m) is not a normal float, they are unknown (nan).
     """
     c = 1.0 / (1.0 + fam.rate)
     k = np.arange(min(BASIS_MAX_LEVEL, fam.x_max) + 2, dtype=float)
@@ -641,8 +642,8 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
     chosen under ``BASIS_GRAM_TOL`` (all levels up to n = 17, 44 at
     n = 100, the cap ``BASIS_MAX_LEVEL`` at every n from 193); it loses
     the levels near n (Gautschi 2004).  The levels K_head + 1..K are rows
-    of the Hahn difference equation in y (``_hahn_rows``), so the
-    polynomials at a state are read from the basis columns.
+    of the Hahn difference equation in y (``_hahn_rows``); as in every
+    basis, the polynomials at a state are read from the columns.
 
     K is the smallest level with lambda_{K+1} sqrt(n + 1) at most
     EPS / (n + 1) min_x max(lambda_1 |p_1(x)|, lambda_2 |p_2(x)|), and never
@@ -680,7 +681,6 @@ def gram_basis(fam: BetaBinomialFamily) -> OrthonormalBasis:
         log_mass=log_mass,
         phi=phi,
         gram_residual=float(np.abs(summed @ summed.T - np.eye(summed.shape[0])).max()),
-        recurrence=None,
         log_eigenvalues=log_eigenvalues[: levels + 2],
     )
 

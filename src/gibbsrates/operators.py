@@ -12,11 +12,12 @@ of each run of equal letters.
 The algebraic view treats each step as a letter — P1 refreshes theta, P2
 refreshes x — so an l-step random scan is a length-l word in {P1, P2}.
 Conditional refreshes are idempotent projections (P1 P1 = P1), so every
-raw word collapses to an alternating reduced word.  ``collapse_census``
-counts, exhaustively, how many of the 2^l raw words collapse to each
-reduced word, and ``alpha_multipliers`` refines the count into the exact
-polynomial weight alpha^i (1-alpha)^(l-i) each reduced word receives when
-P1 is chosen with probability alpha.
+raw word collapses to an alternating reduced word.  ``alpha_multipliers``
+counts, exhaustively, how many of the 2^l raw words with i P1 letters
+collapse to each reduced word, the exact polynomial weight
+alpha^i (1-alpha)^(l-i) each reduced word receives when P1 is chosen with
+probability alpha, and ``collapse_census`` sums each polynomial's
+coefficients into the count of raw words per reduced word.
 """
 from __future__ import annotations
 
@@ -337,18 +338,11 @@ def collapse_census(length: int) -> CollapseCensus:
 
     The counts follow a closed form — a reduced word with L runs absorbs
     C(length - 1, L - 1) raw words — but the census is computed by brute
-    enumeration precisely so that closed form can be tested against it.
+    enumeration precisely so that closed form can be tested against it:
+    each word's count is the coefficient sum of its ``alpha_multipliers``
+    polynomial, the tally of its raw words over every theta-refresh count.
     """
-    length = _check_word_length(length)
-    first, runs, _ = _word_stats(length)
-    keys = first * length + (runs - 1)
-    tallies = np.bincount(keys, minlength=2 * length)
-    counts: dict[Word, int] = {}
-    for first_bit in (1, 0):  # P1-first words, then P2-first
-        for run_count in range(1, length + 1):
-            tally = int(tallies[first_bit * length + (run_count - 1)])
-            if tally:
-                counts[_alternating_word(first_bit == 1, run_count)] = tally
+    counts = {m.word: sum(m.coeffs) for m in alpha_multipliers(length)}
     return CollapseCensus(length=length, counts=counts)
 
 

@@ -21,7 +21,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 # Log-gamma values come from ``numerics.gammaln`` (scipy's bits); nothing
@@ -205,56 +204,28 @@ def first_crossing(curve: np.ndarray, target: float) -> StepCount | None:
     return int(hits[0]) if hits.size else None
 
 
-class _StartTerms(NamedTuple):
-    """The factors of ``_certified_tv`` that depend on the start alone, one
-    row per start: log m(x), the coefficients p_0..p_K(x) with level 0 set
-    to 0 (it is m itself, which K^t - m has lost), the log of the
-    Christoffel tail's coefficient sqrt(1/m(x) - sum_{k<=K} p_k(x)^2), and
-    whether any of them overflowed."""
-
-    log_mass: np.ndarray
-    poly: np.ndarray
-    log_christoffel: np.ndarray
-    unknown: np.ndarray
-
-    def take(self, index) -> "_StartTerms":
-        return _StartTerms(*(column[index] for column in self))
-
-
-def _start_terms(basis: OrthonormalBasis, starts, above: int = 0) -> _StartTerms:
-    """``_StartTerms`` of ``starts``; the Christoffel coefficient is taken in
-    the log domain, with the subtraction's rounding added.  A printed curve
-    that also sums ``above`` unit rows past level K, each term at most
-    lambda_{K+1}^t sqrt(1/m(x)), adds twice that per row to the tail: for
-    the term, its rounding and its share of the cut of ``_basis_tv``."""
-    x = np.asarray(starts, dtype=np.int64)
-    log_m = basis.log_mass[x]
-    poly = basis.polynomials(x)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_sum = logsumexp(2.0 * np.log(np.abs(poly)), axis=0)
-        share = np.exp(log_sum + log_m)  # m(x) sum_{k<=K} p_k(x)^2, at most 1
-        rest = np.maximum(1.0 - share, 0.0) + 4 * (basis.levels + 2) * EPS * share
-        log_christoffel = np.logaddexp(0.5 * np.log(rest), np.log(2.0 * above)) - 0.5 * log_m
-    unknown = ~(np.isfinite(log_christoffel) & np.isfinite(poly).all(axis=0))
-    poly[0] = 0.0
-    return _StartTerms(log_m, poly.T, log_christoffel, unknown)
-
-
 def _certified_tv(
-    basis: OrthonormalBasis, terms: _StartTerms, steps, step_error: float
+    basis: OrthonormalBasis, starts, steps, step_error: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """TV_K from each start at its row of ``steps``, and a bound on its distance
-    to the reported TV, both of the shape of ``steps`` (one row per start).
+    """TV_K from each of the states ``starts`` at its row of ``steps``, and a
+    bound on its distance to the reported TV, both of the shape of ``steps``
+    (one row per start).
 
-    From a start x the chain ``basis`` diagonalizes has
+    K is min(levels, ``BASIS_MAX_LEVEL``), the head of ``basis`` whose Gram
+    residual it holds.  From a start x the chain ``basis`` diagonalizes has
     K^t(x, y) - m(y) = sqrt(m(y)) sum_{k>=1} c_k phi_k(y), c_k = lambda_k^t p_k(x),
+    with p_k(x) read from the basis columns (``OrthonormalBasis.polynomials``),
     so TV_K(t) = 1/2 sum_y sqrt(m(y)) |sum_{1<=k<=K} c_k phi_k(y)|, one
     (pairs x K)(K x dim) product.  Its distance to the reported TV is at
     most the sum of:
 
     * the Christoffel tail 1/2 lambda_{K+1}^t sqrt(1/m(x) - sum_{k<=K} p_k(x)^2)
       (Cauchy-Schwarz over the levels above K, whose p_k(x)^2 sum to the
-      rest of 1/m(x));
+      rest of 1/m(x)).  The share m(x) sum_{k<=K} p_k(x)^2 is
+      sum_{k<=K} phi_k(x)^2, and the subtraction adds 4 (K + 2) ulps of it.
+      Each basis row above K that the printed curve sums has a term at most
+      lambda_{K+1}^t sqrt(1/m(x)), and adds twice that to the tail: for the
+      term, its rounding and its share of the cut of ``_basis_tv``;
     * (t + 1) times ``step_error``, the caller's bound on how far per step
       the chain it reports strays from the one ``basis`` diagonalizes, with
       one more for its stationary law: 0 where it reports the expansion;
@@ -267,11 +238,21 @@ def _certified_tv(
       under dim levels each below EPS / dim of the largest |c_k|, adds one.
 
     Step 0 is read exactly as 1 - m(x), within one ``step_error``.  A start
-    whose polynomials or Christoffel tail overflow gets an infinite bound.
+    whose polynomials are nan gets an infinite bound.
     """
-    t = np.asarray(steps, dtype=np.int64).reshape(terms.log_mass.size, -1)
-    rounding = basis.gram_residual + (4 * (basis.levels + 2) + 2 * basis.dim) * EPS
-    log_levels, log_tail = basis.log_eigenvalues[:-1], basis.log_eigenvalues[-1]
+    x = np.asarray(starts, dtype=np.int64)
+    head = min(basis.levels, BASIS_MAX_LEVEL)
+    phi = basis.phi[: head + 1]
+    log_m = basis.log_mass[x]
+    poly = basis.polynomials(x)[: head + 1].T
+    share = (phi[:, x] ** 2).sum(axis=0)  # at most 1
+    rest = np.maximum(1.0 - share, 0.0) + 4 * (head + 2) * EPS * share
+    log_christoffel = np.log(np.sqrt(rest) + 2.0 * (basis.levels - head)) - 0.5 * log_m
+    unknown = ~np.isfinite(poly).all(axis=1)
+    poly[:, 0] = 0.0  # level 0 is m itself, which K^t - m has lost
+    t = np.asarray(steps, dtype=np.int64).reshape(x.size, -1)
+    rounding = basis.gram_residual + (4 * (head + 2) + 2 * basis.dim) * EPS
+    log_levels, log_tail = basis.log_eigenvalues[: head + 1], basis.log_eigenvalues[head + 1]
     tv = np.empty(t.shape)
     error = (t + 1) * step_error
     chunk = max(1, CERTIFY_BLOCK // (t.shape[1] * basis.dim))
@@ -281,25 +262,25 @@ def _certified_tv(
             part = slice(first, first + chunk)
             # exponent[s, p, k] = t[s, p] log lambda_k, and coeff its c_k at x_s
             exponent = t[part, :, None] * log_levels
-            coeff = np.exp(exponent) * terms.poly[part, None, :]
-            flat = coeff.reshape(-1, basis.levels + 1)
-            tv[part] = (0.5 * (np.abs(flat @ basis.phi) @ basis.phi[0])).reshape(coeff.shape[:2])
+            coeff = np.exp(exponent) * poly[part, None, :]
+            flat = coeff.reshape(-1, head + 1)
+            tv[part] = (0.5 * (np.abs(flat @ phi) @ phi[0])).reshape(coeff.shape[:2])
             error[part] += 0.5 * (
-                np.exp(t[part] * log_tail + terms.log_christoffel[part, None])
+                np.exp(t[part] * log_tail + log_christoffel[part, None])
                 + (np.abs(coeff) * (rounding - EPS * exponent)).sum(axis=2)
             )
     at_zero = t == 0
-    tv[at_zero] = -np.expm1(np.broadcast_to(terms.log_mass[:, None], t.shape)[at_zero])
+    tv[at_zero] = -np.expm1(np.broadcast_to(log_m[:, None], t.shape)[at_zero])
     error[at_zero] = step_error
-    error[terms.unknown] = np.inf
+    error[unknown] = np.inf
     return tv, error
 
 
 def _certified_crossings(
-    basis: OrthonormalBasis, terms: _StartTerms, target: float, last: int, step_error: float
+    basis: OrthonormalBasis, starts, target: float, last: int, step_error: float
 ) -> np.ndarray:
-    """Each start's crossing of the target where ``_certified_tv``, with the
-    caller's ``step_error``, decides it.
+    """The crossing of the target from each of the states ``starts``, where
+    ``_certified_tv``, with the caller's ``step_error``, decides it.
 
     A decided start gets its crossing in 0..``last``, or ``last`` + 1 if it
     is certified above the target at step ``last``; an undecided one gets
@@ -315,7 +296,8 @@ def _certified_crossings(
     certified above.  Only ``pg_mixing_demo`` searches this way; the
     beta-binomial search reads its crossings from the printed curves.
     """
-    size = terms.log_mass.size
+    starts = np.asarray(starts, dtype=np.int64)
+    size = starts.size
     low = np.full(size, -1)  # the last step probed and not certified below
     low_above = np.zeros(size, dtype=bool)  # whether it was certified above
     high = np.full(size, last + 1)  # the first step certified below
@@ -326,7 +308,7 @@ def _certified_crossings(
         stride = np.where(high_i <= last, 0, np.maximum(low_i + 1, 1))
         spread = (high_i - low_i - 1) * probes // CERTIFY_PROBES
         steps = np.minimum(low_i + 1 + np.where(stride > 0, stride * probes, spread), last)
-        tv, error = _certified_tv(basis, terms.take(index), steps, step_error)
+        tv, error = _certified_tv(basis, starts[index], steps, step_error)
         below = tv + error <= target
         hit = below.any(axis=1)
         first = np.where(hit, np.argmax(below, axis=1), CERTIFY_PROBES)
@@ -367,11 +349,12 @@ def worst_start_search(
     start is searched with no chain power.  A start's crossing is always
     the first crossing of its own curve from the expansion (``_basis_tv``),
     the curve ``compare`` prints.  The candidate is the first start
-    maximizing |p_1(x)|, the start the slowest eigenfunction weighs most;
-    its curve gives its crossing t*.  The certificate (``_certified_tv`` on
-    levels 0..``BASIS_MAX_LEVEL``, the Christoffel tail covering the rest
-    and the basis's own rows above them) bounds each start's distance to
-    that printed curve, so it has no per-step error.  It only proves that
+    maximizing |p_1(x)|, read from the basis columns, the start the slowest
+    eigenfunction weighs most; its curve gives its crossing t*.  The
+    certificate (``_certified_tv`` on the same basis: it sums levels
+    0..``BASIS_MAX_LEVEL``, and its Christoffel tail covers the rest and
+    the basis's own rows above them) bounds each start's distance to that
+    printed curve, so it has no per-step error.  It only proves that
     no other start is slower: that every later start is at or below the
     target at t* and every earlier one at t* - 1.  Each start that fails
     this gets the crossing of its own curve, and the worst is the first
@@ -380,13 +363,7 @@ def worst_start_search(
     """
     target = check_target(target)
     max_steps = int(max_steps)
-    head = dataclasses.replace(
-        basis,
-        phi=basis.phi[: BASIS_MAX_LEVEL + 1],
-        log_eigenvalues=basis.log_eigenvalues[: BASIS_MAX_LEVEL + 2],
-    )
     states = np.arange(basis.dim)
-    terms = _start_terms(head, states, basis.levels - head.levels)
 
     def own_crossing(start: int) -> tuple[int, np.ndarray]:
         curve = _basis_tv(basis, start, max_steps)
@@ -395,13 +372,13 @@ def worst_start_search(
             raise _not_reached(target, max_steps)
         return hit, curve
 
-    candidate = int(np.argmax(np.abs(terms.poly[:, 1])))
+    candidate = int(np.argmax(np.abs(basis.polynomials(states)[1])))
     worst, curve = own_crossing(candidate)
     # The step at which each other start must be certified at or below the
     # target for the candidate to be the first start to need ``worst`` steps.
     bound = np.where(states < candidate, worst - 1, worst)
     others = np.flatnonzero((states != candidate) & (bound >= 0))
-    tv, error = _certified_tv(head, terms.take(others), bound[others], 0.0)
+    tv, error = _certified_tv(basis, others, bound[others], 0.0)
     start = candidate
     for x in others[(tv + error > target)[:, 0]]:
         hit, own = own_crossing(int(x))
@@ -560,8 +537,7 @@ def compare(
     """
     if not is_integer(n) or not 1 <= int(n) <= MAX_COMPARE_N:
         raise ParameterError(
-            f"compare-n-out-of-range: n must be an integer in 1..{MAX_COMPARE_N} "
-            f"(dense exact computation), got {n!r}"
+            f"compare-n-out-of-range: n must be an integer in 1..{MAX_COMPARE_N}, got {n!r}"
         )
     n = int(n)
     if not is_integer(max_steps) or not 1 <= int(max_steps) <= MAX_COMPARE_STEPS:
@@ -797,8 +773,7 @@ def _pg_certified_crossings(fam: PoissonGammaFamily, starts, target: float) -> n
     basis = meixner_basis(fam)
     step_error = TRUNCATION_TOL + (fam.x_max + 1) * EPS
     last = min(MAX_COMPARE_STEPS, int(target / step_error))
-    terms = _start_terms(basis, starts)
-    crossing = _certified_crossings(basis, terms, target, last, step_error)
+    crossing = _certified_crossings(basis, starts, target, last, step_error)
     crossing[crossing > last] = -1
     return crossing
 

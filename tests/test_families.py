@@ -683,7 +683,6 @@ def test_gram_basis_levels():
         assert basis.log_eigenvalues.shape == (levels + 2,)
         # lambda_{n+1} = 0: no tail is left out while K = n.
         assert (basis.log_eigenvalues[-1] == -math.inf) == (levels == n)
-        assert basis.recurrence is None
     assert [gram_basis(BetaBinomialFamily(n=n)).levels for n in (60, 100, 700, 2000)] == [
         60, 63, 178, 308,
     ]

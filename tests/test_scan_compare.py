@@ -358,21 +358,16 @@ def test_certified_worst_start_evaluates_one_curve(monkeypatch, n, max_steps, ta
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 61, 100, 300, 723, 2000])
-def test_certificate_bounds_the_printed_curve(monkeypatch, n):
+def test_certificate_bounds_the_printed_curve(n):
     # The worst-start certificate's bound, with no per-step error, covers
     # the curve _basis_tv prints, around each target's worst crossing t*.
     basis = gram_basis(BetaBinomialFamily(n=n))
-    start_terms, calls = scan_compare._start_terms, []
-    monkeypatch.setattr(
-        scan_compare, "_start_terms", lambda *args: calls.append(args) or start_terms(*args)
-    )
     starts = sorted({0, 1, n // 3, n // 2, n - 1, n})
     for target in (0.5, 0.01, 1e-4, 1e-6, 1e-8):
         last = worst_start_search(basis, target, max_steps=MAX_COMPARE_STEPS).min_steps
-        head, _, above = calls[-1]  # the levels and terms the search certifies with
         steps = np.array(sorted({s for s in (1, 2, 3, last // 2, last - 1, last) if s >= 0}))
         tv, error = scan_compare._certified_tv(
-            head, start_terms(head, starts, above), np.tile(steps, (len(starts), 1)), 0.0
+            basis, starts, np.tile(steps, (len(starts), 1)), 0.0
         )
         printed = np.array([scan_compare._basis_tv(basis, x, steps[-1])[steps] for x in starts])
         assert np.all(np.abs(tv - printed) <= error), (target, np.abs(tv - printed), error)
@@ -974,6 +969,28 @@ def test_pg_demo_far_starts_take_the_dense_fallback(monkeypatch, shape, rate, x_
     rows = pg_mixing_demo(starts, shape=shape, rate=rate, x_max=x_max).rows
     assert [tuple(dataclasses.astuple(row)) for row in rows] == expected
     assert fallback == [starts[1:]]
+
+
+def test_pg_certificate_leaves_starts_with_subnormal_root_mass_unknown():
+    # At shape 0.5, rate 3 and x_max 2400, sqrt(m) is subnormal at states
+    # 1019..1071 and 0 from 1072 on, so phi_k there holds few or no
+    # significant bits: their polynomials are nan and the certificate
+    # leaves them to the dense chain, which gives the rows it always gave.
+    fam = PoissonGammaFamily(shape=0.5, rate=3.0, x_max=2400)
+    basis = families.meixner_basis(fam)
+    root = np.exp(0.5 * basis.log_mass)
+    assert np.flatnonzero((root > 0) & (root < np.finfo(float).tiny)).tolist() == list(
+        range(1019, 1072)
+    )
+    assert not root[1072:].any()
+    poly = basis.polynomials([1014, 1019, 1045, 1071, 1072, 2400])
+    assert np.isfinite(poly[:, 0]).all()
+    assert np.isnan(poly[:, 1:]).all()
+    starts = [0, 8, 1014, 1019, 1045, 1072]
+    for target, expected in ((0.01, [2, 5, 8, 9, 9, 9]), (1e-6, [9, 12, 15, 15, 15, 15])):
+        assert list(_pg_certified_crossings(fam, starts, target)[3:]) == [-1, -1, -1]
+        rows = pg_mixing_demo(starts, target=target, shape=0.5, rate=3.0, x_max=2400).rows
+        assert [row.exact_min_steps for row in rows] == expected
 
 
 def test_pg_demo_validation():
